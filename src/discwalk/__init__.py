@@ -37,7 +37,6 @@ from .eset import (
     Interval,
     LogNum,
     Schedule,
-    contains,
     generate_paper_schedule,
     make_desk_schedule,
     verify_schedule,

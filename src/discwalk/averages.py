@@ -20,13 +20,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import BudgetExceeded, EmptyAfterFilter, MissingEntries
+from .errors import BudgetExceeded, ConfigError, MissingEntries
 from .eset import ESet, Schedule
-from .filters import AcceptAll
 from .rotation import HALF, MODULUS, FixedAngle, orbit_hi64, walk_heights
-from .series import AverageEntry, AverageSeries
+from .series import AverageEntry, AverageSeries, _in_e, _sampled_series, check_n_list
 from .symbolic import CylinderSpec, default_window_radius, sample_omega
-from .walk import sample_thetas
+from .walk import _occupation_at_checkpoints, sample_thetas
 from ._parallel import ordered_map
 
 EXACT_N_CAP = 1 << 14
@@ -110,9 +109,8 @@ def exact_average_series(
     Returns the float series plus the exact fractions (denominator divides
     2**129 * N).  Quadratic in max(N_list); capped to keep runs bounded.
     """
-    if sorted(N_list) != list(N_list) or not N_list:
-        raise ValueError("N_list must be nonempty ascending")
-    max_n = max(N_list)
+    N_list = check_n_list(N_list)
+    max_n = N_list[-1]
     if max_n > EXACT_N_CAP:
         raise BudgetExceeded(
             f"exact route is quadratic; N={max_n} exceeds cap {EXACT_N_CAP}")
@@ -148,44 +146,10 @@ def reduced_average_series(
     seed: int,
     workers: int = 1,
 ) -> AverageSeries:
-    """A_N by streaming the walk over sampled thetas (reduction formula).
-
-    One pass per theta covers every N in the list.  Thetas rejected by the
-    filter contribute zero, folding the accepted fraction into the estimate
-    so it targets the integral over the accepted set.
-    """
-    if sorted(N_list) != list(N_list) or not N_list:
-        raise ValueError("N_list must be nonempty ascending")
-    if n_theta < 16:
-        raise ValueError("n_theta must be >= 16")
-    max_n = max(N_list)
-    thetas = sample_thetas(n_theta, seed)
-    mask = (b_filter or AcceptAll()).select(thetas, alpha)
-    if not mask.any():
-        raise EmptyAfterFilter("no theta samples pass the filter")
-    alpha_bits = alpha.bits
-    n_arr = np.asarray(N_list)
-
-    def per_theta(item) -> np.ndarray:
-        theta, accepted = item
-        if not accepted:
-            return np.zeros(len(n_arr))
-        heights = walk_heights(theta.bits, alpha_bits, max_n)
-        lo = int(heights.min())
-        in_e = e.lut(lo, int(heights.max()))
-        csum = np.cumsum(in_e[(heights - lo).astype(np.intp)])
-        return csum[n_arr - 1] / n_arr
-
-    fractions = np.array(
-        ordered_map(per_theta, list(zip(thetas, (bool(m) for m in mask))), workers))
-    values = 0.5 * fractions.mean(axis=0)
-    stderr = 0.5 * fractions.std(axis=0, ddof=1) / math.sqrt(n_theta)
-    entries = [
-        AverageEntry(N=int(n), value=float(v), stderr=float(s),
-                     method="reduced", n_samples=n_theta, seed=seed)
-        for n, v, s in zip(N_list, values, stderr)
-    ]
-    return AverageSeries(entries)
+    """A_N by streaming the walk over sampled thetas (reduction formula):
+    half the fraction of walk times whose height lies in E."""
+    return _sampled_series(alpha, b_filter, N_list, n_theta, seed, workers,
+                           lambda i, heights: _in_e(e, heights), 0.5, "reduced")
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +193,7 @@ class OscillationReport:
     def from_json(cls, text: str) -> "OscillationReport":
         doc = json.loads(text)
         if doc.get("schema") != "discwalk-oscillation-v1":
-            raise ValueError("unexpected oscillation report schema")
+            raise ConfigError("unexpected oscillation report schema")
         rep = cls(
             rows=[OscillationRow(**r) for r in doc["rows"]],
             oscillation=doc["oscillation"],
@@ -333,21 +297,15 @@ def ratio_check(
 ) -> RatioTable:
     """Per-level visit counts relative to returns to zero, per checkpoint."""
     v_list = list(v_list)
-    checkpoints = sorted(N_checkpoints)
-    max_n = max(checkpoints)
-    v_max = max(abs(v) for v in v_list) if v_list else 0
+    checkpoints = check_n_list(sorted(N_checkpoints))
+    v_max = max((abs(v) for v in v_list), default=0)
+    cols = [v + v_max for v in v_list]
     alpha_bits = alpha.bits
 
     def per_theta(theta: FixedAngle) -> np.ndarray:
-        heights = walk_heights(theta.bits, alpha_bits, max_n)
-        out = np.empty((len(v_list), len(checkpoints)))
-        clipped = np.clip(heights, -v_max - 1, v_max + 1) + (v_max + 1)
-        for k, n in enumerate(checkpoints):
-            counts = np.bincount(clipped[:n], minlength=2 * v_max + 3)
-            zero = counts[v_max + 1]  # phi_0 = 0, so always >= 1
-            for j, v in enumerate(v_list):
-                out[j, k] = counts[v + v_max + 1] / zero
-        return out
+        counts = _occupation_at_checkpoints(theta.bits, alpha_bits, checkpoints, v_max)
+        # column v_max counts returns to zero, which is >= 1 since h_0 = 0
+        return (counts[:, cols] / counts[:, [v_max]]).T
 
     ratios = np.array(ordered_map(per_theta, theta_samples, workers))
     return RatioTable(checkpoints=checkpoints, v_list=v_list, ratios=ratios)
@@ -366,7 +324,7 @@ def arc_from_floats(pieces: Sequence[Tuple[float, float]]) -> Arc:
         lo_b = int(lo * MODULUS)
         hi_b = int(hi * MODULUS)
         if not 0 <= lo_b < hi_b <= MODULUS:
-            raise ValueError(f"bad arc piece ({lo}, {hi})")
+            raise ConfigError(f"bad arc piece ({lo}, {hi})")
         out.append((lo_b, hi_b))
     return out
 
@@ -447,8 +405,8 @@ def zero_entropy_proxy(
     workers: int = 1,
 ) -> RangeDecayTable:
     """Fraction of distinct heights visited, per theta and horizon."""
-    N_list = sorted(N_list)
-    max_n = max(N_list)
+    N_list = check_n_list(sorted(N_list))
+    max_n = N_list[-1]
     alpha_bits = alpha.bits
     idx = np.asarray(N_list) - 1
 

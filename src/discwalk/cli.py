@@ -19,7 +19,6 @@ import click
 import yaml
 
 from .averages import (
-    EXACT_N_CAP,
     exact_average_series,
     ergodicity_correlation,
     full_circle_arc,
@@ -28,23 +27,7 @@ from .averages import (
     reduced_average_series,
     zero_entropy_proxy,
 )
-from .errors import (
-    BadOrder,
-    BudgetExceeded,
-    ConfigError,
-    DiscwalkError,
-    EmptyAfterFilter,
-    FiniteCF,
-    HeightOverflow,
-    InsufficientSamples,
-    MissingConstants,
-    MissingEntries,
-    OverlappingIntervals,
-    PaperModeNotQueryable,
-    UnboundedQuotients,
-    UnknownPreset,
-    WindowExceeded,
-)
+from .errors import BudgetExceeded, ConfigError, DiscwalkError, UnknownPreset
 from .eset import LogNum, Schedule, generate_paper_schedule, make_desk_schedule, verify_schedule
 from .filters import AcceptAll, QuantileFilter
 from .rotation import AlphaSpec, FixedAngle, resolve_alpha
@@ -54,21 +37,6 @@ from .walk import estimate_constants, run_walk, sample_thetas
 EXIT_CONFIG = 2
 EXIT_GATE = 3
 EXIT_BUDGET = 4
-
-_CONFIG_ERRORS = (
-    ConfigError,
-    UnknownPreset,
-    FiniteCF,
-    UnboundedQuotients,
-    BadOrder,
-    OverlappingIntervals,
-    MissingConstants,
-    MissingEntries,
-    InsufficientSamples,
-    EmptyAfterFilter,
-    PaperModeNotQueryable,
-)
-_BUDGET_ERRORS = (BudgetExceeded, WindowExceeded, HeightOverflow)
 
 
 class OracleGateFailure(DiscwalkError):
@@ -157,6 +125,13 @@ def parse_int_list(value) -> List[int]:
         raise ConfigError(f"bad integer list {value!r}")
 
 
+def parse_theta(value) -> FixedAngle:
+    try:
+        return FixedAngle.from_decimal_string(str(value))
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"bad theta {value!r}; expected a decimal in [0,1)")
+
+
 def make_filter(spec):
     """None | 'all' | 'quantile:q[:horizon[:v_max]]'."""
     if spec in (None, "all", "none"):
@@ -169,6 +144,7 @@ def make_filter(spec):
             v_max = int(parts[2]) if len(parts) > 2 else 2
         except (ValueError, IndexError):
             raise ConfigError(f"bad filter spec {spec!r}")
+        require(0 < q < 1, f"bad filter spec {spec!r}; quantile q must be in (0, 1)")
         return QuantileFilter(q=q, horizon=horizon, v_max=v_max)
     raise ConfigError(f"bad filter spec {spec!r}; expected 'all' or 'quantile:q'")
 
@@ -241,7 +217,7 @@ def cmd_walk(config_path, alpha, seed, threads, out, thetas, n, n_theta):
     require(N >= 1, "walk length N must be >= 1")
     a = parse_alpha(cfg.get("alpha"))
     if cfg.get("theta"):
-        points = [FixedAngle.from_decimal_string(str(t)) for t in cfg["theta"]]
+        points = [parse_theta(t) for t in cfg["theta"]]
     else:
         require(cfg.get("n_theta") is not None,
                 "give at least one --theta, or --n-theta with --seed")
@@ -291,6 +267,7 @@ def cmd_schedule(config_path, alpha, seed, threads, out, mode, pairs,
     c_of = None
     if cfg.get("c_const") is not None:
         c_value = float(cfg["c_const"])
+        require(0 < c_value < math.inf, "--c-const must be positive and finite")
         c_of = lambda v: LogNum(x=c_value)  # noqa: E731
     if cfg.get("schedule_file"):
         try:
@@ -301,8 +278,9 @@ def cmd_schedule(config_path, alpha, seed, threads, out, mode, pairs,
     elif cfg.get("mode") == "paper":
         require(cfg.get("m_max") is not None, "paper mode requires --m-max")
         require(c_of is not None, "paper mode requires --c-const")
+        margin = cfg.get("margin")
         schedule = generate_paper_schedule(
-            c_of, int(cfg["m_max"]), float(cfg.get("margin") or 1.0))
+            c_of, int(cfg["m_max"]), 1.0 if margin is None else float(margin))
     else:
         require(cfg.get("pairs") is not None,
                 "desk mode requires --pairs (or a schedule/config file)")
@@ -494,10 +472,10 @@ def entrypoint(argv: Optional[Sequence[str]] = None) -> int:
     except OracleGateFailure as e:
         click.echo(f"oracle gate: {e}", err=True)
         return EXIT_GATE
-    except _BUDGET_ERRORS as e:
+    except BudgetExceeded as e:
         click.echo(f"budget: {e}", err=True)
         return EXIT_BUDGET
-    except _CONFIG_ERRORS as e:
+    except DiscwalkError as e:
         click.echo(f"config: {e}", err=True)
         return EXIT_CONFIG
 

@@ -1,15 +1,28 @@
-"""Exception hierarchy shared by all discwalk modules."""
+"""Exception hierarchy shared by all discwalk modules.
+
+Two families cover every expected failure: :class:`ConfigError` (the input
+or configuration cannot be used) and :class:`BudgetExceeded` (a resource
+budget ran out).  The CLI maps each family to one exit code.
+"""
 
 
 class DiscwalkError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class UnknownPreset(DiscwalkError):
+class ConfigError(DiscwalkError, ValueError):
+    """The input or configuration cannot be used."""
+
+
+class BudgetExceeded(DiscwalkError):
+    """A resource budget (time, window, height range) was exceeded."""
+
+
+class UnknownPreset(ConfigError):
     pass
 
 
-class FiniteCF(DiscwalkError):
+class FiniteCF(ConfigError):
     """A custom continued fraction terminated before reaching full precision.
 
     A finite CF denotes a rational number; every result used here requires an
@@ -17,19 +30,19 @@ class FiniteCF(DiscwalkError):
     """
 
 
-class UnboundedQuotients(DiscwalkError):
+class UnboundedQuotients(ConfigError):
     """A custom CF contains a partial quotient above its declared bound."""
 
 
-class HeightOverflow(DiscwalkError):
+class HeightOverflow(BudgetExceeded):
     """Walk height left the 64-bit range (unreachable at supported horizons)."""
 
 
-class InsufficientSamples(DiscwalkError):
+class InsufficientSamples(ConfigError):
     pass
 
 
-class WindowExceeded(DiscwalkError):
+class WindowExceeded(BudgetExceeded):
     """A symbol-window shift left the materialized window.
 
     ``height`` carries the offending offset so the caller can re-run with a
@@ -41,33 +54,25 @@ class WindowExceeded(DiscwalkError):
         self.height = height
 
 
-class PaperModeNotQueryable(DiscwalkError):
+class PaperModeNotQueryable(ConfigError):
     """Pointwise membership is not available for log-space schedules."""
 
 
-class MissingConstants(DiscwalkError):
+class MissingConstants(ConfigError):
     pass
 
 
-class OverlappingIntervals(DiscwalkError):
+class OverlappingIntervals(ConfigError):
     pass
 
 
-class BadOrder(DiscwalkError):
+class BadOrder(ConfigError):
     pass
 
 
-class EmptyAfterFilter(DiscwalkError):
+class EmptyAfterFilter(ConfigError):
     pass
 
 
-class BudgetExceeded(DiscwalkError):
-    pass
-
-
-class MissingEntries(DiscwalkError):
-    pass
-
-
-class ConfigError(DiscwalkError):
+class MissingEntries(ConfigError):
     pass

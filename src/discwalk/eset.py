@@ -19,18 +19,21 @@ import mpmath
 
 from .errors import (
     BadOrder,
+    ConfigError,
     MissingConstants,
     OverlappingIntervals,
     PaperModeNotQueryable,
 )
 
-mpmath.mp.dps = 50
+# a private context, so results do not depend on the global mpmath precision
+_mp = mpmath.MPContext()
+_mp.dps = 50
 
 _EXACT_LIMIT = 1 << 63
 # canonical component range for lifted representations: x in [_LIFT_LN, _LIFT)
-_LIFT = mpmath.exp(92)
-_LIFT_LN = mpmath.mpf(92)
-_BUMP = mpmath.mpf("1e-13")
+_LIFT = _mp.exp(92)
+_LIFT_LN = _mp.mpf(92)
+_BUMP = _mp.mpf("1e-13")
 
 
 class LogNum:
@@ -51,17 +54,17 @@ class LogNum:
             if exact < _EXACT_LIMIT:
                 self.exact, self.depth, self.x = exact, 0, None
                 return
-            depth, x = 0, mpmath.mpf(exact)
+            depth, x = 0, _mp.mpf(exact)
         self.exact = None
-        x = mpmath.mpf(x)
+        x = _mp.mpf(x)
         if x <= 0:
             raise ValueError("LogNum is positive")
         # normalize: keep the top component inside the canonical band
         while x >= _LIFT:
-            x = mpmath.log(x)
+            x = _mp.log(x)
             depth += 1
         while depth > 0 and x < _LIFT_LN:
-            x = mpmath.exp(x)
+            x = _mp.exp(x)
             depth -= 1
         self.depth = depth
         self.x = x
@@ -73,13 +76,13 @@ class LogNum:
             return v
         if isinstance(v, int):
             return cls(exact=v)
-        return cls(x=mpmath.mpf(v))
+        return cls(x=_mp.mpf(v))
 
     # -- views --------------------------------------------------------------
     def _mpf(self):
         """Depth-0 mpf view; only valid when depth == 0."""
         if self.exact is not None:
-            return mpmath.mpf(self.exact)
+            return _mp.mpf(self.exact)
         if self.depth != 0:
             raise OverflowError("value too large for a single float component")
         return self.x
@@ -102,7 +105,7 @@ class LogNum:
     # -- comparisons --------------------------------------------------------
     def _key(self):
         if self.exact is not None:
-            return (0, mpmath.mpf(self.exact))
+            return (0, _mp.mpf(self.exact))
         return (self.depth, self.x)
 
     def __lt__(self, other):
@@ -131,12 +134,12 @@ class LogNum:
         v = self._mpf()
         if v <= 1:
             raise ValueError("log of a LogNum <= 1")
-        return LogNum(x=mpmath.log(v))
+        return LogNum(x=_mp.log(v))
 
     def exp(self) -> "LogNum":
         if self.depth > 0 or (self.exact is None and self.x >= _LIFT_LN):
             return LogNum(depth=self.depth + 1, x=self.x)
-        return LogNum(x=mpmath.exp(self._mpf()))
+        return LogNum(x=_mp.exp(self._mpf()))
 
     def mul(self, other: "LogNumLike") -> "LogNum":
         other = LogNum.coerce(other)
@@ -149,7 +152,7 @@ class LogNum:
         la = a.log()
         if b.depth == 0:
             if la.depth == 0:
-                return LogNum(x=la._mpf() + mpmath.log(b._mpf())).exp()
+                return LogNum(x=la._mpf() + _mp.log(b._mpf())).exp()
             return a  # the factor is far below the tower's component resolution
         return la.add(b.log()).exp()
 
@@ -174,7 +177,7 @@ class LogNum:
 
     def sqrt(self) -> "LogNum":
         if self.exact is not None or self.depth == 0:
-            return LogNum(x=mpmath.sqrt(self._mpf()))
+            return LogNum(x=_mp.sqrt(self._mpf()))
         if self.depth == 1:
             return LogNum(depth=1, x=self.x / 2)
         # depth >= 2: halving shifts the next component by log 2, absorbed
@@ -224,13 +227,13 @@ class LogNum:
     def parse(cls, s: str) -> "LogNum":
         if s.startswith("log:"):
             _, depth, man, exp = s.split(":")
-            return cls(depth=int(depth), x=mpmath.ldexp(mpmath.mpf(int(man)), int(exp)))
+            return cls(depth=int(depth), x=_mp.ldexp(_mp.mpf(int(man)), int(exp)))
         return cls(exact=int(s))
 
     def __repr__(self):
         if self.exact is not None:
             return f"LogNum({self.exact})"
-        return f"LogNum(depth={self.depth}, x={mpmath.nstr(self.x, 12)})"
+        return f"LogNum(depth={self.depth}, x={_mp.nstr(self.x, 12)})"
 
 
 LogNumLike = Union[int, float, LogNum]
@@ -389,10 +392,6 @@ class ESet:
         return f"ESet({self.bounds})"
 
 
-def contains(e: ESet, v: int) -> bool:
-    return e.contains(v)
-
-
 def _resolve_cbound(schedule: Schedule, c_of: Optional[CBound]) -> CBound:
     if c_of is not None:
         return c_of
@@ -423,7 +422,7 @@ def verify_schedule(schedule: Schedule, c_of: Optional[CBound] = None) -> Condit
     report = ConditionReport(a_ok=(not ivs) or ivs[0].l > 1)
     for m1, iv in enumerate(ivs):
         m = m1 + 1
-        rhs = LogNum(x=mpmath.mpf(1) / m)
+        rhs = LogNum(x=_mp.mpf(1) / m)
         hi = iv.hi
         b_lhs = LogNum.coerce(cb(iv.l)).mul(iv.l)
         b_den = hi.log().sqrt()
@@ -461,10 +460,10 @@ def generate_paper_schedule(
     condition ratio.
     """
     if not 0 < margin <= 1:
-        raise ValueError("margin must be in (0, 1]")
+        raise ConfigError("margin must be in (0, 1]")
     intervals: List[Interval] = []
     l = LogNum(exact=2)
-    inv_margin = LogNum(x=mpmath.mpf(1) / margin)
+    inv_margin = LogNum(x=_mp.mpf(1) / margin)
     for m in range(1, m_max + 1):
         c_l = LogNum.coerce(c_of(l))
         target = c_l.mul(l).mul(m).mul(inv_margin).square()
@@ -484,8 +483,8 @@ def generate_paper_schedule(
 def _least_with_log_above(t: LogNum) -> LogNum:
     """Least value v (at carried resolution) with log v strictly above t."""
     if t.depth == 0 and t._mpf() < 43:  # e**43 < 2**63: exact integer regime
-        v = int(mpmath.floor(mpmath.exp(t._mpf()))) + 1
-        while mpmath.log(v) <= t._mpf():
+        v = int(_mp.floor(_mp.exp(t._mpf()))) + 1
+        while _mp.log(v) <= t._mpf():
             v += 1
         return LogNum(exact=v)
     return t.bumped_up().exp()

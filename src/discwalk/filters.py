@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .rotation import FixedAngle, walk_heights
+from .rotation import FixedAngle
+from .walk import _occupation_at_checkpoints
 
 
 class AcceptAll:
@@ -42,20 +43,15 @@ class QuantileFilter:
         return f"quantile(q={self.q},horizon={self.horizon},v_max={self.v_max})"
 
     def statistic(self, theta: FixedAngle, alpha: FixedAngle) -> float:
-        heights = walk_heights(theta.bits, alpha.bits, self.horizon)
         times = []
         n = 16
         while n < self.horizon:
             times.append(n)
             n *= 2
         times.append(self.horizon)
-        best = 0.0
-        for n in times:
-            scale = math.sqrt(math.log(n)) / n
-            prefix = heights[:n]
-            for v in range(-self.v_max, self.v_max + 1):
-                best = max(best, int(np.count_nonzero(prefix == v)) * scale)
-        return best
+        counts = _occupation_at_checkpoints(theta.bits, alpha.bits, times, self.v_max)
+        scale = np.array([math.sqrt(math.log(n)) / n for n in times])
+        return float((counts * scale[:, None]).max())
 
     def select(self, thetas: Sequence[FixedAngle], alpha: FixedAngle) -> np.ndarray:
         stats = np.array([self.statistic(t, alpha) for t in thetas])

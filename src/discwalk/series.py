@@ -1,10 +1,20 @@
-"""Average-series container shared by the three evaluation routes."""
+"""Average-series container shared by the three evaluation routes, and the
+driver shared by the two sampled routes."""
 
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Callable, List, Optional, Sequence
+
+import numpy as np
+
+from .errors import ConfigError, EmptyAfterFilter
+from .filters import AcceptAll
+from .rotation import FixedAngle, walk_heights
+from .walk import sample_thetas
+from ._parallel import ordered_map
 
 CSV_HEADER = "N,A,stderr,method,n_theta,seed"
 
@@ -44,7 +54,7 @@ class AverageSeries:
     def from_csv(cls, text: str) -> "AverageSeries":
         lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
         if lines[0] != CSV_HEADER:
-            raise ValueError(f"unexpected series header: {lines[0]!r}")
+            raise ConfigError(f"unexpected series header: {lines[0]!r}")
         entries = []
         for ln in lines[1:]:
             n, a, se, method, ns, seed = ln.split(",")
@@ -59,3 +69,65 @@ class AverageSeries:
                 )
             )
         return cls(entries)
+
+
+def check_n_list(N_list: Sequence[int]) -> List[int]:
+    """The N list as a list; rejects an empty list, any N < 1, and any list
+    that is not strictly ascending."""
+    N_list = list(N_list)
+    if not N_list:
+        raise ConfigError("N list must be nonempty")
+    if any(b <= a for a, b in zip(N_list, N_list[1:])):
+        raise ConfigError(f"N list must be strictly ascending: {N_list}")
+    if N_list[0] < 1:
+        raise ConfigError(f"every N must be >= 1: {N_list}")
+    return N_list
+
+
+def _in_e(e, heights: np.ndarray) -> np.ndarray:
+    """Membership in E of every height, through E's table over the band."""
+    lo = int(heights.min())
+    return e.lut(lo, int(heights.max()))[heights - lo]
+
+
+def _sampled_series(
+    alpha: FixedAngle,
+    b_filter,
+    N_list: Sequence[int],
+    n_theta: int,
+    seed: int,
+    workers: int,
+    indicator: Callable[[int, np.ndarray], np.ndarray],
+    prefactor: float,
+    method: str,
+) -> AverageSeries:
+    """A_N as prefactor times the mean over sampled thetas of the fraction of
+    walk times n < N at which ``indicator(i, heights)`` holds.
+
+    One walk per theta covers every N in the list.  Thetas rejected by the
+    filter contribute zero, folding the accepted fraction into the estimate
+    so it targets the integral over the accepted set.
+    """
+    N_list = check_n_list(N_list)
+    if n_theta < 16:
+        raise ConfigError("n_theta must be >= 16")
+    thetas = sample_thetas(n_theta, seed)
+    mask = (b_filter or AcceptAll()).select(thetas, alpha)
+    if not mask.any():
+        raise EmptyAfterFilter("no theta samples pass the filter")
+    n_arr = np.asarray(N_list)
+
+    def per_theta(i: int) -> np.ndarray:
+        if not mask[i]:
+            return np.zeros(len(n_arr))
+        heights = walk_heights(thetas[i].bits, alpha.bits, N_list[-1])
+        return np.cumsum(indicator(i, heights))[n_arr - 1] / n_arr
+
+    fractions = np.array(ordered_map(per_theta, range(n_theta), workers))
+    values = prefactor * fractions.mean(axis=0)
+    stderr = prefactor * fractions.std(axis=0, ddof=1) / math.sqrt(n_theta)
+    return AverageSeries([
+        AverageEntry(N=int(n), value=float(v), stderr=float(s),
+                     method=method, n_samples=n_theta, seed=seed)
+        for n, v, s in zip(N_list, values, stderr)
+    ])

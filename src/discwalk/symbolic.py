@@ -12,16 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import WindowExceeded
+from .errors import ConfigError, WindowExceeded
 from .eset import ESet
-from .filters import AcceptAll
 from .rotation import FixedAngle, advance, phi, walk_heights
-from .series import AverageEntry, AverageSeries
-from ._parallel import ordered_map
+from .series import AverageSeries, _in_e, _sampled_series
 
 
 @dataclass(frozen=True)
@@ -83,10 +81,10 @@ class CylinderSpec:
     def __post_init__(self):
         coords = [j for j, _ in self.constraints]
         if len(set(coords)) != len(coords):
-            raise ValueError("cylinder coordinates must be distinct")
+            raise ConfigError("cylinder coordinates must be distinct")
         for _, i in self.constraints:
             if i not in (-1, 1):
-                raise ValueError("cylinder symbols must be +/-1")
+                raise ConfigError("cylinder symbols must be +/-1")
 
     @property
     def measure(self) -> float:
@@ -182,29 +180,14 @@ def mc_triple_average(
 ) -> AverageSeries:
     """Monte Carlo of the triple-correlation average by direct sampling.
 
-    Samples (theta, omega) pairs, evaluates the collapsed indicator along
-    each walk prefix, and averages.  Rejected thetas (outside the filter)
-    contribute zero, which folds the measure of the accepted set into the
-    estimate.  ``fault_inject`` deliberately negates the membership test so
-    the cross-route gate can be shown to trip.
+    Samples (theta, omega) pairs and averages the collapsed indicator along
+    each walk prefix.  ``fault_inject`` deliberately negates the membership
+    test so the cross-route gate can be shown to trip.
     """
-    if sorted(N_list) != list(N_list):
-        raise ValueError("N_list must be ascending")
-    max_n = max(N_list)
-    W = window_radius if window_radius is not None else default_window_radius(max_n)
+    W = window_radius if window_radius is not None else default_window_radius(
+        max(N_list, default=1))
 
-    from .walk import sample_thetas
-
-    thetas = sample_thetas(n_theta, seed)
-    mask = (b_filter or AcceptAll()).select(thetas, alpha)
-    alpha_bits = alpha.bits
-    n_arr = np.asarray(N_list)
-
-    def per_sample(item) -> np.ndarray:
-        i, theta, accepted = item
-        if not accepted:
-            return np.zeros(len(n_arr))
-        heights = walk_heights(theta.bits, alpha_bits, max_n)
+    def indicator(i: int, heights: np.ndarray) -> np.ndarray:
         lo = int(heights.min())
         hi = int(heights.max())
         if max(abs(lo), abs(hi)) > W:
@@ -213,23 +196,12 @@ def mc_triple_average(
                 f"walk height {worst} exceeds window radius {W}; "
                 "re-run with a larger budget", height=worst)
         omega = sample_omega(W, np.random.SeedSequence(entropy=seed, spawn_key=(1, i)))
-        in_e = e.lut(lo, hi)
+        in_e = _in_e(e, heights)
         if fault_inject:
             in_e = ~in_e
-        idx = (heights - lo).astype(np.intp)
-        ind = (omega.values[heights + W] == 1) & in_e[idx]
-        csum = np.cumsum(ind)
-        return csum[n_arr - 1] / n_arr
+        return (omega.values[heights + W] == 1) & in_e
 
-    items = [(i, t, bool(m)) for i, (t, m) in enumerate(zip(thetas, mask))]
     # no 1/2 prefactor here: averaging over omega already supplies the
     # symbol-cylinder measure
-    fractions = np.array(ordered_map(per_sample, items, workers))
-    values = fractions.mean(axis=0)
-    stderr = fractions.std(axis=0, ddof=1) / math.sqrt(n_theta)
-    entries = [
-        AverageEntry(N=int(n), value=float(v), stderr=float(s),
-                     method="montecarlo", n_samples=n_theta, seed=seed)
-        for n, v, s in zip(N_list, values, stderr)
-    ]
-    return AverageSeries(entries)
+    return _sampled_series(alpha, b_filter, N_list, n_theta, seed, workers,
+                           indicator, 1.0, "montecarlo")

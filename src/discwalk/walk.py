@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import HeightOverflow, InsufficientSamples
+from .errors import ConfigError, HeightOverflow, InsufficientSamples
 from .rotation import FixedAngle, advance, phi, walk_heights
 from ._parallel import ordered_map
 
@@ -109,7 +109,7 @@ def run_walk(
 ) -> WalkSummary:
     """Compute the first N heights of the walk at theta0 and summarize them."""
     if N < 1:
-        raise ValueError("N must be >= 1")
+        raise ConfigError("N must be >= 1")
     heights = walk_heights(theta0.bits, alpha.bits, N)
     min_h = int(heights.min())
     max_h = int(heights.max())
@@ -218,7 +218,7 @@ def estimate_constants(
 ) -> ConstantsTable:
     """Estimate the per-level occupation constants from a theta sample."""
     if N < 16:
-        raise ValueError("N must be >= 16 so log n > 1 on the measured tail")
+        raise ConfigError("N must be >= 16 so log n > 1 on the measured tail")
     if len(theta_samples) < 2:
         raise InsufficientSamples("need at least 2 theta samples")
     if checkpoints is None:
@@ -274,7 +274,7 @@ def occupation_band(
     """
     checkpoints = sorted(checkpoints)
     if checkpoints[0] < 16:
-        raise ValueError("checkpoints must be >= 16 so log n > 1")
+        raise ConfigError("checkpoints must be >= 16 so log n > 1")
     alpha_bits = alpha.bits
 
     def per_theta(theta: FixedAngle) -> np.ndarray:

@@ -77,16 +77,16 @@ def test_criterion_1_three_route_agreement(golden):
 
 def test_criterion_2_exact_values_regression(golden):
     levels = exact_level_measures(golden, 2)
-    mpmath.mp.dps = 60
-    alpha = (mpmath.sqrt(5) - 1) / 2
-    tol = mpmath.mpf(2) ** -100
-    for measured, expected in (
-        (levels[0], 2 * (1 - alpha)),
-        (levels[2], alpha - mpmath.mpf(1) / 2),
-        (levels[-2], alpha - mpmath.mpf(1) / 2),
-    ):
-        val = mpmath.mpf(measured.numerator) / measured.denominator
-        assert abs(val - expected) <= tol
+    with mpmath.workdps(60):
+        alpha = (mpmath.sqrt(5) - 1) / 2
+        tol = mpmath.mpf(2) ** -100
+        for measured, expected in (
+            (levels[0], 2 * (1 - alpha)),
+            (levels[2], alpha - mpmath.mpf(1) / 2),
+            (levels[-2], alpha - mpmath.mpf(1) / 2),
+        ):
+            val = mpmath.mpf(measured.numerator) / measured.denominator
+            assert abs(val - expected) <= tol
     # the fixed-point computation is exact relative to the quantized alpha
     a_hat = Fraction(golden.bits, MODULUS)
     assert levels[0] == 2 * (1 - a_hat)

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from discwalk import (
     AverageEntry,
@@ -27,7 +29,8 @@ from discwalk import (
     zero_entropy_proxy,
 )
 from discwalk.averages import EXACT_N_CAP, arc_from_floats, arc_measure, full_circle_arc
-from discwalk.rotation import MODULUS, FixedAngle
+from discwalk.filters import QuantileFilter
+from discwalk.rotation import MODULUS, FixedAngle, walk_heights
 
 ZERO = FixedAngle(0)
 
@@ -251,3 +254,63 @@ class TestFilters:
         kept = [s for s, m in zip(stats, mask) if m]
         dropped = [s for s, m in zip(stats, mask) if not m]
         assert max(kept) <= min(dropped)
+
+
+# ---------------------------------------------------------------------------
+# The per-level loops that QuantileFilter.statistic and ratio_check ran before
+# both moved onto walk._occupation_at_checkpoints, kept as references.
+
+
+def statistic_reference(filt, theta, alpha):
+    heights = walk_heights(theta.bits, alpha.bits, filt.horizon)
+    times = []
+    n = 16
+    while n < filt.horizon:
+        times.append(n)
+        n *= 2
+    times.append(filt.horizon)
+    best = 0.0
+    for n in times:
+        scale = math.sqrt(math.log(n)) / n
+        prefix = heights[:n]
+        for v in range(-filt.v_max, filt.v_max + 1):
+            best = max(best, int(np.count_nonzero(prefix == v)) * scale)
+    return best
+
+
+def ratio_reference(alpha, theta_samples, v_list, checkpoints):
+    v_max = max(abs(v) for v in v_list) if v_list else 0
+    rows = []
+    for theta in theta_samples:
+        heights = walk_heights(theta.bits, alpha.bits, max(checkpoints))
+        out = np.empty((len(v_list), len(checkpoints)))
+        clipped = np.clip(heights, -v_max - 1, v_max + 1) + (v_max + 1)
+        for k, n in enumerate(checkpoints):
+            counts = np.bincount(clipped[:n], minlength=2 * v_max + 3)
+            zero = counts[v_max + 1]
+            for j, v in enumerate(v_list):
+                out[j, k] = counts[v + v_max + 1] / zero
+        rows.append(out)
+    return np.array(rows)
+
+
+angles = st.integers(1, MODULUS - 1).map(FixedAngle)
+
+
+class TestSharedOccupationCounter:
+    @settings(max_examples=60, deadline=None)
+    @given(angles, angles, st.integers(1, 5000), st.integers(0, 4))
+    def test_quantile_statistic_matches_reference(self, theta, alpha, horizon, v_max):
+        filt = QuantileFilter(q=0.5, horizon=horizon, v_max=v_max)
+        assert filt.statistic(theta, alpha) == statistic_reference(filt, theta, alpha)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(angles, min_size=1, max_size=3), angles,
+           st.lists(st.integers(-4, 4), max_size=5),
+           st.sets(st.integers(1, 3000), min_size=1, max_size=4))
+    def test_ratio_check_matches_reference(self, thetas, alpha, v_list, checkpoints):
+        checkpoints = sorted(checkpoints)
+        table = ratio_check(alpha, thetas, v_list, checkpoints)
+        expected = ratio_reference(alpha, thetas, v_list, checkpoints)
+        assert table.ratios.shape == expected.shape
+        assert table.ratios.tobytes() == expected.tobytes()

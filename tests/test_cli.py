@@ -1,9 +1,14 @@
 import json
+import os
+import shlex
 
+import mpmath
 import pytest
 
 from discwalk import AverageSeries, Schedule
 from discwalk.cli import entrypoint
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def run(capsys, *argv):
@@ -204,3 +209,67 @@ class TestConfigFile:
         code, out, _ = run(capsys, "walk", "--config", cfg, "--n", "8")
         assert code == 0
         assert "# n: 8" in out and "# alpha: golden" in out
+
+
+AVERAGE = ["average", "--alpha", "golden", "--pairs", "2:6", "--seed", "1"]
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("argv", [
+        AVERAGE + ["--n-list", "64", "--n-theta", "5"],
+        AVERAGE + ["--n-list", "64", "--n-theta", "5", "--routes", "mc"],
+        AVERAGE + ["--n-list", "0,64", "--n-theta", "32"],
+        AVERAGE + ["--n-list", "64,64", "--n-theta", "32"],
+        AVERAGE + ["--n-list", "64,64", "--routes", "exact"],
+        AVERAGE + ["--n-list", "64", "--n-theta", "32", "--filter", "quantile:1.5"],
+        ["schedule", "--mode", "paper", "--c-const", "2", "--m-max", "2",
+         "--margin", "1.5"],
+        ["schedule", "--mode", "paper", "--c-const", "2", "--m-max", "2",
+         "--margin", "0"],
+        ["schedule", "--mode", "paper", "--c-const", "0", "--m-max", "2"],
+        ["schedule", "--mode", "paper", "--c-const", "inf", "--m-max", "2"],
+        ["constants", "--alpha", "golden", "--n", "8", "--n-theta", "4", "--seed", "1"],
+        ["ratio", "--alpha", "golden", "--n-theta", "16", "--n-list", "0", "--seed", "1"],
+        ["entropy-proxy", "--alpha", "golden", "--n-theta", "16", "--n-list", "0",
+         "--seed", "1"],
+        ["walk", "--alpha", "golden", "--theta", "abc", "--n", "4"],
+    ])
+    def test_exit_2_with_one_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+def test_paper_schedule_independent_of_global_precision(capsys):
+    argv = ["schedule", "--mode", "paper", "--c-const", "2", "--m-max", "10",
+            "--margin", "0.99"]
+    saved = mpmath.mp.dps
+    outs = []
+    try:
+        for dps in (15, 60):
+            mpmath.mp.dps = dps
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            outs.append(out)
+    finally:
+        mpmath.mp.dps = saved
+    assert outs[0] == outs[1]
+
+
+def readme_commands():
+    with open(README) as f:
+        blocks = f.read().split("```sh\n")[1:]
+    commands = []
+    for block in blocks:
+        text = block.split("```")[0].replace("\\\n", " ")
+        commands += [line for line in text.splitlines() if line.startswith("discwalk ")]
+    return commands
+
+
+def test_readme_examples_exit_zero(capsys):
+    commands = readme_commands()
+    assert len(commands) == 4
+    for line in commands:
+        code, _, err = run(capsys, *shlex.split(line)[1:])
+        assert code == 0, (line, err)

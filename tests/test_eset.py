@@ -14,7 +14,6 @@ from discwalk import (
     OverlappingIntervals,
     PaperModeNotQueryable,
     Schedule,
-    contains,
     generate_paper_schedule,
     make_desk_schedule,
     verify_schedule,
@@ -91,21 +90,21 @@ class TestLogNum:
 class TestESet:
     def test_two_interval_lookup(self):
         _, e = make_desk_schedule([(2, 3), (10, 10)])  # +/-[2,5] U +/-[10,20]
-        assert contains(e, 3) and contains(e, -4) and not contains(e, 7)
-        assert contains(e, 10) and contains(e, 20) and not contains(e, 21)
+        assert e.contains(3) and e.contains(-4) and not e.contains(7)
+        assert e.contains(10) and e.contains(20) and not e.contains(21)
 
     def test_zero_and_one_excluded(self):
         _, e = make_desk_schedule([(2, 3), (10, 10)])
-        assert not contains(e, 0) and not contains(e, 1) and not contains(e, -1)
+        assert not e.contains(0) and not e.contains(1) and not e.contains(-1)
 
     @given(st.integers(-10**6, 10**6))
     def test_symmetry(self, v):
         _, e = make_desk_schedule([(2, 6), (30, 300)])
-        assert contains(e, v) == contains(e, -v)
+        assert e.contains(v) == e.contains(-v)
 
     def test_empty(self):
         e = ESet.empty()
-        assert not contains(e, 0) and not contains(e, 5)
+        assert not e.contains(0) and not e.contains(5)
 
     def test_lut_matches_contains(self):
         _, e = make_desk_schedule([(2, 6), (30, 300)])
@@ -191,8 +190,8 @@ class TestGeneratePaperSchedule:
     def test_m1_boundary_independent_oracle(self):
         # condition (b) at m=1, C==2, l1=2 forces log(l1+r1) > 16;
         # least such integer from an independent high-precision exponential
-        mpmath.mp.dps = 40
-        expected_hi = int(mpmath.floor(mpmath.exp(16))) + 1
+        with mpmath.workdps(40):
+            expected_hi = int(mpmath.floor(mpmath.exp(16))) + 1
         schedule = generate_paper_schedule(C2, 1, margin=1.0)
         iv = schedule.intervals[0]
         assert iv.l.to_int() == 2

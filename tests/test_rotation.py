@@ -37,10 +37,10 @@ class TestResolveAlpha:
         # independent evaluation of (sqrt(5)-1)/2
         import mpmath
 
-        mpmath.mp.dps = 60
-        exact = (mpmath.sqrt(5) - 1) / 2
-        err = abs(exact - mpmath.mpf(golden.bits) / mpmath.mpf(MODULUS))
-        assert err <= mpmath.mpf(2) ** -128
+        with mpmath.workdps(60):
+            exact = (mpmath.sqrt(5) - 1) / 2
+            err = abs(exact - mpmath.mpf(golden.bits) / mpmath.mpf(MODULUS))
+            assert err <= mpmath.mpf(2) ** -128
 
     def test_finite_cf_rejected(self):
         with pytest.raises(FiniteCF):

@@ -4,6 +4,7 @@ import pytest
 from discwalk import (
     CylinderSpec,
     ESet,
+    EmptyAfterFilter,
     FixedAngle,
     SymbolWindow,
     SymbolicPoint,
@@ -249,6 +250,14 @@ class TestMcTripleAverage:
                                 fault_inject=True)
         assert abs(good.at(256).value - bad.at(256).value) > 6 * (
             good.at(256).stderr + bad.at(256).stderr)
+
+    def test_filter_rejecting_every_theta(self, golden, e_small):
+        class RejectAll:
+            def select(self, thetas, alpha):
+                return np.zeros(len(thetas), dtype=bool)
+
+        with pytest.raises(EmptyAfterFilter):
+            mc_triple_average(golden, e_small, [64], 32, seed=8, b_filter=RejectAll())
 
     def test_tight_window_reports_height(self, golden, e_small):
         with pytest.raises(WindowExceeded) as info:
