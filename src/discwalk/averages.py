@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import BudgetExceeded, ConfigError, MissingEntries
+from .errors import BudgetExceeded, ConfigError, InsufficientSamples, MissingEntries
 from .eset import ESet, Schedule
 from .rotation import HALF, MODULUS, FixedAngle, orbit_hi64, walk_heights
 from .series import AverageEntry, AverageSeries, _in_e, _sampled_series, check_n_list
@@ -296,6 +296,8 @@ def ratio_check(
     workers: int = 1,
 ) -> RatioTable:
     """Per-level visit counts relative to returns to zero, per checkpoint."""
+    if not theta_samples:
+        raise InsufficientSamples("need at least 1 theta sample")
     v_list = list(v_list)
     checkpoints = check_n_list(sorted(N_checkpoints))
     v_max = max((abs(v) for v in v_list), default=0)
@@ -361,6 +363,10 @@ def ergodicity_correlation(
     error).  Arc membership along the orbit is resolved at 64-bit precision,
     far below the Monte Carlo resolution.
     """
+    if N < 1:
+        raise ConfigError("N must be >= 1")
+    if n_samples < 2:
+        raise InsufficientSamples("need at least 2 samples")
     coords = [j for j, _ in cyl_b.constraints]
     W = default_window_radius(N) + max((abs(j) for j in coords), default=0)
     thetas = sample_thetas(n_samples, seed)
@@ -405,6 +411,8 @@ def zero_entropy_proxy(
     workers: int = 1,
 ) -> RangeDecayTable:
     """Fraction of distinct heights visited, per theta and horizon."""
+    if not theta_samples:
+        raise InsufficientSamples("need at least 1 theta sample")
     N_list = check_n_list(sorted(N_list))
     max_n = N_list[-1]
     alpha_bits = alpha.bits

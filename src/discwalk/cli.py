@@ -1,7 +1,9 @@
 """Command-line driver: every operation as a subcommand with reproducible seeds.
 
-Configuration comes from an optional YAML file (``schema:
-discwalk-config-v1``) plus flags; flags win.  The effective configuration is
+Configuration comes from flags and an optional YAML file (``schema:
+discwalk-config-v1``) whose keys are the subcommand's option names with
+``_``.  File values become the options' defaults, so flags win and both pass
+click's type, range and required checks.  The resulting configuration is
 echoed into every output header (``#``-prefixed lines for text/CSV, a
 ``config`` field for JSON) so results carry their provenance.  Exit codes:
 0 success, 2 configuration error, 3 oracle-gate failure (cross-route
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -47,32 +50,39 @@ class OracleGateFailure(DiscwalkError):
 # Configuration plumbing.
 
 
-def load_config(path: Optional[str]) -> Dict:
+def load_config(ctx: click.Context, param, path: Optional[str]) -> None:
+    """Eager ``--config`` callback: the file's values become option defaults."""
     if path is None:
-        return {}
+        return
     try:
         with open(path) as f:
             doc = yaml.safe_load(f) or {}
     except OSError as e:
         raise ConfigError(f"cannot read config file {path}: {e}")
     except yaml.YAMLError as e:
-        raise ConfigError(f"config file {path} is not valid YAML: {e}")
+        mark, problem = getattr(e, "problem_mark", None), getattr(e, "problem", None)
+        detail = (f"{problem} (line {mark.line + 1})" if mark and problem
+                  else " ".join(str(e).split()))
+        raise ConfigError(f"config file {path} is not valid YAML: {detail}")
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a mapping")
-    schema = doc.get("schema", "discwalk-config-v1")
+    schema = doc.pop("schema", "discwalk-config-v1")
     if schema != "discwalk-config-v1":
         raise ConfigError(f"unsupported config schema: {schema!r}")
-    return doc
-
-
-def effective(config: Dict, flag_values: Dict) -> Dict:
-    """Merge file values under flag values; None flags defer to the file."""
-    out = dict(config)
-    out.pop("schema", None)
-    for k, v in flag_values.items():
-        if v is not None:
-            out[k] = v
-    return out
+    params = {p.name: p for p in ctx.command.params if p.expose_value}
+    unknown = sorted(map(str, set(doc) - set(params)))
+    require(not unknown, f"unknown config keys for {ctx.info_name}: {', '.join(unknown)}")
+    doc = {k: v for k, v in doc.items() if v is not None}  # null leaves a setting unset
+    for key, value in doc.items():
+        param = params[key]
+        if param.type is click.UNPROCESSED:
+            continue  # parsed by our own parse_* functions
+        # click's converters raise TypeError, not BadParameter, on other shapes
+        items = value if param.multiple and isinstance(value, list) else [value]
+        want = "a list of strings or numbers" if param.multiple else "a string or number"
+        require(all(isinstance(v, (str, int, float)) for v in items),
+                f"config key {key!r} must be {want}, not {value!r}")
+    ctx.default_map = doc
 
 
 def parse_alpha(value) -> FixedAngle:
@@ -149,8 +159,15 @@ def make_filter(spec):
     raise ConfigError(f"bad filter spec {spec!r}; expected 'all' or 'quantile:q'")
 
 
+def settings() -> Dict:
+    """The settings to echo: set values, tuples as lists; no false flags, no --out."""
+    params = click.get_current_context().params
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in sorted(params.items())
+            if k != "out" and v is not None and v is not False and v != ()}
+
+
 def header_lines(cfg: Dict) -> str:
-    return "".join(f"# {k}: {cfg[k]}\n" for k in sorted(cfg))
+    return "".join(f"# {k}: {v}\n" for k, v in cfg.items())
 
 
 def emit(text: str, out: Optional[str]) -> None:
@@ -168,28 +185,24 @@ def require(condition: bool, message: str) -> None:
 
 def common_options(fn):
     for opt in (
-        click.option("--config", "config_path", default=None, help="YAML config file."),
-        click.option("--alpha", default=None, help="Rotation angle: preset or cf:...:bound."),
+        click.option("--config", callback=load_config, is_eager=True, expose_value=False,
+                     help="YAML config file; its keys are option names with '_'."),
+        click.option("--alpha", type=click.UNPROCESSED, default=None,
+                     help="Rotation angle: preset or cf:...:bound."),
         click.option("--seed", type=int, default=None, help="RNG seed for sampling."),
-        click.option("--threads", type=int, default=None, help="Worker threads (output-invariant)."),
+        click.option("--threads", type=click.IntRange(min=1), default=1,
+                     callback=lambda ctx, param, n: min(n, os.cpu_count() or 1),
+                     help="Worker threads, at most the CPU count (output-invariant)."),
         click.option("--out", default=None, help="Output file (default stdout)."),
     ):
         fn = opt(fn)
     return fn
 
 
-def resolve_common(config_path, alpha, seed, threads, **rest) -> Dict:
-    cfg = effective(load_config(config_path),
-                    {"alpha": alpha, "seed": seed, "threads": threads, **rest})
-    cfg.setdefault("threads", 1)
-    require(int(cfg["threads"]) >= 1, "threads must be >= 1")
-    return cfg
-
-
-def require_seed(cfg: Dict) -> int:
-    require(cfg.get("seed") is not None,
+def require_seed(seed: Optional[int]) -> int:
+    require(seed is not None,
             "seed is mandatory for stochastic runs (flag --seed or config key 'seed')")
-    return int(cfg["seed"])
+    return seed
 
 
 # ---------------------------------------------------------------------------
@@ -203,88 +216,72 @@ def main():
 
 @main.command("walk")
 @common_options
-@click.option("--theta", "thetas", multiple=True,
-              help="Start point as a decimal in [0,1); repeatable.")
-@click.option("--n", "n", type=int, default=None, help="Walk length N >= 1.")
-@click.option("--n-theta", type=int, default=None,
+@click.option("--theta", multiple=True, help="Start point as a decimal in [0,1); repeatable.")
+@click.option("--n", type=int, required=True, help="Walk length N >= 1.")
+@click.option("--n-theta", type=click.IntRange(min=1), default=None,
               help="Number of random start points (with --seed) instead of --theta.")
-def cmd_walk(config_path, alpha, seed, threads, out, thetas, n, n_theta):
+def cmd_walk(alpha, seed, threads, out, theta, n, n_theta):
     """Run the walk over a set of start points; emit occupation summaries."""
-    cfg = resolve_common(config_path, alpha, seed, threads,
-                         theta=list(thetas) or None, n=n, n_theta=n_theta)
-    require(cfg.get("n") is not None, "walk length --n is required")
-    N = int(cfg["n"])
-    require(N >= 1, "walk length N must be >= 1")
-    a = parse_alpha(cfg.get("alpha"))
-    if cfg.get("theta"):
-        points = [parse_theta(t) for t in cfg["theta"]]
+    require(n >= 1, "walk length N must be >= 1")
+    a = parse_alpha(alpha)
+    if theta:
+        points = [parse_theta(t) for t in theta]
     else:
-        require(cfg.get("n_theta") is not None,
-                "give at least one --theta, or --n-theta with --seed")
-        points = sample_thetas(int(cfg["n_theta"]), require_seed(cfg))
+        require(n_theta is not None, "give at least one --theta, or --n-theta with --seed")
+        points = sample_thetas(n_theta, require_seed(seed))
     from .walk import WalkSummary
 
-    rows = [run_walk(t, a, N).csv_row() for t in points]
-    emit(header_lines(cfg) + WalkSummary.CSV_HEADER + "\n" + "\n".join(rows) + "\n", out)
+    rows = [run_walk(t, a, n).csv_row() for t in points]
+    emit(header_lines(settings()) + WalkSummary.CSV_HEADER + "\n" + "\n".join(rows) + "\n", out)
 
 
 @main.command("constants")
 @common_options
-@click.option("--n", type=int, default=None, help="Horizon N >= 16.")
-@click.option("--n-theta", type=int, default=None, help="Number of theta samples.")
-@click.option("--v-max", type=int, default=None, help="Largest |level| to estimate.")
-def cmd_constants(config_path, alpha, seed, threads, out, n, n_theta, v_max):
+@click.option("--n", type=int, required=True, help="Horizon N >= 16.")
+@click.option("--n-theta", type=int, required=True, help="Number of theta samples.")
+@click.option("--v-max", type=click.IntRange(min=0), default=2, help="Largest |level| to estimate.")
+def cmd_constants(alpha, seed, threads, out, n, n_theta, v_max):
     """Estimate the per-level occupation constants from a theta sample."""
-    cfg = resolve_common(config_path, alpha, seed, threads,
-                         n=n, n_theta=n_theta, v_max=v_max)
-    require(cfg.get("n") is not None, "horizon --n is required")
-    cfg.setdefault("v_max", 2)
-    require(cfg.get("n_theta") is not None, "sample count --n-theta is required")
-    a = parse_alpha(cfg.get("alpha"))
-    seed_v = require_seed(cfg)
-    table = estimate_constants(
-        a, sample_thetas(int(cfg["n_theta"]), seed_v), int(cfg["n"]),
-        int(cfg["v_max"]), seed=seed_v, workers=int(cfg["threads"]))
-    emit(header_lines(cfg) + table.document(), out)
+    a = parse_alpha(alpha)
+    seed = require_seed(seed)
+    table = estimate_constants(a, sample_thetas(n_theta, seed), n, v_max,
+                               seed=seed, workers=threads)
+    emit(header_lines(settings()) + table.document(), out)
 
 
 @main.command("schedule")
 @common_options
 @click.option("--mode", type=click.Choice(["desk", "paper"]), default=None)
-@click.option("--pairs", default=None, help="Desk intervals as l:r,l:r.")
+@click.option("--pairs", type=click.UNPROCESSED, default=None, help="Desk intervals as l:r,l:r.")
 @click.option("--schedule-file", default=None, help="Load a serialized schedule instead.")
-@click.option("--c-const", type=float, default=None,
+@click.option("--c-const", default=None,
+              type=click.FloatRange(0, math.inf, min_open=True, max_open=True),
               help="Constant occupation bound C for verify/generate.")
-@click.option("--m-max", type=int, default=None, help="Paper mode: entries to generate.")
+@click.option("--m-max", type=click.IntRange(min=1), default=None,
+              help="Paper mode: entries to generate.")
 @click.option("--margin", type=float, default=None,
               help="Paper mode: target condition ratio (0 < margin <= 1).")
-def cmd_schedule(config_path, alpha, seed, threads, out, mode, pairs,
-                 schedule_file, c_const, m_max, margin):
+def cmd_schedule(alpha, seed, threads, out, mode, pairs, schedule_file, c_const, m_max,
+                 margin):
     """Generate (paper mode) or load (desk mode) a schedule, verify, emit."""
-    cfg = resolve_common(config_path, alpha, seed, threads, mode=mode, pairs=pairs,
-                         schedule_file=schedule_file, c_const=c_const,
-                         m_max=m_max, margin=margin)
     c_of = None
-    if cfg.get("c_const") is not None:
-        c_value = float(cfg["c_const"])
-        require(0 < c_value < math.inf, "--c-const must be positive and finite")
-        c_of = lambda v: LogNum(x=c_value)  # noqa: E731
-    if cfg.get("schedule_file"):
+    if c_const is not None:
+        # nan passes every range comparison
+        require(not math.isnan(c_const), "--c-const must be positive and finite")
+        c_of = lambda v: LogNum(x=c_const)  # noqa: E731
+    if schedule_file:
         try:
-            with open(cfg["schedule_file"]) as f:
+            with open(schedule_file) as f:
                 schedule = Schedule.parse(f.read())
         except OSError as e:
             raise ConfigError(f"cannot read schedule file: {e}")
-    elif cfg.get("mode") == "paper":
-        require(cfg.get("m_max") is not None, "paper mode requires --m-max")
+    elif mode == "paper":
+        require(m_max is not None, "paper mode requires --m-max")
         require(c_of is not None, "paper mode requires --c-const")
-        margin = cfg.get("margin")
-        schedule = generate_paper_schedule(
-            c_of, int(cfg["m_max"]), 1.0 if margin is None else float(margin))
+        schedule = generate_paper_schedule(c_of, m_max, 1.0 if margin is None else margin)
     else:
-        require(cfg.get("pairs") is not None,
-                "desk mode requires --pairs (or a schedule/config file)")
-        schedule, _ = make_desk_schedule(parse_pairs(cfg["pairs"]))
+        require(pairs is not None, "desk mode requires --pairs (or a schedule/config file)")
+        schedule, _ = make_desk_schedule(parse_pairs(pairs))
     report_text = ""
     if c_of is not None:
         report = verify_schedule(schedule, c_of)
@@ -296,42 +293,35 @@ def cmd_schedule(config_path, alpha, seed, threads, out, mode, pairs,
                 f"m[{row.m}]: b_ok={row.b_ok} b_ratio={row.b_ratio!r} "
                 f"c_ok={row.c_ok} c_ratio={row.c_ratio!r}")
         report_text = "\n".join(lines) + "\n"
-    emit(header_lines(cfg) + schedule.serialize() + report_text, out)
+    emit(header_lines(settings()) + schedule.serialize() + report_text, out)
 
 
 @main.command("average")
 @common_options
-@click.option("--pairs", default=None, help="Desk intervals as l:r,l:r ('' for E empty).")
-@click.option("--n-list", default=None, help="Comma-separated N checkpoints.")
+@click.option("--pairs", type=click.UNPROCESSED, required=True,
+              help="Desk intervals as l:r,l:r ('' for E empty).")
+@click.option("--n-list", type=click.UNPROCESSED, required=True,
+              help="Comma-separated N checkpoints.")
 @click.option("--n-theta", type=int, default=None, help="Theta samples per route.")
-@click.option("--routes", default=None,
-              help="Comma-set of reduced,exact,mc (default reduced).")
-@click.option("--filter", "filter_spec", default=None,
+@click.option("--routes", default=None, help="Comma-set of reduced,exact,mc (default reduced).")
+@click.option("--filter", type=click.UNPROCESSED, default=None,
               help="Theta filter: all (default) or quantile:q.")
 @click.option("--report-out", default=None, help="Oscillation report path (JSON).")
 @click.option("--fault-inject", is_flag=True, default=False,
               help="Deliberately corrupt the Monte Carlo route to trip the gate.")
-def cmd_average(config_path, alpha, seed, threads, out, pairs, n_list, n_theta,
-                routes, filter_spec, report_out, fault_inject):
+def cmd_average(alpha, seed, threads, out, pairs, n_list, n_theta, routes, filter,
+                report_out, fault_inject):
     """Compute the Cesàro average series by the configured routes.
 
     When several routes run, they must agree pairwise within 3 combined
     standard errors at every checkpoint; disagreement exits with code 3.
     """
-    cfg = resolve_common(config_path, alpha, seed, threads, pairs=pairs,
-                         n_list=n_list, n_theta=n_theta, routes=routes,
-                         filter=filter_spec, report_out=report_out,
-                         fault_inject=fault_inject or None)
-    require(cfg.get("pairs") is not None, "--pairs is required ('' for E empty)")
-    require(cfg.get("n_list") is not None, "--n-list is required")
-    a = parse_alpha(cfg.get("alpha"))
-    pair_list = parse_pairs(cfg["pairs"]) if cfg["pairs"] else []
-    N_list = sorted(parse_int_list(cfg["n_list"]))
-    route_set = set((cfg.get("routes") or "reduced").split(","))
-    require(route_set <= {"reduced", "exact", "mc"},
-            f"unknown routes in {cfg.get('routes')!r}")
-    b_filter = make_filter(cfg.get("filter"))
-    workers = int(cfg["threads"])
+    a = parse_alpha(alpha)
+    pair_list = parse_pairs(pairs) if pairs else []
+    N_list = sorted(parse_int_list(n_list))
+    route_set = set((routes or "reduced").split(","))
+    require(route_set <= {"reduced", "exact", "mc"}, f"unknown routes in {routes!r}")
+    b_filter = make_filter(filter)
     if pair_list:
         schedule, e = make_desk_schedule(pair_list)
     else:
@@ -341,18 +331,16 @@ def cmd_average(config_path, alpha, seed, threads, out, pairs, n_list, n_theta,
 
     series_by_route = {}
     if "reduced" in route_set:
-        require(cfg.get("n_theta") is not None, "reduced route requires --n-theta")
+        require(n_theta is not None, "reduced route requires --n-theta")
         series_by_route["reduced"] = reduced_average_series(
-            a, e, b_filter, N_list, int(cfg["n_theta"]), require_seed(cfg),
-            workers=workers)
+            a, e, b_filter, N_list, n_theta, require_seed(seed), workers=threads)
     if "exact" in route_set:
         series_by_route["exact"], _ = exact_average_series(a, e, N_list)
     if "mc" in route_set:
-        require(cfg.get("n_theta") is not None, "mc route requires --n-theta")
+        require(n_theta is not None, "mc route requires --n-theta")
         series_by_route["mc"] = mc_triple_average(
-            a, e, N_list, int(cfg["n_theta"]), require_seed(cfg),
-            b_filter=b_filter, workers=workers,
-            fault_inject=bool(cfg.get("fault_inject")))
+            a, e, N_list, n_theta, require_seed(seed), b_filter=b_filter, workers=threads,
+            fault_inject=fault_inject)
 
     # oracle gate: pairwise agreement within 3 combined standard errors
     names = sorted(series_by_route)
@@ -367,35 +355,31 @@ def cmd_average(config_path, alpha, seed, threads, out, pairs, n_list, n_theta,
                         f"{ea.value!r} vs {eb.value!r} (tolerance {tol!r})")
 
     primary = series_by_route.get("reduced") or series_by_route[names[0]]
+    cfg = settings()
     body = header_lines(cfg)
     for name in names:
         body += f"# route: {name}\n" + series_by_route[name].to_csv()
     emit(body, out)
     report = oscillation_report(primary, schedule)
     doc = json.loads(report.to_json())
-    doc["config"] = {k: cfg[k] for k in sorted(cfg)}
-    emit(json.dumps(doc, indent=2) + "\n", cfg.get("report_out"))
+    doc["config"] = cfg
+    emit(json.dumps(doc, indent=2) + "\n", report_out)
 
 
 @main.command("ratio")
 @common_options
-@click.option("--n-theta", type=int, default=None)
-@click.option("--v-max", type=int, default=None)
-@click.option("--n-list", default=None, help="Comma-separated N checkpoints.")
-def cmd_ratio(config_path, alpha, seed, threads, out, n_theta, v_max, n_list):
+@click.option("--n-theta", type=int, required=True)
+@click.option("--v-max", type=click.IntRange(min=0), default=3)
+@click.option("--n-list", type=click.UNPROCESSED, required=True,
+              help="Comma-separated N checkpoints.")
+def cmd_ratio(alpha, seed, threads, out, n_theta, v_max, n_list):
     """Per-level visit ratios against returns to zero; emit summary medians."""
-    cfg = resolve_common(config_path, alpha, seed, threads,
-                         n_theta=n_theta, v_max=v_max, n_list=n_list)
-    require(cfg.get("n_theta") is not None, "--n-theta is required")
-    require(cfg.get("n_list") is not None, "--n-list is required")
-    cfg.setdefault("v_max", 3)
-    a = parse_alpha(cfg.get("alpha"))
-    vmax = int(cfg["v_max"])
-    v_list = [v for v in range(-vmax, vmax + 1) if v != 0]
-    checkpoints = sorted(parse_int_list(cfg["n_list"]))
-    table = ratio_check(a, sample_thetas(int(cfg["n_theta"]), require_seed(cfg)),
-                        v_list, checkpoints, workers=int(cfg["threads"]))
-    lines = [header_lines(cfg) + "v,N,median_ratio,median_abs_dev_from_one"]
+    a = parse_alpha(alpha)
+    v_list = [v for v in range(-v_max, v_max + 1) if v != 0]
+    checkpoints = sorted(parse_int_list(n_list))
+    table = ratio_check(a, sample_thetas(n_theta, require_seed(seed)),
+                        v_list, checkpoints, workers=threads)
+    lines = [header_lines(settings()) + "v,N,median_ratio,median_abs_dev_from_one"]
     for v in v_list:
         for n in checkpoints:
             lines.append(
@@ -405,20 +389,16 @@ def cmd_ratio(config_path, alpha, seed, threads, out, n_theta, v_max, n_list):
 
 @main.command("entropy-proxy")
 @common_options
-@click.option("--n-theta", type=int, default=None)
-@click.option("--n-list", default=None, help="Comma-separated horizons.")
-def cmd_entropy_proxy(config_path, alpha, seed, threads, out, n_theta, n_list):
+@click.option("--n-theta", type=int, required=True)
+@click.option("--n-list", type=click.UNPROCESSED, required=True,
+              help="Comma-separated horizons.")
+def cmd_entropy_proxy(alpha, seed, threads, out, n_theta, n_list):
     """Visited-range fraction a_N/N per horizon; emit per-N maxima."""
-    cfg = resolve_common(config_path, alpha, seed, threads,
-                         n_theta=n_theta, n_list=n_list)
-    require(cfg.get("n_theta") is not None, "--n-theta is required")
-    require(cfg.get("n_list") is not None, "--n-list is required")
-    a = parse_alpha(cfg.get("alpha"))
-    N_list = sorted(parse_int_list(cfg["n_list"]))
+    a = parse_alpha(alpha)
+    N_list = sorted(parse_int_list(n_list))
     table = zero_entropy_proxy(
-        a, sample_thetas(int(cfg["n_theta"]), require_seed(cfg)), N_list,
-        workers=int(cfg["threads"]))
-    lines = [header_lines(cfg) + "N,max_range_fraction"]
+        a, sample_thetas(n_theta, require_seed(seed)), N_list, workers=threads)
+    lines = [header_lines(settings()) + "N,max_range_fraction"]
     for N in N_list:
         lines.append(f"{N},{table.max_at(N)!r}")
     emit("\n".join(lines) + "\n", out)
@@ -428,6 +408,8 @@ def parse_cylinder(value) -> CylinderSpec:
     """'j:i,j:i' with symbols +-1; empty string for the whole space."""
     if value in (None, ""):
         return CylinderSpec(constraints=())
+    if not isinstance(value, str):
+        raise ConfigError(f"bad cylinder spec {value!r}; expected a string j:i,j:i")
     try:
         constraints = tuple(
             (int(p.split(":")[0]), int(p.split(":")[1])) for p in value.split(","))
@@ -438,23 +420,20 @@ def parse_cylinder(value) -> CylinderSpec:
 
 @main.command("ergodicity")
 @common_options
-@click.option("--n", type=int, default=None, help="Cesàro horizon N.")
-@click.option("--n-samples", type=int, default=None)
-@click.option("--cyl-a", default=None, help="Cylinder constraints j:i,... ('' = all).")
-@click.option("--cyl-b", default=None, help="Cylinder constraints j:i,... ('' = all).")
-def cmd_ergodicity(config_path, alpha, seed, threads, out, n, n_samples, cyl_a, cyl_b):
+@click.option("--n", type=int, required=True, help="Cesàro horizon N.")
+@click.option("--n-samples", type=int, required=True)
+@click.option("--cyl-a", type=click.UNPROCESSED, default=None,
+              help="Cylinder constraints j:i,... ('' = all).")
+@click.option("--cyl-b", type=click.UNPROCESSED, default=None,
+              help="Cylinder constraints j:i,... ('' = all).")
+def cmd_ergodicity(alpha, seed, threads, out, n, n_samples, cyl_a, cyl_b):
     """Cesàro correlation of two product sets against the product of measures."""
-    cfg = resolve_common(config_path, alpha, seed, threads, n=n,
-                         n_samples=n_samples, cyl_a=cyl_a, cyl_b=cyl_b)
-    require(cfg.get("n") is not None, "--n is required")
-    require(cfg.get("n_samples") is not None, "--n-samples is required")
-    a = parse_alpha(cfg.get("alpha"))
+    a = parse_alpha(alpha)
     lhs, rhs, stderr = ergodicity_correlation(
-        a, parse_cylinder(cfg.get("cyl_a")), parse_cylinder(cfg.get("cyl_b")),
-        full_circle_arc(), full_circle_arc(), int(cfg["n"]),
-        int(cfg["n_samples"]), require_seed(cfg), workers=int(cfg["threads"]))
+        a, parse_cylinder(cyl_a), parse_cylinder(cyl_b), full_circle_arc(),
+        full_circle_arc(), n, n_samples, require_seed(seed), workers=threads)
     sigmas = abs(lhs - rhs) / stderr if stderr > 0 else 0.0
-    emit(header_lines(cfg)
+    emit(header_lines(settings())
          + f"cesaro_average: {lhs!r}\nproduct_of_measures: {rhs!r}\n"
          + f"stderr: {stderr!r}\nsigmas: {sigmas!r}\n", out)
 
@@ -467,7 +446,7 @@ def entrypoint(argv: Optional[Sequence[str]] = None) -> int:
     except click.exceptions.Abort:
         return EXIT_CONFIG
     except click.ClickException as e:
-        e.show()
+        click.echo(f"config: {e.format_message()}", err=True)
         return EXIT_CONFIG
     except OracleGateFailure as e:
         click.echo(f"oracle gate: {e}", err=True)

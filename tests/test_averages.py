@@ -10,8 +10,10 @@ from discwalk import (
     AverageEntry,
     AverageSeries,
     BudgetExceeded,
+    ConfigError,
     CylinderSpec,
     ESet,
+    InsufficientSamples,
     MissingEntries,
     OscillationReport,
     PartitionStepFn,
@@ -30,7 +32,7 @@ from discwalk import (
 )
 from discwalk.averages import EXACT_N_CAP, arc_from_floats, arc_measure, full_circle_arc
 from discwalk.filters import QuantileFilter
-from discwalk.rotation import MODULUS, FixedAngle, walk_heights
+from discwalk.rotation import HALF, MODULUS, AlphaSpec, FixedAngle, resolve_alpha, walk_heights
 
 ZERO = FixedAngle(0)
 
@@ -314,3 +316,63 @@ class TestSharedOccupationCounter:
         expected = ratio_reference(alpha, thetas, v_list, checkpoints)
         assert table.ratios.shape == expected.shape
         assert table.ratios.tobytes() == expected.tobytes()
+
+
+def exact_reference(alpha, e, N_list):
+    """The exact route by brute force over the finest partition.
+
+    phi_n is constant on the cells between the sorted points
+    {-k alpha, 1/2 - k alpha : k < n}, so walking each cell's left end gives
+    the height of the whole cell.  Returns the level measures of phi_n at
+    n = max(N_list) and the exact A_N for every N in N_list.
+    """
+    n = N_list[-1]
+    points = sorted({(b - k * alpha.bits) % MODULUS for k in range(n) for b in (0, HALF)})
+    widths = [hi - lo for lo, hi in zip(points, points[1:] + [MODULUS])]
+    levels, hits = {}, dict.fromkeys(N_list, 0)
+    for p, w in zip(points, widths):
+        heights = walk_heights(p, alpha.bits, n + 1)
+        levels[int(heights[n])] = levels.get(int(heights[n]), 0) + w
+        prefix = np.cumsum([e.contains(int(h)) for h in heights[:n]])
+        for N in N_list:
+            hits[N] += w * int(prefix[N - 1])
+    return ({v: Fraction(b, MODULUS) for v, b in levels.items()},
+            {N: Fraction(hits[N], 2 * N * MODULUS) for N in N_list})
+
+
+@st.composite
+def desk_pairs(draw):
+    pairs = [(draw(st.integers(2, 4)), draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        l, r = pairs[0]
+        pairs.append((l + r + draw(st.integers(1, 3)), draw(st.integers(1, 4))))
+    return pairs
+
+
+class TestExactReference:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(1, 8), min_size=200, max_size=200),
+           st.sets(st.integers(1, 64), min_size=1, max_size=4), desk_pairs())
+    def test_exact_route_matches_brute_force(self, quotients, n_set, pairs):
+        alpha = resolve_alpha(AlphaSpec(quotients=quotients, bound=max(quotients)))
+        _, e = make_desk_schedule(pairs)
+        N_list = sorted(n_set)
+        levels, averages = exact_reference(alpha, e, N_list)
+        assert exact_level_measures(alpha, N_list[-1]) == levels
+        assert exact_average_series(alpha, e, N_list)[1] == averages
+
+
+class TestSampleCountChecks:
+    def test_empty_theta_samples(self, golden):
+        with pytest.raises(InsufficientSamples):
+            ratio_check(golden, [], [1], [10])
+        with pytest.raises(InsufficientSamples):
+            zero_entropy_proxy(golden, [], [10])
+
+    @pytest.mark.parametrize("N, n_samples, error", [
+        (0, 4, ConfigError), (8, 1, InsufficientSamples), (8, 0, InsufficientSamples)])
+    def test_ergodicity_inputs(self, golden, N, n_samples, error):
+        cyl = CylinderSpec(constraints=())
+        with pytest.raises(error):
+            ergodicity_correlation(golden, cyl, cyl, full_circle_arc(), full_circle_arc(),
+                                   N, n_samples, seed=1)

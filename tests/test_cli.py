@@ -176,6 +176,11 @@ class TestOtherCommands:
         assert "cesaro_average: 1.0" in out and "product_of_measures: 1.0" in out
 
 
+AVERAGE = ["average", "--alpha", "golden", "--pairs", "2:6", "--seed", "1"]
+WALK = ["walk", "--alpha", "golden", "--theta", "0", "--n", "4"]
+PAPER = ["schedule", "--mode", "paper", "--c-const", "2", "--m-max", "2"]
+
+
 class TestConfigFile:
     def write(self, tmp_path, text):
         path = tmp_path / "config.yaml"
@@ -203,15 +208,43 @@ class TestConfigFile:
         code, _, _ = run(capsys, "walk", "--config", "/nonexistent.yaml", "--n", "4")
         assert code == 2
 
+    def test_int_valued_float_setting_matches_flag_run(self, capsys, tmp_path):
+        cfg = self.write(tmp_path, "schema: discwalk-config-v1\nmode: paper\n"
+                                   "c_const: 2\nm_max: 4\nmargin: 0.99\n")
+        code, from_file, _ = run(capsys, "schedule", "--config", cfg)
+        assert code == 0
+        code, from_flags, _ = run(capsys, "schedule", "--mode", "paper", "--c-const", "2",
+                                  "--m-max", "4", "--margin", "0.99")
+        assert code == 0
+        assert from_file == from_flags and "# c_const: 2.0\n" in from_file
+
+    @pytest.mark.parametrize("argv, text", [
+        (["walk", "--alpha", "golden", "--theta", "0"], "n: abc"),
+        (["walk", "--alpha", "golden", "--theta", "0"], "n: [1]"),
+        (WALK, "threads: abc"),
+        (WALK, "seed: abc"),
+        (PAPER, "margin: [1]"),
+        (["schedule", "--mode", "paper", "--m-max", "2"], "c_const: abc"),
+        (["schedule", "--pairs", "3:12,40:100"], "mode: bogus"),
+        (AVERAGE + ["--n-list", "64", "--n-theta", "32"], "routes: [exact]"),
+        (["ergodicity", "--alpha", "golden", "--n", "8", "--n-samples", "4", "--seed", "1"],
+         "cyl_a: 5"),
+        (WALK, "nn: 5"),
+        (WALK, "alpha: [golden"),
+    ])
+    def test_bad_config_exit_2_with_one_line(self, capsys, tmp_path, argv, text):
+        cfg = self.write(tmp_path, "schema: discwalk-config-v1\n" + text + "\n")
+        code, out, err = run(capsys, *argv, "--config", cfg)
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
     def test_effective_config_echoed(self, capsys, tmp_path):
         cfg = self.write(tmp_path, "schema: discwalk-config-v1\n"
                                    "alpha: golden\nn: 4\ntheta: ['0']\n")
         code, out, _ = run(capsys, "walk", "--config", cfg, "--n", "8")
         assert code == 0
         assert "# n: 8" in out and "# alpha: golden" in out
-
-
-AVERAGE = ["average", "--alpha", "golden", "--pairs", "2:6", "--seed", "1"]
 
 
 class TestBadInput:
@@ -233,12 +266,30 @@ class TestBadInput:
         ["entropy-proxy", "--alpha", "golden", "--n-theta", "16", "--n-list", "0",
          "--seed", "1"],
         ["walk", "--alpha", "golden", "--theta", "abc", "--n", "4"],
+        ["ratio", "--alpha", "golden", "--n-theta", "0", "--n-list", "10", "--seed", "1"],
+        ["entropy-proxy", "--alpha", "golden", "--n-theta", "0", "--n-list", "10",
+         "--seed", "1"],
+        ["ergodicity", "--alpha", "golden", "--n", "0", "--n-samples", "4", "--seed", "1"],
+        ["ergodicity", "--alpha", "golden", "--n", "8", "--n-samples", "1", "--seed", "1"],
+        ["walk", "--alpha", "golden", "--n", "4", "--n-theta", "0", "--seed", "1"],
+        ["constants", "--alpha", "golden", "--n", "16", "--n-theta", "2", "--v-max", "-1",
+         "--seed", "1"],
+        ["schedule", "--mode", "paper", "--c-const", "2", "--m-max", "0"],
+        ["schedule", "--mode", "paper", "--c-const", "nan", "--m-max", "2"],
+        WALK + ["--threads", "0"],
     ])
     def test_exit_2_with_one_line(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+def test_threads_clamped_to_cpu_count(capsys):
+    cpus = os.cpu_count() or 1
+    code, out, _ = run(capsys, *WALK, "--threads", str(cpus + 1))
+    assert code == 0
+    assert f"# threads: {cpus}\n" in out
 
 
 def test_paper_schedule_independent_of_global_precision(capsys):
