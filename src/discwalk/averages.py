@@ -299,6 +299,8 @@ def ratio_check(
     if not theta_samples:
         raise InsufficientSamples("need at least 1 theta sample")
     v_list = list(v_list)
+    if not v_list:
+        raise ConfigError("v_list must name at least one level")
     checkpoints = check_n_list(sorted(N_checkpoints))
     v_max = max((abs(v) for v in v_list), default=0)
     cols = [v + v_max for v in v_list]

@@ -369,7 +369,7 @@ def cmd_average(alpha, seed, threads, out, pairs, n_list, n_theta, routes, filte
 @main.command("ratio")
 @common_options
 @click.option("--n-theta", type=int, required=True)
-@click.option("--v-max", type=click.IntRange(min=0), default=3)
+@click.option("--v-max", type=click.IntRange(min=1), default=3)
 @click.option("--n-list", type=click.UNPROCESSED, required=True,
               help="Comma-separated N checkpoints.")
 def cmd_ratio(alpha, seed, threads, out, n_theta, v_max, n_list):

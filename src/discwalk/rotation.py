@@ -156,12 +156,31 @@ def phi(theta: FixedAngle) -> int:
 # ---------------------------------------------------------------------------
 # Vectorized orbit engine.
 #
-# Orbit points theta + k*alpha are produced in blocks: the block base is
-# advanced in exact Python integers, and the within-block offsets use 32-bit
-# limb arithmetic in uint64 numpy arrays (j * limb < 2**63 for block sizes up
-# to 2**20, so no intermediate overflows).
+# Orbit points x_j = base + j*alpha (mod 2**128) are produced in blocks of
+# _BLOCK indices; the block base is advanced in exact Python integers.
+#
+# A sign needs only the top 64-bit word of x_j.  With base = b_hi*2**64 + b_lo
+# and alpha = a_hi*2**64 + a_lo, that word is t + c (mod 2**64), where
+# t = b_hi + j*a_hi (mod 2**64) is one uint64 multiply-add and
+# c = (b_lo + j*a_lo) >> 64 is the carry out of the low words.  Since
+# b_lo, a_lo < 2**64, the invariant 0 <= c <= j <= _BLOCK - 1 holds, so adding
+# c flips the top bit of t only when 2**63 - t or 2**64 - t is at most
+# _BLOCK - 1, i.e. when t mod 2**63 >= 2**63 - (_BLOCK - 1).  The signs
+# of exactly those indices are recomputed from the exact 128-bit sum, in
+# 32-bit limb arithmetic on uint64 arrays (j * limb < 2**48, so no
+# intermediate overflows).  For a generic alpha the band holds about one
+# index in 2**47; an alpha with a tiny top word can put whole blocks in it,
+# and then the cost is that of the limb arithmetic.
+#
+# orbit_hi64 keeps the limbs for every index: it needs all top 64 bits
+# exactly, and the carry c changes the low bits of the word at most indices,
+# not only in the band.
 
-_BLOCK = 1 << 19
+_BLOCK = 1 << 16
+_TOP_BIT = np.uint64(1 << 63)
+_LOW63 = np.uint64((1 << 63) - 1)
+_BAND_START = np.uint64((1 << 63) - (_BLOCK - 1))
+_TOP_LIMB_HALF = np.uint64(1 << 31)
 
 
 def _limbs(bits: int):
@@ -182,16 +201,33 @@ def _block_limb3_and_2(theta_bits: int, alpha_bits: int, j: np.ndarray):
     return t3, t2 & _MASK32
 
 
+def _sign_blocks(theta_bits: int, alpha_bits: int, n: int):
+    """Yield (start, s) per block of [0, n), with s[j] = (theta + (start+j)*alpha
+    mod 1 < 1/2).  s is a view of one buffer that the next block overwrites."""
+    size = min(n, _BLOCK)
+    j_a_hi = np.arange(size, dtype=np.uint64)
+    j_a_hi *= np.uint64(alpha_bits >> 64)
+    t = np.empty(size, dtype=np.uint64)
+    s = np.empty(size, dtype=bool)
+    for start in range(0, n, _BLOCK):
+        size = min(_BLOCK, n - start)
+        base = (theta_bits + start * alpha_bits) % MODULUS
+        tb, sb = t[:size], s[:size]
+        np.add(j_a_hi[:size], np.uint64(base >> 64), out=tb)
+        np.less(tb, _TOP_BIT, out=sb)
+        np.bitwise_and(tb, _LOW63, out=tb)
+        idx = np.flatnonzero(tb >= _BAND_START)
+        if idx.size:
+            t3, _ = _block_limb3_and_2(base, alpha_bits, idx.astype(np.uint64))
+            sb[idx] = t3 < _TOP_LIMB_HALF
+        yield start, sb
+
+
 def orbit_signs(theta_bits: int, alpha_bits: int, n: int) -> np.ndarray:
     """Boolean array s[k] = (theta + k*alpha mod 1 < 1/2) for 0 <= k < n."""
     out = np.empty(n, dtype=bool)
-    top_threshold = np.uint64(1 << 31)
-    for start in range(0, n, _BLOCK):
-        stop = min(start + _BLOCK, n)
-        base = (theta_bits + start * alpha_bits) % MODULUS
-        j = np.arange(stop - start, dtype=np.uint64)
-        t3, _ = _block_limb3_and_2(base, alpha_bits, j)
-        out[start:stop] = t3 < top_threshold
+    for start, s in _sign_blocks(theta_bits, alpha_bits, n):
+        out[start:start + len(s)] = s
     return out
 
 
@@ -212,12 +248,15 @@ def walk_heights(theta_bits: int, alpha_bits: int, n: int) -> np.ndarray:
     """Cocycle heights h[k] = sum_{i<k} phi(theta + i*alpha), as int64.
 
     h[0] = 0 and h has length n, i.e. it covers the walk prefix of length n.
+    Each block of signs is summed straight into h, offset by the height the
+    previous block ended at.
     """
-    signs = orbit_signs(theta_bits, alpha_bits, n)
-    steps = signs.astype(np.int64)
-    np.multiply(steps, 2, out=steps)
-    np.subtract(steps, 1, out=steps)
     heights = np.empty(n, dtype=np.int64)
     heights[0] = 0
-    np.cumsum(steps[:-1], out=heights[1:])
+    for start, s in _sign_blocks(theta_bits, alpha_bits, n - 1):
+        steps = s.view(np.int8) * np.int8(2)
+        steps -= np.int8(1)
+        block = heights[start + 1:start + 1 + len(s)]
+        np.cumsum(steps, dtype=np.int64, out=block)
+        block += heights[start]
     return heights

@@ -308,7 +308,7 @@ class TestSharedOccupationCounter:
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(angles, min_size=1, max_size=3), angles,
-           st.lists(st.integers(-4, 4), max_size=5),
+           st.lists(st.integers(-4, 4), min_size=1, max_size=5),
            st.sets(st.integers(1, 3000), min_size=1, max_size=4))
     def test_ratio_check_matches_reference(self, thetas, alpha, v_list, checkpoints):
         checkpoints = sorted(checkpoints)
@@ -368,6 +368,10 @@ class TestSampleCountChecks:
             ratio_check(golden, [], [1], [10])
         with pytest.raises(InsufficientSamples):
             zero_entropy_proxy(golden, [], [10])
+
+    def test_empty_v_list(self, golden):
+        with pytest.raises(ConfigError):
+            ratio_check(golden, [ZERO], [], [10])
 
     @pytest.mark.parametrize("N, n_samples, error", [
         (0, 4, ConfigError), (8, 1, InsufficientSamples), (8, 0, InsufficientSamples)])

@@ -277,6 +277,8 @@ class TestBadInput:
         ["schedule", "--mode", "paper", "--c-const", "2", "--m-max", "0"],
         ["schedule", "--mode", "paper", "--c-const", "nan", "--m-max", "2"],
         WALK + ["--threads", "0"],
+        ["ratio", "--alpha", "golden", "--n-theta", "4", "--v-max", "0", "--n-list", "10",
+         "--seed", "1"],
     ])
     def test_exit_2_with_one_line(self, capsys, argv):
         code, out, err = run(capsys, *argv)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from discwalk import (
@@ -16,9 +16,47 @@ from discwalk import (
     phi,
     resolve_alpha,
 )
-from discwalk.rotation import HALF, MODULUS, orbit_signs, walk_heights
+from discwalk.rotation import _BLOCK, HALF, MODULUS, orbit_signs, walk_heights
 
 BITS = st.integers(min_value=0, max_value=MODULUS - 1)
+WORD = 1 << 64
+
+
+def _scalar_signs(theta: int, alpha: int, n: int) -> list:
+    """phi along the orbit, from the Python-int definitions."""
+    t, a = FixedAngle(theta), FixedAngle(alpha)
+    return [phi(advance(t, a, k)) for k in range(n)]
+
+
+def _scalar_heights(theta: int, alpha: int, n: int) -> list:
+    heights = [0]
+    for s in _scalar_signs(theta, alpha, n - 1):
+        heights.append(heights[-1] + s)
+    return heights
+
+
+# Starts that reach the engine's exact recheck: the top word t of an orbit
+# point is computed without the carry c (0 <= c <= j < _BLOCK) out of the
+# low word, so its sign is rechecked when t lies at most _BLOCK - 1 below
+# 2**63 or 2**64.  A top word in that band, an alpha whose top word is
+# small (or whose value is below 2**64) and low words near 2**64, which make
+# the carry as large as it can be, put whole runs of indices in the band.
+_NEAR = st.integers(0, _BLOCK)
+TOP_IN_BAND = st.one_of(
+    _NEAR.map(lambda d: (1 << 63) - d),
+    _NEAR.map(lambda d: WORD - 1 - d),
+    _NEAR,
+    st.integers(0, WORD - 1),
+)
+LOW_WORD = st.one_of(
+    _NEAR.map(lambda d: WORD - 1 - d),
+    _NEAR,
+    st.integers(0, WORD - 1),
+)
+SMALL_TOP = st.one_of(
+    st.integers(0, 8),
+    st.integers(0, 8).map(lambda d: WORD - 1 - d),
+)
 
 
 class TestResolveAlpha:
@@ -164,8 +202,41 @@ class TestOrbitEngine:
             h += phi(advance(t, a, k))
 
     def test_block_boundary_continuity(self, golden):
-        # exercise the block-base handoff inside the engine
-        n = (1 << 19) + 7
-        heights = walk_heights(0, golden.bits, n)
-        steps = np.diff(heights)
-        assert set(np.unique(steps)) <= {-1, 1}
+        # heights on each side of every block boundary, where the engine
+        # hands the last height of one block to the next
+        n = 3 * _BLOCK + 7
+        theta = FixedAngle.from_float(0.3).bits
+        heights = walk_heights(theta, golden.bits, n)
+        expected = _scalar_heights(theta, golden.bits, n)
+        for boundary in range(_BLOCK, n, _BLOCK):
+            for k in range(boundary - 1, boundary + 3):
+                assert heights[k] == expected[k], k
+
+    @settings(max_examples=12, deadline=None)
+    @given(theta_hi=TOP_IN_BAND, theta_lo=LOW_WORD, alpha_hi=SMALL_TOP,
+           alpha_lo=LOW_WORD, extra=st.integers(2, 64))
+    # every index on the band's edge: alpha = -2**-128, theta top word 2**63
+    @example(theta_hi=1 << 63, theta_lo=WORD - 1, alpha_hi=WORD - 1,
+             alpha_lo=WORD - 1, extra=2)
+    # alpha < 2**64: t is constant and in the band; the carry flips the sign
+    @example(theta_hi=(1 << 63) - 1, theta_lo=0, alpha_hi=0,
+             alpha_lo=WORD - 1, extra=2)
+    # t at the far edge of the band; only the largest carry, c = j =
+    # _BLOCK - 1, flips the sign
+    @example(theta_hi=(1 << 63) - (_BLOCK - 1), theta_lo=WORD - 1, alpha_hi=0,
+             alpha_lo=WORD - 1, extra=2)
+    @example(theta_hi=WORD - (_BLOCK - 1), theta_lo=WORD - 1, alpha_hi=0,
+             alpha_lo=WORD - 1, extra=2)
+    def test_recheck_band_matches_phi(self, theta_hi, theta_lo, alpha_hi,
+                                      alpha_lo, extra):
+        # n spans two block boundaries; signs and heights of the whole walk
+        # against phi(advance(...))
+        theta = theta_hi << 64 | theta_lo
+        alpha = alpha_hi << 64 | alpha_lo
+        n = 2 * _BLOCK + extra
+        expected = _scalar_signs(theta, alpha, n)
+        assert orbit_signs(theta, alpha, n).tolist() == [s == 1 for s in expected]
+        heights = walk_heights(theta, alpha, n)
+        assert heights.dtype == np.int64
+        assert heights[0] == 0
+        assert np.array_equal(np.diff(heights), expected[:-1])
