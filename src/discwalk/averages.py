@@ -3,10 +3,11 @@
 The average A_N reduces to (1/2) * integral over accepted thetas of the
 fraction of walk times n < N whose height lies in E.  Routes: ``reduced``
 (stream the walk over sampled thetas), ``exact`` (integrate the height step
-function over the circle in fixed point, no sampling error), and the direct
-Monte Carlo orbit route in :mod:`discwalk.symbolic`.  The auxiliary checks
-cover the return-ratio convergence, the correlation form of ergodicity, and
-the decay of the visited-range fraction.
+function over the finest partition of the circle in fixed point, through
+prefix sums of one two-sided sign sequence; no sampling error), and the
+direct Monte Carlo orbit route in :mod:`discwalk.symbolic`.  The auxiliary
+checks cover the return-ratio convergence, the correlation form of
+ergodicity, and the decay of the visited-range fraction.
 """
 
 from __future__ import annotations
@@ -22,22 +23,24 @@ import numpy as np
 
 from .errors import BudgetExceeded, ConfigError, InsufficientSamples, MissingEntries
 from .eset import ESet, Schedule
-from .rotation import HALF, MODULUS, FixedAngle, orbit_hi64, walk_heights
+from .rotation import (HALF, MODULUS, FixedAngle, multiples_words, orbit_hi64, orbit_signs,
+                       walk_heights)
 from .series import AverageEntry, AverageSeries, _in_e, _sampled_series, check_n_list
 from .symbolic import CylinderSpec, default_window_radius, sample_omega
 from .walk import _occupation_at_checkpoints, sample_thetas
 from ._parallel import ordered_map
 
-EXACT_N_CAP = 1 << 14
+EXACT_N_CAP = 1 << 20
 
 
 class PartitionStepFn:
     """phi_n as a step function on the circle, refined incrementally.
 
-    Cell i covers [breaks[i], breaks[i+1]) in fixed-point bits (the last cell
-    wraps to 2**128) and carries the integer value of phi_n there.  Each
-    refinement step inserts the two new breakpoints contributed by the next
-    rotation preimage of the half-circle, so the cell count stays <= 2n + 2.
+    The quadratic reference for the exact route, used by tests: cell i covers
+    [breaks[i], breaks[i+1]) in fixed-point bits (the last cell wraps to
+    2**128) and carries the integer value of phi_n there.  Each refinement
+    step inserts the two new breakpoints contributed by the next rotation
+    preimage of the half-circle, so the cell count stays <= 2n + 2.
     """
 
     def __init__(self, alpha: FixedAngle):
@@ -93,12 +96,77 @@ class PartitionStepFn:
         return sum(self._widths())
 
 
+# ---------------------------------------------------------------------------
+# The exact route.
+#
+# phi_t for t <= n is constant on the cells of the finest partition, which
+# begin at -k*alpha (cell k) and at 1/2 - k*alpha (cell n + k) for k < n.  With
+# P the prefix sum of the two-sided sign sequence phi(j*alpha), j in [-n, n)
+# (P[i] sums its first i terms, so P[n - k] stands at j = -k), the walk started
+# on cell k has height P[n - k + t] - P[n - k] at time t, exactly in fixed
+# point; started on cell n + k it has the negative, since
+# phi(1/2 + x) = -phi(x).  E is symmetric, so both cells share their hit
+# counts.  Widths are 128-bit, so sums of width times count run on 16-bit
+# limbs in int64 and are combined in Python integers.
+
+
+def _check_exact_budget(n: int) -> None:
+    if n > EXACT_N_CAP:
+        raise BudgetExceeded(f"exact route: N={n} exceeds cap {EXACT_N_CAP}")
+
+
+def _finest_partition(alpha: FixedAngle, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(P, limbs) for the finest partition of phi_1..phi_n, n >= 1.
+
+    P is the int32 prefix sum above, of length 2n + 1; limbs[c] holds the
+    width of cell c as eight 16-bit limbs, least significant first.
+    Coincident breakpoints give zero-width cells.
+    """
+    bits = alpha.bits
+    signs = orbit_signs(-n * bits % MODULUS, bits, 2 * n)
+    steps = signs.view(np.int8) * np.int8(2)
+    steps -= np.int8(1)
+    P = np.zeros(2 * n + 1, dtype=np.int32)
+    np.cumsum(steps, dtype=np.int32, out=P[1:])
+    hi, lo = multiples_words(-bits % MODULUS, n)
+    hi = np.concatenate([hi, hi ^ np.uint64(HALF >> 64)])
+    lo = np.concatenate([lo, lo])
+    order = np.lexsort((lo, hi))
+    hi, lo = hi[order], lo[order]
+    # each cell ends where the next begins; the last wraps round to the
+    # first, which is 0 (cell 0)
+    next_hi, next_lo = np.roll(hi, -1), np.roll(lo, -1)
+    widths = np.empty((2 * n, 2), dtype="<u8")
+    widths[order, 0] = next_lo - lo
+    widths[order, 1] = next_hi - hi - (next_lo < lo)
+    return P, widths.view("<u2")
+
+
+def _limb_total(limbs: np.ndarray) -> int:
+    return sum(int(x) << (16 * i) for i, x in enumerate(limbs))
+
+
 def exact_level_measures(alpha: FixedAngle, n: int) -> Dict[int, Fraction]:
-    """Exact distribution of phi_n over the circle."""
-    part = PartitionStepFn(alpha)
-    for _ in range(n):
-        part.step()
-    return part.level_measures()
+    """Exact distribution of phi_n over the circle, levels ascending; n is
+    capped at EXACT_N_CAP."""
+    if n < 0:
+        raise ConfigError("n must be >= 0")
+    if n == 0:
+        return {0: Fraction(1)}
+    _check_exact_budget(n)
+    P, limbs = _finest_partition(alpha, n)
+    h = P[2 * n:n:-1] - P[n:0:-1]  # height of cell k at time n
+    levels = np.concatenate([h, -h])
+    order = np.argsort(levels, kind="stable")
+    values, starts = np.unique(levels[order], return_index=True)
+    # at most 2n * 2**16 < 2**63 per limb sum
+    sums = np.add.reduceat(limbs[order], starts, axis=0, dtype=np.int64)
+    out = {}
+    for v, row in zip(values.tolist(), sums):
+        total = _limb_total(row)
+        if total:  # a level reached only on zero-width cells has measure 0
+            out[v] = Fraction(total, MODULUS)
+    return out
 
 
 def exact_average_series(
@@ -107,27 +175,42 @@ def exact_average_series(
     """A_N over the full circle by exact fixed-point integration.
 
     Returns the float series plus the exact fractions (denominator divides
-    2**129 * N).  Quadratic in max(N_list); capped to keep runs bounded.
+    2**129 * N).  With n = max(N_list) and L the number of levels the walk
+    visits, it takes O(n log n + n * L * len(N_list)) time and O(n) memory;
+    n is capped at EXACT_N_CAP.
     """
     N_list = check_n_list(N_list)
-    max_n = N_list[-1]
-    if max_n > EXACT_N_CAP:
-        raise BudgetExceeded(
-            f"exact route is quadratic; N={max_n} exceeds cap {EXACT_N_CAP}")
-    part = PartitionStepFn(alpha)
-    acc = 0
-    fractions: Dict[int, Fraction] = {}
-    targets = set(N_list)
-    for n in range(max_n):
-        acc += part.measure_bits_in(e)
-        if n + 1 in targets:
-            fractions[n + 1] = Fraction(acc, 2 * (n + 1) * MODULUS)
-        if n + 1 < max_n:
-            part.step()
+    n = N_list[-1]
+    _check_exact_budget(n)
+    P, limbs = _finest_partition(alpha, n)
+    # group the cells k by the level P[n - k] their walk starts from
+    base = P[n:0:-1]
+    order = np.argsort(base, kind="stable")
+    levels, starts = np.unique(base[order], return_index=True)
+    ends = np.append(starts[1:], n)
+    start = n - order
+    # cells k and n + k hit E at the same times; each limb sum < 2**17
+    weights = limbs[order].astype(np.int64)
+    weights += limbs[n + order]
+    span = int(P.max()) - int(P.min())
+    lut = e.lut(-span, span)
+    hits_before = np.zeros(2 * n + 1, dtype=np.int64)
+    # sums[i] < n * 2**17 * N <= 2**57 per limb while n <= 2**20
+    sums = np.zeros((len(N_list), 8), dtype=np.int64)
+    for b, lo, hi in zip(levels.tolist(), starts, ends):
+        # hits_before[t]: times u < t with P[u] - b in E
+        np.cumsum(lut[P[:-1] - (b - span)], out=hits_before[1:])
+        a = start[lo:hi]
+        at_start = hits_before[a]
+        for i, N in enumerate(N_list):
+            sums[i] += (hits_before[a + N] - at_start) @ weights[lo:hi]
+    fractions = {
+        N: Fraction(_limb_total(row), 2 * N * MODULUS) for N, row in zip(N_list, sums)
+    }
     entries = [
-        AverageEntry(N=n, value=float(fractions[n]), stderr=0.0,
+        AverageEntry(N=N, value=float(fractions[N]), stderr=0.0,
                      method="exact", n_samples=0)
-        for n in N_list
+        for N in N_list
     ]
     return AverageSeries(entries), fractions
 

@@ -244,6 +244,23 @@ def orbit_hi64(theta_bits: int, alpha_bits: int, n: int) -> np.ndarray:
     return out
 
 
+def multiples_words(bits: int, n: int):
+    """Exact (hi, lo) 64-bit words of k*bits mod 2**128 for 0 <= k < n.
+
+    The carry out of the low word is split at 32 bits, so n <= 2**32 keeps
+    every product in range.
+    """
+    k = np.arange(n, dtype=np.uint64)
+    lo_bits = bits & 0xFFFFFFFFFFFFFFFF
+    top = k * np.uint64(lo_bits >> 32)
+    bottom = k * np.uint64(lo_bits & 0xFFFFFFFF)
+    lo = k * np.uint64(lo_bits)  # == (top << 32) + bottom mod 2**64
+    hi = k * np.uint64(bits >> 64)
+    hi += top >> _SHIFT32
+    hi += lo < bottom  # the carry of that sum
+    return hi, lo
+
+
 def walk_heights(theta_bits: int, alpha_bits: int, n: int) -> np.ndarray:
     """Cocycle heights h[k] = sum_{i<k} phi(theta + i*alpha), as int64.
 

@@ -200,9 +200,10 @@ def _occupation_at_checkpoints(
     heights = walk_heights(theta_bits, alpha_bits, N)
     width = 2 * v_max + 1
     out = np.zeros((len(checkpoints), width), dtype=np.int64)
-    clipped = np.clip(heights, -v_max - 1, v_max + 1) + (v_max + 1)
+    np.clip(heights, -v_max - 1, v_max + 1, out=heights)
+    heights += v_max + 1
     for i, n in enumerate(checkpoints):
-        c = np.bincount(clipped[:n], minlength=2 * v_max + 3)
+        c = np.bincount(heights[:n], minlength=2 * v_max + 3)
         out[i] = c[1:-1]
     return out
 

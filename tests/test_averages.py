@@ -380,3 +380,73 @@ class TestSampleCountChecks:
         with pytest.raises(error):
             ergodicity_correlation(golden, cyl, cyl, full_circle_arc(), full_circle_arc(),
                                    N, n_samples, seed=1)
+
+
+def partition_reference(alpha, e, N_list):
+    """Exact A_N and the level measures of phi_N for every N in N_list,
+    by stepping the quadratic PartitionStepFn."""
+    part = PartitionStepFn(alpha)
+    acc, averages, levels = 0, {}, {}
+    for n in range(1, N_list[-1] + 1):
+        acc += part.measure_bits_in(e)
+        part.step()
+        if n in N_list:
+            averages[n] = Fraction(acc, 2 * n * MODULUS)
+            levels[n] = part.level_measures()
+    return averages, levels
+
+
+ALPHAS = {
+    "golden": AlphaSpec(preset="golden"),
+    "sqrt3m1": AlphaSpec(preset="sqrt3m1"),
+    "cf8": AlphaSpec(quotients=[8] * 200, bound=8),
+}
+
+
+class TestExactAgainstPartition:
+    @pytest.mark.parametrize("name", sorted(ALPHAS))
+    def test_long_walks_match_partition(self, name):
+        alpha = resolve_alpha(ALPHAS[name])
+        _, e = make_desk_schedule([(2, 6), (30, 300)])
+        N_list = [331, 1024]
+        averages, levels = partition_reference(alpha, e, N_list)
+        assert exact_average_series(alpha, e, N_list)[1] == averages
+        for N in N_list:
+            assert exact_level_measures(alpha, N) == levels[N]
+
+    @pytest.mark.parametrize("bits", [1 << 126, 3 << 125, 5 << 124], ids=["1/4", "3/8", "5/16"])
+    def test_coincident_breakpoints(self, bits):
+        # a rational angle repeats its breakpoints, leaving zero-width cells
+        alpha = FixedAngle(bits)
+        _, e = make_desk_schedule([(2, 3)])
+        N_list = [1, 5, 40]
+        averages, levels = partition_reference(alpha, e, N_list)
+        assert exact_average_series(alpha, e, N_list)[1] == averages
+        for N in N_list:
+            assert exact_level_measures(alpha, N) == levels[N]
+
+    def test_zero_steps(self, golden):
+        assert exact_level_measures(golden, 0) == {0: 1}
+
+    def test_level_measures_input_checks(self, golden):
+        with pytest.raises(ConfigError):
+            exact_level_measures(golden, -1)
+        with pytest.raises(BudgetExceeded):
+            exact_level_measures(golden, EXACT_N_CAP + 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 100, 1000])
+    def test_measures_positive(self, golden, n):
+        levels = exact_level_measures(golden, n)
+        assert all(m > 0 for m in levels.values())
+        assert list(levels) == sorted(levels)
+
+    def test_across_block_boundary(self, golden):
+        # the 2N signs of the two-sided sequence span two 2**16-index blocks
+        N = (1 << 15) + 3
+        _, e = make_desk_schedule([(2, 6), (30, 300)])
+        fractions = exact_average_series(golden, e, [N - 1, N])[1]
+        levels = exact_level_measures(golden, N - 1)
+        assert sum(levels.values()) == 1
+        assert sum(exact_level_measures(golden, N).values()) == 1
+        last_term = sum(m for v, m in levels.items() if e.contains(v))
+        assert 2 * N * fractions[N] - 2 * (N - 1) * fractions[N - 1] == last_term

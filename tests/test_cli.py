@@ -6,6 +6,7 @@ import mpmath
 import pytest
 
 from discwalk import AverageSeries, Schedule
+from discwalk.averages import EXACT_N_CAP
 from discwalk.cli import entrypoint
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -134,8 +135,8 @@ class TestAverageCommand:
 
     def test_exact_budget_exceeded(self, capsys):
         code, _, _ = run(capsys, "average", "--alpha", "golden", "--pairs", "2:6",
-                         "--n-list", "20000", "--n-theta", "32", "--seed", "3",
-                         "--routes", "exact,reduced")
+                         "--n-list", str(EXACT_N_CAP + 1), "--n-theta", "32",
+                         "--seed", "3", "--routes", "exact,reduced")
         assert code == 4
 
     def test_thread_count_does_not_change_bytes(self, capsys, tmp_path):

@@ -16,7 +16,7 @@ from discwalk import (
     phi,
     resolve_alpha,
 )
-from discwalk.rotation import _BLOCK, HALF, MODULUS, orbit_signs, walk_heights
+from discwalk.rotation import _BLOCK, HALF, MODULUS, multiples_words, orbit_signs, walk_heights
 
 BITS = st.integers(min_value=0, max_value=MODULUS - 1)
 WORD = 1 << 64
@@ -240,3 +240,16 @@ class TestOrbitEngine:
         assert heights.dtype == np.int64
         assert heights[0] == 0
         assert np.array_equal(np.diff(heights), expected[:-1])
+
+
+class TestMultiplesWords:
+    # 0x5555555555555556 carries out of the split low-word sum at k = 3
+    @settings(max_examples=40, deadline=None)
+    @given(BITS, st.integers(1, 3000))
+    @example(0x5555555555555556, 4)
+    @example(MODULUS - 1, 3000)
+    @example(WORD - 1, 3000)
+    def test_matches_python_ints(self, bits, n):
+        hi, lo = multiples_words(bits, n)
+        assert [(int(h) << 64) | int(l) for h, l in zip(hi, lo)] == [
+            k * bits % MODULUS for k in range(n)]
