@@ -25,9 +25,9 @@ from .errors import BudgetExceeded, ConfigError, InsufficientSamples, MissingEnt
 from .eset import ESet, Schedule
 from .rotation import (HALF, MODULUS, FixedAngle, multiples_words, orbit_hi64, orbit_signs,
                        walk_heights)
-from .series import AverageEntry, AverageSeries, _in_e, _sampled_series, check_n_list
+from .series import AverageEntry, AverageSeries, _sampled_series
 from .symbolic import CylinderSpec, default_window_radius, sample_omega
-from .walk import _occupation_at_checkpoints, sample_thetas
+from .walk import band_counts, check_n_list, level_counts, sample_thetas
 from ._parallel import ordered_map
 
 EXACT_N_CAP = 1 << 20
@@ -232,7 +232,7 @@ def reduced_average_series(
     """A_N by streaming the walk over sampled thetas (reduction formula):
     half the fraction of walk times whose height lies in E."""
     return _sampled_series(alpha, b_filter, N_list, n_theta, seed, workers,
-                           lambda i, heights: _in_e(e, heights), 0.5, "reduced")
+                           lambda i, lo, hi: e.lut(lo, hi), 0.5, "reduced")
 
 
 # ---------------------------------------------------------------------------
@@ -387,10 +387,9 @@ def ratio_check(
     checkpoints = check_n_list(sorted(N_checkpoints))
     v_max = max((abs(v) for v in v_list), default=0)
     cols = [v + v_max for v in v_list]
-    alpha_bits = alpha.bits
 
     def per_theta(theta: FixedAngle) -> np.ndarray:
-        counts = _occupation_at_checkpoints(theta.bits, alpha_bits, checkpoints, v_max)
+        counts = band_counts(*level_counts(theta.bits, alpha.bits, checkpoints), v_max)
         # column v_max counts returns to zero, which is >= 1 since h_0 = 0
         return (counts[:, cols] / counts[:, [v_max]]).T
 
@@ -499,16 +498,11 @@ def zero_entropy_proxy(
     if not theta_samples:
         raise InsufficientSamples("need at least 1 theta sample")
     N_list = check_n_list(sorted(N_list))
-    max_n = N_list[-1]
-    alpha_bits = alpha.bits
-    idx = np.asarray(N_list) - 1
 
     def per_theta(theta: FixedAngle) -> np.ndarray:
-        heights = walk_heights(theta.bits, alpha_bits, max_n)
-        cmax = np.maximum.accumulate(heights)
-        cmin = np.minimum.accumulate(heights)
-        spans = (cmax[idx] - cmin[idx] + 1).astype(float)
-        return spans / np.asarray(N_list)
+        _, counts = level_counts(theta.bits, alpha.bits, N_list)
+        # the visited levels form an interval: steps are +/-1
+        return np.count_nonzero(counts, axis=1) / np.asarray(N_list)
 
     table = np.array(ordered_map(per_theta, theta_samples, workers))
     return RangeDecayTable(N_list=list(N_list), per_theta=table)

@@ -154,7 +154,6 @@ def make_filter(spec):
             v_max = int(parts[2]) if len(parts) > 2 else 2
         except (ValueError, IndexError):
             raise ConfigError(f"bad filter spec {spec!r}")
-        require(0 < q < 1, f"bad filter spec {spec!r}; quantile q must be in (0, 1)")
         return QuantileFilter(q=q, horizon=horizon, v_max=v_max)
     raise ConfigError(f"bad filter spec {spec!r}; expected 'all' or 'quantile:q'")
 
@@ -322,6 +321,9 @@ def cmd_average(alpha, seed, threads, out, pairs, n_list, n_theta, routes, filte
     route_set = set((routes or "reduced").split(","))
     require(route_set <= {"reduced", "exact", "mc"}, f"unknown routes in {routes!r}")
     b_filter = make_filter(filter)
+    # filtered sampled routes integrate over the accepted thetas only
+    require("exact" not in route_set or isinstance(b_filter, AcceptAll),
+            f"the exact route covers the whole circle; it cannot run with --filter {filter}")
     if pair_list:
         schedule, e = make_desk_schedule(pair_list)
     else:

@@ -9,14 +9,14 @@ sample ranked by its scaled occupation statistic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from .errors import ConfigError
 from .rotation import FixedAngle
-from .walk import _occupation_at_checkpoints
+from .walk import band_counts, level_counts, occupation_scale
 
 
 class AcceptAll:
@@ -38,20 +38,23 @@ class QuantileFilter:
     horizon: int = 1 << 14
     v_max: int = 2
 
+    def __post_init__(self):
+        if not 0 < self.q < 1:
+            raise ConfigError(f"quantile q must be in (0, 1): {self.q}")
+        if self.horizon < 1:
+            raise ConfigError(f"quantile horizon must be >= 1: {self.horizon}")
+        if self.v_max < 0:
+            raise ConfigError(f"quantile v_max must be >= 0: {self.v_max}")
+
     @property
     def name(self) -> str:
         return f"quantile(q={self.q},horizon={self.horizon},v_max={self.v_max})"
 
     def statistic(self, theta: FixedAngle, alpha: FixedAngle) -> float:
-        times = []
-        n = 16
-        while n < self.horizon:
-            times.append(n)
-            n *= 2
-        times.append(self.horizon)
-        counts = _occupation_at_checkpoints(theta.bits, alpha.bits, times, self.v_max)
-        scale = np.array([math.sqrt(math.log(n)) / n for n in times])
-        return float((counts * scale[:, None]).max())
+        h = self.horizon
+        times = [16 << k for k in range(h.bit_length()) if 16 << k < h] + [h]
+        counts = band_counts(*level_counts(theta.bits, alpha.bits, times), self.v_max)
+        return float((counts * occupation_scale(times)[:, None]).max())
 
     def select(self, thetas: Sequence[FixedAngle], alpha: FixedAngle) -> np.ndarray:
         stats = np.array([self.statistic(t, alpha) for t in thetas])

@@ -12,8 +12,8 @@ import numpy as np
 
 from .errors import ConfigError, EmptyAfterFilter
 from .filters import AcceptAll
-from .rotation import FixedAngle, walk_heights
-from .walk import sample_thetas
+from .rotation import FixedAngle
+from .walk import check_n_list, level_counts, sample_thetas
 from ._parallel import ordered_map
 
 CSV_HEADER = "N,A,stderr,method,n_theta,seed"
@@ -71,25 +71,6 @@ class AverageSeries:
         return cls(entries)
 
 
-def check_n_list(N_list: Sequence[int]) -> List[int]:
-    """The N list as a list; rejects an empty list, any N < 1, and any list
-    that is not strictly ascending."""
-    N_list = list(N_list)
-    if not N_list:
-        raise ConfigError("N list must be nonempty")
-    if any(b <= a for a, b in zip(N_list, N_list[1:])):
-        raise ConfigError(f"N list must be strictly ascending: {N_list}")
-    if N_list[0] < 1:
-        raise ConfigError(f"every N must be >= 1: {N_list}")
-    return N_list
-
-
-def _in_e(e, heights: np.ndarray) -> np.ndarray:
-    """Membership in E of every height, through E's table over the band."""
-    lo = int(heights.min())
-    return e.lut(lo, int(heights.max()))[heights - lo]
-
-
 def _sampled_series(
     alpha: FixedAngle,
     b_filter,
@@ -97,12 +78,13 @@ def _sampled_series(
     n_theta: int,
     seed: int,
     workers: int,
-    indicator: Callable[[int, np.ndarray], np.ndarray],
+    indicator: Callable[[int, int, int], np.ndarray],
     prefactor: float,
     method: str,
 ) -> AverageSeries:
     """A_N as prefactor times the mean over sampled thetas of the fraction of
-    walk times n < N at which ``indicator(i, heights)`` holds.
+    walk times n < N whose level v has ``indicator(i, lo, hi)[v - lo]`` true:
+    the level table of theta i over its visited band [lo, hi].
 
     One walk per theta covers every N in the list.  Thetas rejected by the
     filter contribute zero, folding the accepted fraction into the estimate
@@ -120,8 +102,8 @@ def _sampled_series(
     def per_theta(i: int) -> np.ndarray:
         if not mask[i]:
             return np.zeros(len(n_arr))
-        heights = walk_heights(thetas[i].bits, alpha.bits, N_list[-1])
-        return np.cumsum(indicator(i, heights))[n_arr - 1] / n_arr
+        v_min, counts = level_counts(thetas[i].bits, alpha.bits, N_list)
+        return counts @ indicator(i, v_min, v_min + counts.shape[1] - 1) / n_arr
 
     fractions = np.array(ordered_map(per_theta, range(n_theta), workers))
     values = prefactor * fractions.mean(axis=0)

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConfigError, WindowExceeded
 from .eset import ESet
 from .rotation import FixedAngle, advance, phi, walk_heights
-from .series import AverageSeries, _in_e, _sampled_series
+from .series import AverageSeries, _sampled_series
 
 
 @dataclass(frozen=True)
@@ -187,19 +187,16 @@ def mc_triple_average(
     W = window_radius if window_radius is not None else default_window_radius(
         max(N_list, default=1))
 
-    def indicator(i: int, heights: np.ndarray) -> np.ndarray:
-        lo = int(heights.min())
-        hi = int(heights.max())
-        if max(abs(lo), abs(hi)) > W:
-            worst = lo if abs(lo) > abs(hi) else hi
-            raise WindowExceeded(
-                f"walk height {worst} exceeds window radius {W}; "
-                "re-run with a larger budget", height=worst)
+    def indicator(i: int, lo: int, hi: int) -> np.ndarray:
+        worst = lo if -lo > hi else hi  # lo <= 0 <= hi
+        if abs(worst) > W:
+            raise WindowExceeded(f"walk height {worst} exceeds window radius {W}; "
+                                 "re-run with a larger budget", height=worst)
         omega = sample_omega(W, np.random.SeedSequence(entropy=seed, spawn_key=(1, i)))
-        in_e = _in_e(e, heights)
+        in_e = e.lut(lo, hi)
         if fault_inject:
             in_e = ~in_e
-        return (omega.values[heights + W] == 1) & in_e
+        return in_e & (omega.values[lo + W:hi + W + 1] == 1)
 
     # no 1/2 prefactor here: averaging over omega already supplies the
     # symbol-cylinder measure

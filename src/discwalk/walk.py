@@ -2,9 +2,10 @@
 
 The walk height after k steps is h_k = sum_{i<k} phi(theta + i*alpha), a
 +/-1-step path on the integers.  This module computes prefixes of the walk,
-per-level visit counts, the range statistic (number of distinct levels
-visited), and empirical estimates of the occupation constants used by the
-schedule verifier.
+per-level visit counts at checkpoint times (``level_counts``, the one
+per-theta reducer that every sampled statistic is computed from), the range
+statistic (number of distinct levels visited), and empirical estimates of
+the occupation constants used by the schedule verifier.
 """
 
 from __future__ import annotations
@@ -191,21 +192,49 @@ class ConstantsTable:
         return "\n".join(lines) + "\n"
 
 
-def _occupation_at_checkpoints(
-    theta_bits: int, alpha_bits: int, checkpoints: Sequence[int], v_max: int
-) -> np.ndarray:
-    """counts[i, j] = visits to level v_min + j among the first checkpoints[i]
-    heights, for levels |v| <= v_max."""
-    N = max(checkpoints)
-    heights = walk_heights(theta_bits, alpha_bits, N)
-    width = 2 * v_max + 1
-    out = np.zeros((len(checkpoints), width), dtype=np.int64)
-    np.clip(heights, -v_max - 1, v_max + 1, out=heights)
-    heights += v_max + 1
-    for i, n in enumerate(checkpoints):
-        c = np.bincount(heights[:n], minlength=2 * v_max + 3)
-        out[i] = c[1:-1]
-    return out
+def check_n_list(N_list: Sequence[int]) -> List[int]:
+    """The N list as a list; rejects an empty list, any N < 1, and any list
+    that is not strictly ascending."""
+    N_list = list(N_list)
+    if not N_list:
+        raise ConfigError("N list must be nonempty")
+    if any(b <= a for a, b in zip(N_list, N_list[1:])):
+        raise ConfigError(f"N list must be strictly ascending: {N_list}")
+    if N_list[0] < 1:
+        raise ConfigError(f"every N must be >= 1: {N_list}")
+    return N_list
+
+
+def level_counts(
+    theta_bits: int, alpha_bits: int, checkpoints: Sequence[int]
+) -> Tuple[int, np.ndarray]:
+    """(v_min, counts): counts[i, j] = visits to level v_min + j among the
+    first checkpoints[i] heights (ascending, >= 1), over the whole visited band.
+
+    The one per-theta walk reducer.  Heights between checkpoints i - 1 and i
+    are shifted in place into bins [i * width, (i + 1) * width), so one
+    bincount histograms every segment and a cumsum adds them up.
+    """
+    heights = walk_heights(theta_bits, alpha_bits, checkpoints[-1])
+    v_min = int(heights.min())
+    width = int(heights.max()) - v_min + 1
+    for i, (a, b) in enumerate(zip([0] + list(checkpoints[:-1]), checkpoints)):
+        heights[a:b] += i * width - v_min
+    counts = np.bincount(heights, minlength=len(checkpoints) * width)
+    counts = counts.reshape(len(checkpoints), width)
+    return v_min, np.cumsum(counts, axis=0, out=counts)
+
+
+def band_counts(v_min: int, counts: np.ndarray, v_max: int) -> np.ndarray:
+    """The columns of level_counts for levels -v_max..v_max; levels the walk
+    never visits read 0.  Every walk visits 0, so v_min <= 0 <= its top."""
+    padded = np.pad(counts, ((0, 0), (v_max, v_max)))
+    return padded[:, -v_min:-v_min + 2 * v_max + 1]
+
+
+def occupation_scale(checkpoints: Sequence[int]) -> np.ndarray:
+    """The occupation band's normalisation sqrt(log n) / n per checkpoint."""
+    return np.array([math.sqrt(math.log(n)) / n for n in checkpoints])
 
 
 def estimate_constants(
@@ -225,29 +254,20 @@ def estimate_constants(
     if checkpoints is None:
         checkpoints = default_checkpoints(N)
     checkpoints = sorted({n for n in checkpoints if 16 <= n <= N} | {N})
-    alpha_bits = alpha.bits
 
     def per_theta(theta: FixedAngle) -> np.ndarray:
-        return _occupation_at_checkpoints(theta.bits, alpha_bits, checkpoints, v_max)
+        return band_counts(*level_counts(theta.bits, alpha.bits, checkpoints), v_max)
 
-    tables = ordered_map(per_theta, theta_samples, workers)
-
-    scale = np.array([math.sqrt(math.log(n)) / n for n in checkpoints])
-    m_v: Dict[int, float] = {}
-    for j, v in enumerate(range(-v_max, v_max + 1)):
-        best = 0.0
-        for tab in tables:
-            best = max(best, float((tab[:, j] * scale).max()))
-        m_v[v] = best
-    c_v: Dict[int, float] = {}
-    running = 0.0
-    for v in range(0, v_max + 1):
-        running = max(running, m_v[v], m_v[-v])
-        c_v[v] = running
+    # tables[t, i, j]: theta t, checkpoints[i], level j - v_max
+    tables = np.array(ordered_map(per_theta, theta_samples, workers))
+    best = (tables * occupation_scale(checkpoints)[:, None]).max(axis=(0, 1))
+    m_v = {v: float(x) for v, x in zip(range(-v_max, v_max + 1), best)}
+    # c_v[v]: running max of m_u over |u| <= v
+    c = np.maximum.accumulate(np.maximum(best[v_max:], best[v_max::-1]))
+    c_v = {v: float(x) for v, x in enumerate(c)}
 
     # global band constant: sup/mean ratio of the return count at the horizon
-    j0 = v_max
-    returns_at_N = np.array([tab[-1, j0] for tab in tables], dtype=float)
+    returns_at_N = tables[:, -1, v_max].astype(float)
     mean = returns_at_N.mean()
     m_global = float(returns_at_N.max() / mean) if mean > 0 else float("inf")
 
@@ -273,18 +293,18 @@ def occupation_band(
     approximable angles; the mean/sup arrays let callers check both the
     band width across n and the sup/mean ratio at each n.
     """
-    checkpoints = sorted(checkpoints)
+    if not theta_samples:
+        raise InsufficientSamples("need at least 1 theta sample")
+    checkpoints = check_n_list(sorted(checkpoints))
     if checkpoints[0] < 16:
         raise ConfigError("checkpoints must be >= 16 so log n > 1")
-    alpha_bits = alpha.bits
 
     def per_theta(theta: FixedAngle) -> np.ndarray:
-        tab = _occupation_at_checkpoints(theta.bits, alpha_bits, checkpoints, 0)
-        return tab[:, 0]
+        v_min, counts = level_counts(theta.bits, alpha.bits, checkpoints)
+        return counts[:, -v_min]  # returns to zero
 
     counts = np.array(ordered_map(per_theta, theta_samples, workers), dtype=float)
-    scale = np.array([math.sqrt(math.log(n)) / n for n in checkpoints])
-    scaled = counts * scale
+    scaled = counts * occupation_scale(checkpoints)
     return scaled.mean(axis=0), scaled.max(axis=0)
 
 

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,9 +31,12 @@ from discwalk import (
     sample_thetas,
     zero_entropy_proxy,
 )
+from discwalk import series as series_module
+from discwalk._parallel import ordered_map
 from discwalk.averages import EXACT_N_CAP, arc_from_floats, arc_measure, full_circle_arc
 from discwalk.filters import QuantileFilter
 from discwalk.rotation import HALF, MODULUS, AlphaSpec, FixedAngle, resolve_alpha, walk_heights
+from discwalk.symbolic import sample_omega
 
 ZERO = FixedAngle(0)
 
@@ -257,10 +261,18 @@ class TestFilters:
         dropped = [s for s, m in zip(stats, mask) if not m]
         assert max(kept) <= min(dropped)
 
+    @pytest.mark.parametrize("q, horizon, v_max", [
+        (0.0, 64, 2), (1.0, 64, 2), (float("nan"), 64, 2), (0.2, 0, 2), (0.2, -5, 2),
+        (0.2, 64, -1)])
+    def test_quantile_filter_input_checks(self, q, horizon, v_max):
+        with pytest.raises(ConfigError):
+            QuantileFilter(q=q, horizon=horizon, v_max=v_max)
+
 
 # ---------------------------------------------------------------------------
 # The per-level loops that QuantileFilter.statistic and ratio_check ran before
-# both moved onto walk._occupation_at_checkpoints, kept as references.
+# both moved onto one occupation counter (now walk.level_counts), kept as
+# references.
 
 
 def statistic_reference(filt, theta, alpha):
@@ -347,6 +359,99 @@ def desk_pairs(draw):
         l, r = pairs[0]
         pairs.append((l + r + draw(st.integers(1, 3)), draw(st.integers(1, 4))))
     return pairs
+
+
+# ---------------------------------------------------------------------------
+# The per-time forms that zero_entropy_proxy and the sampled routes used before
+# they moved onto walk.level_counts, kept as references: running extremes of
+# the heights, and prefix sums of a per-time indicator.
+
+
+def range_reference(alpha, thetas, N_list):
+    idx = np.asarray(N_list) - 1
+    rows = []
+    for theta in thetas:
+        heights = walk_heights(theta.bits, alpha.bits, N_list[-1])
+        cmax = np.maximum.accumulate(heights)
+        cmin = np.minimum.accumulate(heights)
+        rows.append((cmax[idx] - cmin[idx] + 1).astype(float) / np.asarray(N_list))
+    return np.array(rows)
+
+
+def in_e_reference(e, heights):
+    lo = int(heights.min())
+    return e.lut(lo, int(heights.max()))[heights - lo]
+
+
+def mc_indicator_reference(e, seed, W, fault_inject):
+    def indicator(i, heights):
+        omega = sample_omega(W, np.random.SeedSequence(entropy=seed, spawn_key=(1, i)))
+        in_e = in_e_reference(e, heights)
+        if fault_inject:
+            in_e = ~in_e
+        return (omega.values[heights + W] == 1) & in_e
+    return indicator
+
+
+def sampled_rows_reference(alpha, N_list, n_theta, seed, indicator):
+    n_arr = np.asarray(N_list)
+    return np.array([
+        np.cumsum(indicator(i, walk_heights(t.bits, alpha.bits, N_list[-1])))[n_arr - 1]
+        / n_arr for i, t in enumerate(sample_thetas(n_theta, seed))])
+
+
+def sampled_rows(run):
+    """The per-theta fractions a sampled route averages, recorded from its
+    ordered_map call."""
+    rows = []
+
+    def recording(fn, items, workers=1):
+        out = ordered_map(fn, items, workers)
+        rows.append(np.array(out))
+        return out
+
+    with mock.patch.object(series_module, "ordered_map", recording):
+        run()
+    (table,) = rows
+    return table
+
+
+small_alphas = st.lists(st.integers(1, 8), min_size=200, max_size=200).map(
+    lambda qs: resolve_alpha(AlphaSpec(quotients=qs, bound=8)))
+
+
+class TestLevelCountReducers:
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(angles, min_size=1, max_size=4), small_alphas,
+           st.sets(st.integers(1, 3000), min_size=1, max_size=4))
+    def test_range_matches_running_extremes(self, thetas, alpha, n_set):
+        N_list = sorted(n_set)
+        table = zero_entropy_proxy(alpha, thetas, N_list)
+        assert table.per_theta.tobytes() == range_reference(alpha, thetas, N_list).tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(small_alphas, st.sets(st.integers(1, 600), min_size=1, max_size=4),
+           desk_pairs(), st.integers(0, 2**32 - 1))
+    def test_reduced_rows_match_prefix_sums(self, alpha, n_set, pairs, seed):
+        N_list = sorted(n_set)
+        _, e = make_desk_schedule(pairs)
+        rows = sampled_rows(lambda: reduced_average_series(alpha, e, None, N_list, 16, seed))
+        expected = sampled_rows_reference(alpha, N_list, 16, seed,
+                                          lambda i, h: in_e_reference(e, h))
+        assert rows.tobytes() == expected.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(small_alphas, st.sets(st.integers(1, 600), min_size=1, max_size=4),
+           desk_pairs(), st.integers(0, 2**32 - 1), st.booleans())
+    def test_mc_rows_match_prefix_sums(self, alpha, n_set, pairs, seed, fault_inject):
+        N_list = sorted(n_set)
+        _, e = make_desk_schedule(pairs)
+        W = N_list[-1]  # no walk of N steps leaves [-N, N]
+        rows = sampled_rows(lambda: mc_triple_average(
+            alpha, e, N_list, 16, seed, window_radius=W, fault_inject=fault_inject))
+        expected = sampled_rows_reference(alpha, N_list, 16, seed,
+                                          mc_indicator_reference(e, seed, W, fault_inject))
+        assert rows.tobytes() == expected.tobytes()
 
 
 class TestExactReference:

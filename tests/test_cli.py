@@ -139,6 +139,14 @@ class TestAverageCommand:
                          "--seed", "3", "--routes", "exact,reduced")
         assert code == 4
 
+    def test_exact_with_filter_rejected_before_writing(self, capsys, tmp_path):
+        out, report = tmp_path / "series.csv", tmp_path / "report.json"
+        code, _, err = run(capsys, *AVERAGE, "--n-list", "64", "--n-theta", "32",
+                           "--routes", "reduced,exact", "--filter", "quantile:0.2",
+                           "--out", str(out), "--report-out", str(report))
+        assert code == 2 and "exact" in err and len(err.strip().splitlines()) == 1
+        assert not out.exists() and not report.exists()
+
     def test_thread_count_does_not_change_bytes(self, capsys, tmp_path):
         outs = []
         for i, threads in enumerate(("1", "4")):
@@ -280,6 +288,9 @@ class TestBadInput:
         WALK + ["--threads", "0"],
         ["ratio", "--alpha", "golden", "--n-theta", "4", "--v-max", "0", "--n-list", "10",
          "--seed", "1"],
+        AVERAGE + ["--n-list", "64", "--n-theta", "32", "--filter", "quantile:0.2:0"],
+        AVERAGE + ["--n-list", "64", "--n-theta", "32", "--filter", "quantile:0.2:-5"],
+        AVERAGE + ["--n-list", "64", "--n-theta", "32", "--filter", "quantile:0.2:64:-1"],
     ])
     def test_exit_2_with_one_line(self, capsys, argv):
         code, out, err = run(capsys, *argv)

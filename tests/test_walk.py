@@ -2,22 +2,24 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from discwalk import (
+    ConfigError,
     FixedAngle,
     InsufficientSamples,
     WalkState,
     estimate_constants,
+    occupation_band,
     psi,
     range_stat,
     run_walk,
     sample_thetas,
     walk_step,
 )
-from discwalk.rotation import MODULUS, walk_heights
-from discwalk.walk import WalkSummary, default_checkpoints
+from discwalk.rotation import MODULUS, AlphaSpec, resolve_alpha, walk_heights
+from discwalk.walk import WalkSummary, band_counts, default_checkpoints, level_counts
 
 BITS = st.integers(min_value=0, max_value=MODULUS - 1)
 ZERO = FixedAngle(0)
@@ -120,6 +122,47 @@ class TestOccupationInvariants:
         assert abs(plus.mean() - minus.mean()) <= 5 * se
 
 
+# checkpoints on both sides of the walk kernel's 2**16-step sign blocks: the
+# first block fills heights[1:2**16 + 1]
+BLOCK_EDGE = [(1 << 16) + d for d in (-1, 0, 1, 2)]
+
+
+class TestLevelCounts:
+    @settings(max_examples=40, deadline=None)
+    @given(quotients=st.lists(st.integers(1, 8), min_size=200, max_size=200), theta=BITS,
+           extra=st.sets(st.integers(1, (1 << 16) + 8), max_size=4),
+           edge=st.sets(st.sampled_from(BLOCK_EDGE)), v_max=st.integers(0, 12))
+    @example(quotients=[1] * 200, theta=0, extra=set(), edge=set(BLOCK_EDGE), v_max=3)
+    def test_matches_bincount_of_heights(self, quotients, theta, extra, edge, v_max):
+        alpha = resolve_alpha(AlphaSpec(quotients=quotients, bound=8))
+        checkpoints = sorted({1} | extra | edge)
+        v_min, counts = level_counts(theta, alpha.bits, checkpoints)
+        heights = walk_heights(theta, alpha.bits, checkpoints[-1])
+        assert v_min == heights.min()
+        assert counts.shape == (len(checkpoints), heights.max() - v_min + 1)
+        band = band_counts(v_min, counts, v_max)
+        for n, row, band_row in zip(checkpoints, counts, band):
+            assert np.array_equal(row, np.bincount(heights[:n] - v_min,
+                                                   minlength=counts.shape[1]))
+            assert band_row.tolist() == [int(np.count_nonzero(heights[:n] == v))
+                                         for v in range(-v_max, v_max + 1)]
+
+
+class TestOccupationBand:
+    def test_empty_checkpoints(self, golden):
+        with pytest.raises(ConfigError):
+            occupation_band(golden, sample_thetas(2, 1), [])
+
+    def test_checkpoint_floor_and_order(self, golden):
+        for checkpoints in ([8, 100], [100, 100]):
+            with pytest.raises(ConfigError):
+                occupation_band(golden, sample_thetas(2, 1), checkpoints)
+
+    def test_empty_sample(self, golden):
+        with pytest.raises(InsufficientSamples):
+            occupation_band(golden, [], [100])
+
+
 class TestEstimateConstants:
     def test_minimal_run_definition(self, golden):
         # v_max=0, single checkpoint: M_0 is literally the scaled max
@@ -138,6 +181,7 @@ class TestEstimateConstants:
         assert values == sorted(values)
         for v in table.c_v:
             assert table.c_v[v] >= max(table.m_v[v], table.m_v[-v])
+            assert table.c_v[v] == max(max(table.m_v[u], table.m_v[-u]) for u in range(v + 1))
 
     def test_c_of_saturates_beyond_band(self, golden):
         table = estimate_constants(golden, sample_thetas(8, 5), 10**4, 2)
