@@ -10,7 +10,6 @@ from .errors import (
     FiniteCF,
     HeightOverflow,
     InsufficientSamples,
-    MissingConstants,
     MissingEntries,
     OverlappingIntervals,
     PaperModeNotQueryable,
@@ -58,7 +57,6 @@ from .averages import (
     OscillationReport,
     PartitionStepFn,
     ergodicity_correlation,
-    exact_average,
     exact_average_series,
     exact_level_measures,
     oscillation_report,

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, ConfigError, InsufficientSamples, MissingEntries
 from .eset import ESet, Schedule
-from .rotation import (HALF, MODULUS, FixedAngle, multiples_words, orbit_hi64, orbit_signs,
+from .rotation import (HALF, MODULUS, FixedAngle, orbit_hi64, orbit_signs, orbit_words,
                        walk_heights)
 from .series import AverageEntry, AverageSeries, _sampled_series
 from .symbolic import CylinderSpec, default_window_radius, sample_omega
@@ -128,7 +128,7 @@ def _finest_partition(alpha: FixedAngle, n: int) -> Tuple[np.ndarray, np.ndarray
     steps -= np.int8(1)
     P = np.zeros(2 * n + 1, dtype=np.int32)
     np.cumsum(steps, dtype=np.int32, out=P[1:])
-    hi, lo = multiples_words(-bits % MODULUS, n)
+    hi, lo = orbit_words(0, -bits % MODULUS, np.arange(n, dtype=np.uint64))
     hi = np.concatenate([hi, hi ^ np.uint64(HALF >> 64)])
     lo = np.concatenate([lo, lo])
     order = np.lexsort((lo, hi))
@@ -215,11 +215,6 @@ def exact_average_series(
     return AverageSeries(entries), fractions
 
 
-def exact_average(alpha: FixedAngle, e: ESet, N: int) -> Fraction:
-    _, fr = exact_average_series(alpha, e, [N])
-    return fr[N]
-
-
 def reduced_average_series(
     alpha: FixedAngle,
     e: ESet,
@@ -239,15 +234,24 @@ def reduced_average_series(
 # Oscillation analysis along the two subsequences.
 
 
+# The bound fields (bound_low, bound_high, conditions_ok, bounds_checked,
+# bounds_ok) are always null or false.  The paper's bounds A_N <= 1/m and
+# A_N >= 1/2 - 1/m hold along a schedule that meets the growth conditions;
+# with the measured occupation constants (about 0.98) such a schedule has
+# materializable times only at m = 1, where the bounds read A_N <= 1 and
+# A_N >= -1/2 and every A_N in [0, 1/2] meets them.  The fields stay as part
+# of the discwalk-oscillation-v1 schema.
+
+
 @dataclass
 class OscillationRow:
     m: int
     N_low: Optional[int] = None  # start of the following interval
     value_low: Optional[float] = None
-    bound_low: Optional[float] = None  # 1/m, when the schedule is paper-valid
+    bound_low: Optional[float] = None
     N_high: Optional[int] = None  # interval top + 1
     value_high: Optional[float] = None
-    bound_high: Optional[float] = None  # 1/2 - 1/m
+    bound_high: Optional[float] = None
     conditions_ok: Optional[bool] = None
 
 
@@ -288,25 +292,14 @@ class OscillationReport:
 
 
 def oscillation_report(series: AverageSeries, schedule: Schedule) -> OscillationReport:
-    """Tabulate A_N along the schedule's two subsequences.
-
-    For a paper-valid schedule the tabulation also checks the 1/m and
-    1/2 - 1/m bounds; desk schedules get the raw oscillation plus the
-    condition verdicts carried from the verifier.
-    """
+    """Tabulate A_N along the schedule's two subsequences, N = l_{m+1} and
+    N = l_m + r_m + 1, where they are materializable; the series must hold
+    every such N inside its range."""
     have = {e.N: e.value for e in series.entries}
     if not have:
         raise MissingEntries("empty series")
     min_series_n = min(have)
     max_series_n = max(have)
-    paper_valid = (
-        schedule.mode == "paper"
-        and schedule.condition_report is not None
-        and schedule.condition_report.passed
-    )
-    cond_ok = None
-    if schedule.condition_report is not None:
-        cond_ok = schedule.condition_report.passed
 
     def lookup(n: Optional[int]) -> Optional[float]:
         if n is None or n > max_series_n or n < min_series_n:
@@ -317,26 +310,14 @@ def oscillation_report(series: AverageSeries, schedule: Schedule) -> Oscillation
 
     rows = []
     sub_vals = []
-    bounds_ok: Optional[bool] = None
     for m1, iv in enumerate(schedule.intervals):
-        m = m1 + 1
-        row = OscillationRow(m=m, conditions_ok=cond_ok)
+        row = OscillationRow(m=m1 + 1)
         if iv.hi.is_exact:
             row.N_high = iv.hi.to_int() + 1
             row.value_high = lookup(row.N_high)
         if m1 + 1 < len(schedule.intervals) and schedule.intervals[m1 + 1].l.is_exact:
             row.N_low = schedule.intervals[m1 + 1].l.to_int()
             row.value_low = lookup(row.N_low)
-        if paper_valid:
-            row.bound_low = 1.0 / m
-            row.bound_high = 0.5 - 1.0 / m
-            for v, b, up in (
-                (row.value_low, row.bound_low, True),
-                (row.value_high, row.bound_high, False),
-            ):
-                if v is not None:
-                    ok = v <= b if up else v >= b
-                    bounds_ok = ok if bounds_ok is None else (bounds_ok and ok)
         sub_vals.extend(v for v in (row.value_low, row.value_high) if v is not None)
         rows.append(row)
     all_vals = list(have.values())
@@ -344,8 +325,6 @@ def oscillation_report(series: AverageSeries, schedule: Schedule) -> Oscillation
         rows=rows,
         oscillation=max(all_vals) - min(all_vals),
         subsequence_oscillation=(max(sub_vals) - min(sub_vals)) if sub_vals else 0.0,
-        bounds_checked=paper_valid,
-        bounds_ok=bounds_ok,
     )
 
 

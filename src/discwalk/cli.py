@@ -272,7 +272,7 @@ def cmd_schedule(alpha, seed, threads, out, mode, pairs, schedule_file, c_const,
         try:
             with open(schedule_file) as f:
                 schedule = Schedule.parse(f.read())
-        except OSError as e:
+        except (OSError, UnicodeDecodeError) as e:
             raise ConfigError(f"cannot read schedule file: {e}")
     elif mode == "paper":
         require(m_max is not None, "paper mode requires --m-max")

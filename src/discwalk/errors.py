@@ -58,10 +58,6 @@ class PaperModeNotQueryable(ConfigError):
     """Pointwise membership is not available for log-space schedules."""
 
 
-class MissingConstants(ConfigError):
-    pass
-
-
 class OverlappingIntervals(ConfigError):
     pass
 

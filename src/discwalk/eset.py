@@ -11,19 +11,13 @@ condition checks, not pointwise membership.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import mpmath
+import numpy as np
 
-from .errors import (
-    BadOrder,
-    ConfigError,
-    MissingConstants,
-    OverlappingIntervals,
-    PaperModeNotQueryable,
-)
+from .errors import BadOrder, ConfigError, OverlappingIntervals, PaperModeNotQueryable
 
 # a private context, so results do not depend on the global mpmath precision
 _mp = mpmath.MPContext()
@@ -227,6 +221,8 @@ class LogNum:
     def parse(cls, s: str) -> "LogNum":
         if s.startswith("log:"):
             _, depth, man, exp = s.split(":")
+            if int(depth) < 0:
+                raise ValueError(f"negative tower depth in {s!r}")
             return cls(depth=int(depth), x=_mp.ldexp(_mp.mpf(int(man)), int(exp)))
         return cls(exact=int(s))
 
@@ -297,29 +293,12 @@ class ConditionReport:
 class Schedule:
     mode: str  # "desk" | "paper"
     intervals: List[Interval]
-    constants: Optional[object] = None  # walk.ConstantsTable, when attached
-    condition_report: Optional[ConditionReport] = None
-
-    def subsequence_times(self) -> List[int]:
-        """The two analysis subsequences: N = l_{m+1} and N = l_m + r_m + 1,
-        restricted to materializable values."""
-        out = set()
-        for m, iv in enumerate(self.intervals):
-            hi = iv.hi
-            if hi.is_exact:
-                out.add(hi.to_int() + 1)
-            if m + 1 < len(self.intervals) and self.intervals[m + 1].l.is_exact:
-                out.add(self.intervals[m + 1].l.to_int())
-        return sorted(out)
 
     def serialize(self) -> str:
         lines = ["schema: discwalk-schedule-v1", f"mode: {self.mode}"]
         for m, iv in enumerate(self.intervals, start=1):
             lines.append(f"l[{m}]: {iv.l.serialize()}")
             lines.append(f"r[{m}]: {iv.r.serialize()}")
-        if self.constants is not None:
-            lines.append(f"constants_horizon: {self.constants.horizon}")
-            lines.append(f"constants_samples: {self.constants.sample_count}")
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -333,24 +312,35 @@ class Schedule:
             fields[key.strip()] = value.strip()
         if fields.get("schema") != "discwalk-schedule-v1":
             raise BadOrder(f"unknown schedule schema: {fields.get('schema')!r}")
-        mode = fields["mode"]
+        mode = fields.get("mode")
+        if mode not in ("desk", "paper"):
+            raise BadOrder(f"schedule mode must be desk or paper, not {mode!r}")
         intervals = []
         m = 1
         while f"l[{m}]" in fields:
-            intervals.append(
-                Interval(LogNum.parse(fields[f"l[{m}]"]), LogNum.parse(fields[f"r[{m}]"]))
-            )
+            if f"r[{m}]" not in fields:
+                raise BadOrder(f"schedule entry l[{m}] has no r[{m}]")
+            try:
+                intervals.append(Interval(LogNum.parse(fields[f"l[{m}]"]),
+                                          LogNum.parse(fields[f"r[{m}]"])))
+            except ValueError as e:
+                raise BadOrder(f"bad schedule entry {m}: {e}")
             m += 1
         return cls(mode=mode, intervals=intervals)
 
 
 class ESet:
-    """Compiled symmetric interval set: fast pointwise membership on |v|."""
+    """Compiled symmetric interval set: fast pointwise membership on |v|.
+
+    The intervals are kept as one sorted edge array [lo_1, hi_1 + 1, lo_2,
+    hi_2 + 1, ...]; |v| is in E iff an odd number of edges lie at or below it.
+    """
 
     def __init__(self, bounds: Sequence[Tuple[int, int]]):
         # bounds: sorted disjoint (lo, hi) inclusive pairs on the positive axis
         self.bounds = list(bounds)
-        self._los = [lo for lo, _ in self.bounds]
+        self._edges = np.array([x for lo, hi in self.bounds for x in (lo, hi + 1)],
+                               dtype=np.int64)
 
     @classmethod
     def from_schedule(cls, schedule: Schedule) -> "ESet":
@@ -370,45 +360,18 @@ class ESet:
         return cls([(0, 1 << 62)])
 
     def contains(self, v: int) -> bool:
-        v = abs(v)
-        i = bisect.bisect_right(self._los, v) - 1
-        return i >= 0 and v <= self.bounds[i][1]
+        return bool(self._edges.searchsorted(abs(v), "right") % 2)
 
-    def lut(self, lo: int, hi: int):
+    def lut(self, lo: int, hi: int) -> np.ndarray:
         """Membership table over the height band [lo, hi], for vectorized use."""
-        import numpy as np
-
         v = np.abs(np.arange(lo, hi + 1))
-        out = np.zeros(len(v), dtype=bool)
-        if self.bounds:
-            los = np.asarray(self._los)
-            his = np.asarray([h for _, h in self.bounds])
-            i = np.searchsorted(los, v, side="right") - 1
-            valid = i >= 0
-            out[valid] = v[valid] <= his[i[valid]]
-        return out
+        return self._edges.searchsorted(v, "right") % 2 == 1
 
     def __repr__(self):
         return f"ESet({self.bounds})"
 
 
-def _resolve_cbound(schedule: Schedule, c_of: Optional[CBound]) -> CBound:
-    if c_of is not None:
-        return c_of
-    if schedule.constants is not None:
-        table = schedule.constants
-
-        def from_table(v: LogNum):
-            if v.is_exact:
-                return table.c_of(v.to_int())
-            # beyond the observed band the running max saturates
-            return table.c_of(max(table.c_v))
-
-        return from_table
-    raise MissingConstants("schedule has no constants table and no bound was given")
-
-
-def verify_schedule(schedule: Schedule, c_of: Optional[CBound] = None) -> ConditionReport:
+def verify_schedule(schedule: Schedule, c_of: CBound) -> ConditionReport:
     """Check the growth conditions and report margins.
 
     Per entry m: (a) l_1 > 1; (b) r_m > l_m and
@@ -417,14 +380,13 @@ def verify_schedule(schedule: Schedule, c_of: Optional[CBound] = None) -> Condit
     Margins (lhs, rhs, ratio) are reported as floats and saturate at tower
     depth where only the comparison itself is resolvable.
     """
-    cb = _resolve_cbound(schedule, c_of)
     ivs = schedule.intervals
     report = ConditionReport(a_ok=(not ivs) or ivs[0].l > 1)
     for m1, iv in enumerate(ivs):
         m = m1 + 1
         rhs = LogNum(x=_mp.mpf(1) / m)
         hi = iv.hi
-        b_lhs = LogNum.coerce(cb(iv.l)).mul(iv.l)
+        b_lhs = LogNum.coerce(c_of(iv.l)).mul(iv.l)
         b_den = hi.log().sqrt()
         b_ratio = b_lhs.div_float(b_den.mul(rhs))
         row = ConditionRow(
@@ -437,7 +399,7 @@ def verify_schedule(schedule: Schedule, c_of: Optional[CBound] = None) -> Condit
         )
         if m1 + 1 < len(ivs):
             l_next = ivs[m1 + 1].l
-            c_lhs = LogNum.coerce(cb(hi)).mul(hi.add(1))
+            c_lhs = LogNum.coerce(c_of(hi)).mul(hi.add(1))
             c_den = l_next.log().sqrt()
             row.c_struct_ok = l_next > hi
             row.c_lhs = c_lhs.div_float(c_den)
@@ -490,14 +452,12 @@ def _least_with_log_above(t: LogNum) -> LogNum:
     return t.bumped_up().exp()
 
 
-def make_desk_schedule(
-    pairs: Sequence[Tuple[int, int]], constants=None
-) -> Tuple[Schedule, ESet]:
+def make_desk_schedule(pairs: Sequence[Tuple[int, int]]) -> Tuple[Schedule, ESet]:
     """Build a desk-scale schedule and its compiled membership set.
 
-    Desk schedules do not (and cannot) satisfy the growth conditions; when a
-    constants table is supplied the verifier still runs and its margin report
-    is attached so the shortfall is recorded rather than hidden.
+    Desk schedules do not (and cannot) satisfy the growth conditions; the
+    CLI's ``schedule --c-const`` runs the verifier on them to record the
+    shortfall.
     """
     prev_hi = None
     for l, r in pairs:
@@ -512,8 +472,5 @@ def make_desk_schedule(
     schedule = Schedule(
         mode="desk",
         intervals=[Interval(LogNum(exact=l), LogNum(exact=r)) for l, r in pairs],
-        constants=constants,
     )
-    if constants is not None:
-        schedule.condition_report = verify_schedule(schedule)
     return schedule, ESet.from_schedule(schedule)

@@ -20,8 +20,6 @@ from .walk import band_counts, level_counts, occupation_scale
 
 
 class AcceptAll:
-    name = "all"
-
     def select(self, thetas: Sequence[FixedAngle], alpha: FixedAngle) -> np.ndarray:
         return np.ones(len(thetas), dtype=bool)
 
@@ -45,10 +43,6 @@ class QuantileFilter:
             raise ConfigError(f"quantile horizon must be >= 1: {self.horizon}")
         if self.v_max < 0:
             raise ConfigError(f"quantile v_max must be >= 0: {self.v_max}")
-
-    @property
-    def name(self) -> str:
-        return f"quantile(q={self.q},horizon={self.horizon},v_max={self.v_max})"
 
     def statistic(self, theta: FixedAngle, alpha: FixedAngle) -> float:
         h = self.horizon

@@ -20,7 +20,6 @@ SCALE_BITS = 128
 MODULUS = 1 << SCALE_BITS
 HALF = 1 << (SCALE_BITS - 1)
 
-_MASK32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 
 
@@ -166,39 +165,39 @@ def phi(theta: FixedAngle) -> int:
 # b_lo, a_lo < 2**64, the invariant 0 <= c <= j <= _BLOCK - 1 holds, so adding
 # c flips the top bit of t only when 2**63 - t or 2**64 - t is at most
 # _BLOCK - 1, i.e. when t mod 2**63 >= 2**63 - (_BLOCK - 1).  The signs
-# of exactly those indices are recomputed from the exact 128-bit sum, in
-# 32-bit limb arithmetic on uint64 arrays (j * limb < 2**48, so no
-# intermediate overflows).  For a generic alpha the band holds about one
-# index in 2**47; an alpha with a tiny top word can put whole blocks in it,
-# and then the cost is that of the limb arithmetic.
+# of exactly those indices are recomputed from the exact words of
+# orbit_words.  For a generic alpha the band holds about one index in 2**47;
+# an alpha with a tiny top word can put whole blocks in it, and then the cost
+# is that of orbit_words.
 #
-# orbit_hi64 keeps the limbs for every index: it needs all top 64 bits
-# exactly, and the carry c changes the low bits of the word at most indices,
-# not only in the band.
+# orbit_hi64 takes the top word of every index from orbit_words: the carry c
+# changes the low bits of the word at most indices, not only in the band.
 
 _BLOCK = 1 << 16
 _TOP_BIT = np.uint64(1 << 63)
 _LOW63 = np.uint64((1 << 63) - 1)
 _BAND_START = np.uint64((1 << 63) - (_BLOCK - 1))
-_TOP_LIMB_HALF = np.uint64(1 << 31)
+_WORD = (1 << 64) - 1
 
 
-def _limbs(bits: int):
-    return [np.uint64((bits >> (32 * i)) & 0xFFFFFFFF) for i in range(4)]
+def orbit_words(theta_bits: int, alpha_bits: int, j: np.ndarray):
+    """Exact (hi, lo) 64-bit words of (theta + j*alpha) mod 2**128 for a
+    uint64 array j.
 
-
-def _block_limb3_and_2(theta_bits: int, alpha_bits: int, j: np.ndarray):
-    """Top two 32-bit limbs of (theta + j*alpha) mod 2**128 for a j-block."""
-    b0, b1, b2, b3 = _limbs(theta_bits)
-    a0, a1, a2, a3 = _limbs(alpha_bits)
-    t = b0 + j * a0
-    c = t >> _SHIFT32
-    t = b1 + j * a1 + c
-    c = t >> _SHIFT32
-    t2 = b2 + j * a2 + c
-    c = t2 >> _SHIFT32
-    t3 = (b3 + j * a3 + c) & _MASK32
-    return t3, t2 & _MASK32
+    The carry out of j times alpha's low word is split at 32 bits, so every
+    product stays in range while j < 2**32.
+    """
+    a_lo, t_lo = alpha_bits & _WORD, np.uint64(theta_bits & _WORD)
+    top = j * np.uint64(a_lo >> 32)
+    bottom = j * np.uint64(a_lo & 0xFFFFFFFF)
+    lo = j * np.uint64(a_lo)  # == (top << 32) + bottom mod 2**64
+    hi = j * np.uint64(alpha_bits >> 64)
+    hi += top >> _SHIFT32
+    hi += lo < bottom  # the carry of that sum
+    hi += np.uint64(theta_bits >> 64)
+    lo += t_lo
+    hi += lo < t_lo  # the carry of adding theta's low word
+    return hi, lo
 
 
 def _sign_blocks(theta_bits: int, alpha_bits: int, n: int):
@@ -218,8 +217,8 @@ def _sign_blocks(theta_bits: int, alpha_bits: int, n: int):
         np.bitwise_and(tb, _LOW63, out=tb)
         idx = np.flatnonzero(tb >= _BAND_START)
         if idx.size:
-            t3, _ = _block_limb3_and_2(base, alpha_bits, idx.astype(np.uint64))
-            sb[idx] = t3 < _TOP_LIMB_HALF
+            hi, _ = orbit_words(base, alpha_bits, idx.astype(np.uint64))
+            sb[idx] = hi < _TOP_BIT
         yield start, sb
 
 
@@ -235,30 +234,12 @@ def orbit_hi64(theta_bits: int, alpha_bits: int, n: int) -> np.ndarray:
     """Top 64 bits of each orbit point; enough resolution for arc membership
     tests whose error is dominated by Monte Carlo noise."""
     out = np.empty(n, dtype=np.uint64)
+    j = np.arange(min(n, _BLOCK), dtype=np.uint64)
     for start in range(0, n, _BLOCK):
         stop = min(start + _BLOCK, n)
         base = (theta_bits + start * alpha_bits) % MODULUS
-        j = np.arange(stop - start, dtype=np.uint64)
-        t3, t2 = _block_limb3_and_2(base, alpha_bits, j)
-        out[start:stop] = (t3 << _SHIFT32) | t2
+        out[start:stop], _ = orbit_words(base, alpha_bits, j[:stop - start])
     return out
-
-
-def multiples_words(bits: int, n: int):
-    """Exact (hi, lo) 64-bit words of k*bits mod 2**128 for 0 <= k < n.
-
-    The carry out of the low word is split at 32 bits, so n <= 2**32 keeps
-    every product in range.
-    """
-    k = np.arange(n, dtype=np.uint64)
-    lo_bits = bits & 0xFFFFFFFFFFFFFFFF
-    top = k * np.uint64(lo_bits >> 32)
-    bottom = k * np.uint64(lo_bits & 0xFFFFFFFF)
-    lo = k * np.uint64(lo_bits)  # == (top << 32) + bottom mod 2**64
-    hi = k * np.uint64(bits >> 64)
-    hi += top >> _SHIFT32
-    hi += lo < bottom  # the carry of that sum
-    return hi, lo
 
 
 def walk_heights(theta_bits: int, alpha_bits: int, n: int) -> np.ndarray:

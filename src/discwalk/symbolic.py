@@ -62,15 +62,6 @@ class SymbolicPoint:
     theta: FixedAngle
     window: SymbolWindow
 
-    def __init__(self, theta: FixedAngle, window: SymbolWindow,
-                 height_budget: Optional[int] = None):
-        if height_budget is not None and window.radius < height_budget:
-            raise WindowExceeded(
-                f"window radius {window.radius} below height budget "
-                f"{height_budget}", height=height_budget)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "window", window)
-
 
 @dataclass(frozen=True)
 class CylinderSpec:

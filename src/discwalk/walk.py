@@ -5,13 +5,13 @@ The walk height after k steps is h_k = sum_{i<k} phi(theta + i*alpha), a
 per-level visit counts at checkpoint times (``level_counts``, the one
 per-theta reducer that every sampled statistic is computed from), the range
 statistic (number of distinct levels visited), and empirical estimates of
-the occupation constants used by the schedule verifier.
+the occupation constants, the C of the schedule's growth conditions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -85,7 +85,6 @@ class WalkSummary:
     histogram: OccupationHistogram
     min_height: int
     max_height: int
-    checkpoints: List[Tuple[int, int]] = field(default_factory=list)
 
     @property
     def range_count(self) -> int:
@@ -102,30 +101,21 @@ class WalkSummary:
     CSV_HEADER = "theta0_hex,N,min_h,max_h,a_N,levels"
 
 
-def run_walk(
-    theta0: FixedAngle,
-    alpha: FixedAngle,
-    N: int,
-    checkpoints: Sequence[int] = (),
-) -> WalkSummary:
+def run_walk(theta0: FixedAngle, alpha: FixedAngle, N: int) -> WalkSummary:
     """Compute the first N heights of the walk at theta0 and summarize them."""
     if N < 1:
         raise ConfigError("N must be >= 1")
-    heights = walk_heights(theta0.bits, alpha.bits, N)
-    min_h = int(heights.min())
-    max_h = int(heights.max())
+    min_h, counts = level_counts(theta0.bits, alpha.bits, [N])
+    max_h = min_h + counts.shape[1] - 1
     if max(abs(min_h), abs(max_h)) >= _HEIGHT_LIMIT:
         raise HeightOverflow("walk height exceeds 64-bit budget")
-    dense = np.bincount(heights - min_h, minlength=max_h - min_h + 1)
-    cps = [(int(n), int(heights[n])) for n in checkpoints if 0 <= n < N]
     return WalkSummary(
         theta0=theta0,
         alpha=alpha,
         N=N,
-        histogram=OccupationHistogram(min_h, dense),
+        histogram=OccupationHistogram(min_h, counts[0]),
         min_height=min_h,
         max_height=max_h,
-        checkpoints=cps,
     )
 
 
@@ -138,15 +128,9 @@ def range_stat(summary: WalkSummary) -> int:
     return summary.range_count
 
 
-def default_checkpoints(N: int, schedule=None) -> List[int]:
-    """Powers of 10 up to N, plus the schedule's two subsequences if given."""
-    cps = {n for n in (10 ** k for k in range(1, 25)) if n <= N}
-    cps.add(N)
-    if schedule is not None:
-        for n in schedule.subsequence_times():
-            if 1 <= n <= N:
-                cps.add(n)
-    return sorted(cps)
+def default_checkpoints(N: int) -> List[int]:
+    """Powers of 10 up to N, plus N."""
+    return sorted({n for n in (10 ** k for k in range(1, 25)) if n <= N} | {N})
 
 
 @dataclass
@@ -167,14 +151,6 @@ class ConstantsTable:
     sample_count: int
     seed: Optional[int] = None
     quantile: Optional[float] = None
-
-    def c_of(self, v: int) -> float:
-        v = abs(v)
-        if not self.c_v:
-            raise InsufficientSamples("empty constants table")
-        vmax = max(self.c_v)
-        # beyond the observed band the running max saturates
-        return self.c_v[min(v, vmax)]
 
     def document(self) -> str:
         lines = [
@@ -242,7 +218,6 @@ def estimate_constants(
     theta_samples: Sequence[FixedAngle],
     N: int,
     v_max: int,
-    checkpoints: Optional[Sequence[int]] = None,
     seed: Optional[int] = None,
     workers: int = 1,
 ) -> ConstantsTable:
@@ -251,9 +226,7 @@ def estimate_constants(
         raise ConfigError("N must be >= 16 so log n > 1 on the measured tail")
     if len(theta_samples) < 2:
         raise InsufficientSamples("need at least 2 theta samples")
-    if checkpoints is None:
-        checkpoints = default_checkpoints(N)
-    checkpoints = sorted({n for n in checkpoints if 16 <= n <= N} | {N})
+    checkpoints = [n for n in default_checkpoints(N) if n >= 16]
 
     def per_theta(theta: FixedAngle) -> np.ndarray:
         return band_counts(*level_counts(theta.bits, alpha.bits, checkpoints), v_max)

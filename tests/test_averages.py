@@ -20,7 +20,6 @@ from discwalk import (
     PartitionStepFn,
     Schedule,
     ergodicity_correlation,
-    exact_average,
     exact_average_series,
     exact_level_measures,
     make_desk_schedule,
@@ -70,14 +69,14 @@ class TestPartitionStepFn:
 class TestExactAverage:
     def test_n1_zero_for_valid_e(self, golden):
         _, e = make_desk_schedule([(2, 6)])
-        assert exact_average(golden, e, 1) == 0
+        assert exact_average_series(golden, e, [1])[1][1] == 0
 
     def test_full_e_is_half(self, golden):
-        assert exact_average(golden, ESet.all_integers(), 8) == Fraction(1, 2)
+        assert exact_average_series(golden, ESet.all_integers(), [8])[1][8] == Fraction(1, 2)
 
     def test_budget_cap(self, golden):
         with pytest.raises(BudgetExceeded):
-            exact_average(golden, ESet.empty(), EXACT_N_CAP + 1)
+            exact_average_series(golden, ESet.empty(), [EXACT_N_CAP + 1])
 
     def test_range_invariant(self, golden):
         _, e = make_desk_schedule([(2, 6)])

@@ -298,6 +298,27 @@ class TestBadInput:
         assert out == ""
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("body", [
+        b"l[1]: 3\nr[1]: 12\n",  # no mode
+        b"mode: weird\nl[1]: 3\nr[1]: 12\n",
+        b"mode: desk\nl[1]: abc\nr[1]: 12\n",
+        b"mode: desk\nl[1]: 3\n",  # no r[1]
+        b"mode: desk\nl[1]: 0\nr[1]: 12\n",
+        b"mode: paper\nl[1]: 2\nr[1]: log:1:abc:0\n",
+        b"mode: paper\nl[1]: 2\nr[1]: log:1:5\n",
+        b"mode: paper\nl[1]: 2\nr[1]: log:-1:5:0\n",
+        b"mode: paper\nl[1]: 2\nr[1]: log:1:0:0\n",
+        b"mode: desk\nl[1]: \xff\nr[1]: 12\n",  # not UTF-8
+    ])
+    def test_bad_schedule_file_exit_2_with_one_line(self, capsys, tmp_path, body):
+        path = tmp_path / "schedule.txt"
+        path.write_bytes(b"schema: discwalk-schedule-v1\n" + body)
+        code, out, err = run(capsys, "schedule", "--schedule-file", str(path),
+                             "--c-const", "2")
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
 
 def test_threads_clamped_to_cpu_count(capsys):
     cpus = os.cpu_count() or 1

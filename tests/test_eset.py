@@ -2,24 +2,38 @@ import math
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from discwalk import (
+    AverageEntry,
+    AverageSeries,
     BadOrder,
     ESet,
     Interval,
     LogNum,
-    MissingConstants,
     OverlappingIntervals,
     PaperModeNotQueryable,
     Schedule,
     generate_paper_schedule,
     make_desk_schedule,
+    oscillation_report,
     verify_schedule,
 )
 
 C2 = lambda v: LogNum(exact=2)  # noqa: E731
+
+
+@st.composite
+def interval_sets(draw):
+    """ESets of sorted disjoint intervals; a gap of 0 makes two adjacent."""
+    bounds, prev_hi = [], -1
+    for gap, length in draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 6)),
+                                     max_size=6)):
+        lo = prev_hi + 1 + gap
+        bounds.append((lo, lo + length))
+        prev_hi = lo + length
+    return ESet(bounds)
 
 
 class TestLogNum:
@@ -111,6 +125,17 @@ class TestESet:
         lut = e.lut(-40, 40)
         assert all(lut[v + 40] == e.contains(v) for v in range(-40, 41))
 
+    @settings(max_examples=60, deadline=None)
+    @given(interval_sets(), st.integers(-50, 50), st.integers(0, 60))
+    @example(ESet.empty(), -5, 10)
+    @example(ESet.all_integers(), -5, 10)
+    @example(ESet.all_integers(), (1 << 62) - 3, 6)
+    @example(ESet([(2, 4), (5, 5), (6, 9)]), -12, 24)
+    def test_lut_and_contains_match_brute_force(self, e, lo, width):
+        band = range(lo, lo + width + 1)
+        brute = [any(a <= abs(v) <= b for a, b in e.bounds) for v in band]
+        assert e.lut(band[0], band[-1]).tolist() == [e.contains(v) for v in band] == brute
+
     def test_paper_mode_not_queryable(self):
         schedule = generate_paper_schedule(C2, 2)
         with pytest.raises(PaperModeNotQueryable):
@@ -136,8 +161,13 @@ class TestMakeDeskSchedule:
             make_desk_schedule([(2, 0)])
 
     def test_subsequence_times(self):
+        # l_1 + r_1 + 1 = 16, l_2 = 40 and l_2 + r_2 + 1 = 141; a one-entry
+        # series below them all leaves every value unread
         schedule, _ = make_desk_schedule([(3, 12), (40, 100)])
-        assert schedule.subsequence_times() == [16, 40, 141]
+        series = AverageSeries([AverageEntry(N=1, value=0.0, stderr=0.0,
+                                             method="exact", n_samples=0)])
+        rows = oscillation_report(series, schedule).rows
+        assert [(row.N_high, row.N_low) for row in rows] == [(16, 40), (141, None)]
 
 
 class TestVerifySchedule:
@@ -157,11 +187,6 @@ class TestVerifySchedule:
         schedule.intervals[0] = Interval(schedule.intervals[0].l,
                                          schedule.intervals[0].l)
         assert not verify_schedule(schedule, C2).passed
-
-    def test_missing_constants(self):
-        schedule, _ = make_desk_schedule([(2, 6)])
-        with pytest.raises(MissingConstants):
-            verify_schedule(schedule)
 
     def test_desk_scale_fails_growth_conditions(self):
         # desk intervals cannot satisfy the growth inequalities; the report

@@ -16,7 +16,8 @@ from discwalk import (
     phi,
     resolve_alpha,
 )
-from discwalk.rotation import _BLOCK, HALF, MODULUS, multiples_words, orbit_signs, walk_heights
+from discwalk.rotation import (_BLOCK, HALF, MODULUS, orbit_hi64, orbit_signs, orbit_words,
+                               walk_heights)
 
 BITS = st.integers(min_value=0, max_value=MODULUS - 1)
 WORD = 1 << 64
@@ -242,14 +243,26 @@ class TestOrbitEngine:
         assert np.array_equal(np.diff(heights), expected[:-1])
 
 
-class TestMultiplesWords:
-    # 0x5555555555555556 carries out of the split low-word sum at k = 3
+class TestOrbitWords:
+    # alpha = 0x5555555555555556 carries out of the split low-word sum at
+    # j = 3; theta = 2**64 - 1 carries out of the low word at every j with
+    # a nonzero low word of j*alpha
     @settings(max_examples=40, deadline=None)
-    @given(BITS, st.integers(1, 3000))
-    @example(0x5555555555555556, 4)
-    @example(MODULUS - 1, 3000)
-    @example(WORD - 1, 3000)
-    def test_matches_python_ints(self, bits, n):
-        hi, lo = multiples_words(bits, n)
+    @given(BITS, BITS, st.lists(st.integers(0, (1 << 32) - 1), min_size=1, max_size=50))
+    @example(0, 0x5555555555555556, list(range(4)))
+    @example(0, MODULUS - 1, list(range(3000)))
+    @example(0, WORD - 1, list(range(3000)))
+    @example(WORD - 1, 0x5555555555555556, list(range(4)))
+    @example(MODULUS - 1, MODULUS - 1, list(range(3000)) + [(1 << 32) - 1])
+    def test_matches_python_ints(self, theta, alpha, js):
+        hi, lo = orbit_words(theta, alpha, np.array(js, dtype=np.uint64))
         assert [(int(h) << 64) | int(l) for h, l in zip(hi, lo)] == [
-            k * bits % MODULUS for k in range(n)]
+            (theta + j * alpha) % MODULUS for j in js]
+
+    @settings(max_examples=10, deadline=None)
+    @given(BITS, BITS)
+    def test_orbit_hi64_across_blocks(self, theta, alpha):
+        n = _BLOCK + 40
+        hi = orbit_hi64(theta, alpha, n)
+        for k in list(range(20)) + list(range(_BLOCK - 20, n)):
+            assert int(hi[k]) == (theta + k * alpha) % MODULUS >> 64

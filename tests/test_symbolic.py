@@ -75,14 +75,6 @@ class TestSampleOmega:
         assert abs(np.mean(per_seed)) <= 5 * (1 / np.sqrt(2000))
 
 
-class TestSymbolicPoint:
-    def test_budget_check(self):
-        w = sample_omega(4, 1)
-        with pytest.raises(WindowExceeded):
-            SymbolicPoint(ZERO, w, height_budget=5)
-        SymbolicPoint(ZERO, w, height_budget=4)  # fits
-
-
 class TestApplyT:
     def test_iterated_matches_cocycle_offset(self, golden):
         # the window offset after n steps is the walk height phi_n

@@ -70,10 +70,6 @@ class TestRunWalk:
         assert psi(summary, 16) == 0
         assert psi(summary, -16) == 0
 
-    def test_checkpoints_recorded(self, golden):
-        summary = run_walk(ZERO, golden, 8, checkpoints=[6, 7, 100])
-        assert summary.checkpoints == [(6, 2), (7, 1)]
-
     def test_csv_row(self, golden):
         summary = run_walk(ZERO, golden, 4)
         assert summary.csv_row() == f"{ZERO.to_hex()},4,0,1,2,0:2;1:2"
@@ -165,10 +161,11 @@ class TestOccupationBand:
 
 class TestEstimateConstants:
     def test_minimal_run_definition(self, golden):
-        # v_max=0, single checkpoint: M_0 is literally the scaled max
+        # v_max=0, single checkpoint (the default at N=64 is [64]): M_0 is
+        # literally the scaled max
         thetas = sample_thetas(4, 3)
         N = 64
-        table = estimate_constants(golden, thetas, N, 0, checkpoints=[N])
+        table = estimate_constants(golden, thetas, N, 0)
         expected = max(
             run_walk(t, golden, N).histogram.count(0) * math.sqrt(math.log(N)) / N
             for t in thetas
@@ -182,11 +179,6 @@ class TestEstimateConstants:
         for v in table.c_v:
             assert table.c_v[v] >= max(table.m_v[v], table.m_v[-v])
             assert table.c_v[v] == max(max(table.m_v[u], table.m_v[-u]) for u in range(v + 1))
-
-    def test_c_of_saturates_beyond_band(self, golden):
-        table = estimate_constants(golden, sample_thetas(8, 5), 10**4, 2)
-        assert table.c_of(50) == table.c_v[2]
-        assert table.c_of(-1) == table.c_of(1)
 
     def test_insufficient_samples(self, golden):
         with pytest.raises(InsufficientSamples):
@@ -225,14 +217,6 @@ class TestConstantsRegression:
 class TestDefaultCheckpoints:
     def test_powers_of_ten_and_horizon(self):
         assert default_checkpoints(2500) == [10, 100, 1000, 2500]
-
-    def test_schedule_times_included(self, golden):
-        from discwalk import make_desk_schedule
-
-        schedule, _ = make_desk_schedule([(3, 12), (40, 100)])
-        cps = default_checkpoints(1000, schedule)
-        # l_2 = 40 and l_1 + r_1 + 1 = 16 are analysis subsequence times
-        assert 16 in cps and 40 in cps
 
 
 class TestSampleThetas:
