@@ -23,8 +23,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, ConfigError, InsufficientSamples, MissingEntries
 from .eset import ESet, Schedule
-from .rotation import (HALF, MODULUS, FixedAngle, orbit_hi64, orbit_signs, orbit_words,
-                       walk_heights)
+from .rotation import HALF, MODULUS, FixedAngle, orbit_words, walk_heights
 from .series import AverageEntry, AverageSeries, _sampled_series
 from .symbolic import CylinderSpec, default_window_radius, sample_omega
 from .walk import band_counts, check_n_list, level_counts, sample_thetas
@@ -118,16 +117,12 @@ def _check_exact_budget(n: int) -> None:
 def _finest_partition(alpha: FixedAngle, n: int) -> Tuple[np.ndarray, np.ndarray]:
     """(P, limbs) for the finest partition of phi_1..phi_n, n >= 1.
 
-    P is the int32 prefix sum above, of length 2n + 1; limbs[c] holds the
+    P is the int64 prefix sum above, of length 2n + 1; limbs[c] holds the
     width of cell c as eight 16-bit limbs, least significant first.
     Coincident breakpoints give zero-width cells.
     """
     bits = alpha.bits
-    signs = orbit_signs(-n * bits % MODULUS, bits, 2 * n)
-    steps = signs.view(np.int8) * np.int8(2)
-    steps -= np.int8(1)
-    P = np.zeros(2 * n + 1, dtype=np.int32)
-    np.cumsum(steps, dtype=np.int32, out=P[1:])
+    P = walk_heights(-n * bits % MODULUS, bits, 2 * n + 1)
     hi, lo = orbit_words(0, -bits % MODULUS, np.arange(n, dtype=np.uint64))
     hi = np.concatenate([hi, hi ^ np.uint64(HALF >> 64)])
     lo = np.concatenate([lo, lo])
@@ -376,45 +371,10 @@ def ratio_check(
     return RatioTable(checkpoints=checkpoints, v_list=v_list, ratios=ratios)
 
 
-Arc = List[Tuple[int, int]]  # list of (lo_bits, hi_bits), half-open, lo < hi
-
-
-def full_circle_arc() -> Arc:
-    return [(0, MODULUS)]
-
-
-def arc_from_floats(pieces: Sequence[Tuple[float, float]]) -> Arc:
-    out = []
-    for lo, hi in pieces:
-        lo_b = int(lo * MODULUS)
-        hi_b = int(hi * MODULUS)
-        if not 0 <= lo_b < hi_b <= MODULUS:
-            raise ConfigError(f"bad arc piece ({lo}, {hi})")
-        out.append((lo_b, hi_b))
-    return out
-
-
-def arc_measure(arc: Arc) -> float:
-    return sum(hi - lo for lo, hi in arc) / MODULUS
-
-
-def _arc_mask(hi64: np.ndarray, arc: Arc) -> np.ndarray:
-    mask = np.zeros(len(hi64), dtype=bool)
-    for lo, hi in arc:
-        lo64 = np.uint64(lo >> 64)
-        if hi >= MODULUS:
-            mask |= hi64 >= lo64
-        else:
-            mask |= (hi64 >= lo64) & (hi64 < np.uint64(hi >> 64))
-    return mask
-
-
 def ergodicity_correlation(
     alpha: FixedAngle,
     cyl_a: CylinderSpec,
     cyl_b: CylinderSpec,
-    arc_a: Arc,
-    arc_b: Arc,
     N: int,
     n_samples: int,
     seed: int,
@@ -423,37 +383,39 @@ def ergodicity_correlation(
     """Cesàro correlation of two product sets under T, against the product.
 
     Returns (Monte Carlo Cesàro average, product of measures, standard
-    error).  Arc membership along the orbit is resolved at 64-bit precision,
-    far below the Monte Carlo resolution.
+    error).  T^t shifts the symbols by the walk height h_t, so cylinder B
+    holds at time t iff it holds on omega read around level h_t: each
+    sample is the walk's per-level visit counts weighted by a table of B
+    over the visited band.
     """
     if N < 1:
         raise ConfigError("N must be >= 1")
     if n_samples < 2:
         raise InsufficientSamples("need at least 2 samples")
-    coords = [j for j, _ in cyl_b.constraints]
-    W = default_window_radius(N) + max((abs(j) for j in coords), default=0)
+    reach_a = max((abs(j) for j, _ in cyl_a.constraints), default=0)
+    reach_b = max((abs(j) for j, _ in cyl_b.constraints), default=0)
+    # cylinder A is read at time 0 only, B around every level the walk visits
+    W = max(reach_a, default_window_radius(N) + reach_b)
     thetas = sample_thetas(n_samples, seed)
-    alpha_bits = alpha.bits
 
     def per_sample(item) -> float:
         i, theta = item
         omega = sample_omega(W, np.random.SeedSequence(entropy=seed, spawn_key=(2, i)))
-        if not (cyl_a.holds(omega) and _arc_mask(
-                np.array([theta.bits >> 64], dtype=np.uint64), arc_a)[0]):
+        if not cyl_a.holds(omega):
             return 0.0
-        heights = walk_heights(theta.bits, alpha_bits, N)
-        if int(np.abs(heights).max()) + max((abs(j) for j in coords), default=0) > W:
+        v_min, counts = level_counts(theta.bits, alpha.bits, [N])
+        v_top = v_min + counts.shape[1] - 1
+        if max(-v_min, v_top) + reach_b > W:
             raise BudgetExceeded("walk left the symbol window budget")
-        ok = _arc_mask(orbit_hi64(theta.bits, alpha_bits, N), arc_b)
+        table = np.ones(counts.shape[1], dtype=bool)
         for j, s in cyl_b.constraints:
-            ok &= omega.values[heights + j + W] == s
-        return float(np.count_nonzero(ok) / N)
+            table &= omega.values[v_min + j + W:v_top + j + W + 1] == s
+        return int(counts[0] @ table) / N
 
     vals = np.array(ordered_map(per_sample, list(enumerate(thetas)), workers))
     lhs = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(n_samples))
-    rhs = arc_measure(arc_a) * cyl_a.measure * arc_measure(arc_b) * cyl_b.measure
-    return lhs, rhs, stderr
+    return lhs, cyl_a.measure * cyl_b.measure, stderr
 
 
 @dataclass

@@ -24,7 +24,6 @@ import yaml
 from .averages import (
     exact_average_series,
     ergodicity_correlation,
-    full_circle_arc,
     oscillation_report,
     ratio_check,
     reduced_average_series,
@@ -432,8 +431,8 @@ def cmd_ergodicity(alpha, seed, threads, out, n, n_samples, cyl_a, cyl_b):
     """Cesàro correlation of two product sets against the product of measures."""
     a = parse_alpha(alpha)
     lhs, rhs, stderr = ergodicity_correlation(
-        a, parse_cylinder(cyl_a), parse_cylinder(cyl_b), full_circle_arc(),
-        full_circle_arc(), n, n_samples, require_seed(seed), workers=threads)
+        a, parse_cylinder(cyl_a), parse_cylinder(cyl_b), n, n_samples,
+        require_seed(seed), workers=threads)
     sigmas = abs(lhs - rhs) / stderr if stderr > 0 else 0.0
     emit(header_lines(settings())
          + f"cesaro_average: {lhs!r}\nproduct_of_measures: {rhs!r}\n"

@@ -326,6 +326,10 @@ class Schedule:
             except ValueError as e:
                 raise BadOrder(f"bad schedule entry {m}: {e}")
             m += 1
+        if mode == "desk":
+            if not all(iv.l.is_exact and iv.r.is_exact for iv in intervals):
+                raise BadOrder("desk schedule entries must be exact integers")
+            _check_desk_pairs([(iv.l.to_int(), iv.r.to_int()) for iv in intervals])
         return cls(mode=mode, intervals=intervals)
 
 
@@ -452,13 +456,9 @@ def _least_with_log_above(t: LogNum) -> LogNum:
     return t.bumped_up().exp()
 
 
-def make_desk_schedule(pairs: Sequence[Tuple[int, int]]) -> Tuple[Schedule, ESet]:
-    """Build a desk-scale schedule and its compiled membership set.
-
-    Desk schedules do not (and cannot) satisfy the growth conditions; the
-    CLI's ``schedule --c-const`` runs the verifier on them to record the
-    shortfall.
-    """
+def _check_desk_pairs(pairs: Sequence[Tuple[int, int]]) -> None:
+    """The desk rules, for built and parsed schedules alike: l >= 2, r >= 1,
+    intervals ascending and disjoint."""
     prev_hi = None
     for l, r in pairs:
         if l < 2:
@@ -469,6 +469,16 @@ def make_desk_schedule(pairs: Sequence[Tuple[int, int]]) -> Tuple[Schedule, ESet
             raise OverlappingIntervals(
                 f"interval [{l}, {l + r}] must start strictly after {prev_hi}")
         prev_hi = l + r
+
+
+def make_desk_schedule(pairs: Sequence[Tuple[int, int]]) -> Tuple[Schedule, ESet]:
+    """Build a desk-scale schedule and its compiled membership set.
+
+    Desk schedules do not (and cannot) satisfy the growth conditions; the
+    CLI's ``schedule --c-const`` runs the verifier on them to record the
+    shortfall.
+    """
+    _check_desk_pairs(pairs)
     schedule = Schedule(
         mode="desk",
         intervals=[Interval(LogNum(exact=l), LogNum(exact=r)) for l, r in pairs],

@@ -200,39 +200,9 @@ def orbit_words(theta_bits: int, alpha_bits: int, j: np.ndarray):
     return hi, lo
 
 
-def _sign_blocks(theta_bits: int, alpha_bits: int, n: int):
-    """Yield (start, s) per block of [0, n), with s[j] = (theta + (start+j)*alpha
-    mod 1 < 1/2).  s is a view of one buffer that the next block overwrites."""
-    size = min(n, _BLOCK)
-    j_a_hi = np.arange(size, dtype=np.uint64)
-    j_a_hi *= np.uint64(alpha_bits >> 64)
-    t = np.empty(size, dtype=np.uint64)
-    s = np.empty(size, dtype=bool)
-    for start in range(0, n, _BLOCK):
-        size = min(_BLOCK, n - start)
-        base = (theta_bits + start * alpha_bits) % MODULUS
-        tb, sb = t[:size], s[:size]
-        np.add(j_a_hi[:size], np.uint64(base >> 64), out=tb)
-        np.less(tb, _TOP_BIT, out=sb)
-        np.bitwise_and(tb, _LOW63, out=tb)
-        idx = np.flatnonzero(tb >= _BAND_START)
-        if idx.size:
-            hi, _ = orbit_words(base, alpha_bits, idx.astype(np.uint64))
-            sb[idx] = hi < _TOP_BIT
-        yield start, sb
-
-
-def orbit_signs(theta_bits: int, alpha_bits: int, n: int) -> np.ndarray:
-    """Boolean array s[k] = (theta + k*alpha mod 1 < 1/2) for 0 <= k < n."""
-    out = np.empty(n, dtype=bool)
-    for start, s in _sign_blocks(theta_bits, alpha_bits, n):
-        out[start:start + len(s)] = s
-    return out
-
-
 def orbit_hi64(theta_bits: int, alpha_bits: int, n: int) -> np.ndarray:
-    """Top 64 bits of each orbit point; enough resolution for arc membership
-    tests whose error is dominated by Monte Carlo noise."""
+    """Top 64 bits of each orbit point, exact.  No route calls it; the bench
+    tracer wraps it by name."""
     out = np.empty(n, dtype=np.uint64)
     j = np.arange(min(n, _BLOCK), dtype=np.uint64)
     for start in range(0, n, _BLOCK):
@@ -246,15 +216,31 @@ def walk_heights(theta_bits: int, alpha_bits: int, n: int) -> np.ndarray:
     """Cocycle heights h[k] = sum_{i<k} phi(theta + i*alpha), as int64.
 
     h[0] = 0 and h has length n, i.e. it covers the walk prefix of length n.
-    Each block of signs is summed straight into h, offset by the height the
-    previous block ended at.
+    The n - 1 signs are computed a block at a time into one reused buffer
+    and summed straight into h, offset by the height the previous block
+    ended at.
     """
     heights = np.empty(n, dtype=np.int64)
     heights[0] = 0
-    for start, s in _sign_blocks(theta_bits, alpha_bits, n - 1):
-        steps = s.view(np.int8) * np.int8(2)
+    size = min(n - 1, _BLOCK)
+    j_a_hi = np.arange(size, dtype=np.uint64)
+    j_a_hi *= np.uint64(alpha_bits >> 64)
+    t = np.empty(size, dtype=np.uint64)
+    s = np.empty(size, dtype=bool)
+    for start in range(0, n - 1, _BLOCK):
+        size = min(_BLOCK, n - 1 - start)
+        base = (theta_bits + start * alpha_bits) % MODULUS
+        tb, sb = t[:size], s[:size]
+        np.add(j_a_hi[:size], np.uint64(base >> 64), out=tb)
+        np.less(tb, _TOP_BIT, out=sb)
+        np.bitwise_and(tb, _LOW63, out=tb)
+        idx = np.flatnonzero(tb >= _BAND_START)
+        if idx.size:
+            hi, _ = orbit_words(base, alpha_bits, idx.astype(np.uint64))
+            sb[idx] = hi < _TOP_BIT
+        steps = sb.view(np.int8) * np.int8(2)
         steps -= np.int8(1)
-        block = heights[start + 1:start + 1 + len(s)]
+        block = heights[start + 1:start + 1 + size]
         np.cumsum(steps, dtype=np.int64, out=block)
         block += heights[start]
     return heights

@@ -150,7 +150,6 @@ class ConstantsTable:
     m_global: float
     sample_count: int
     seed: Optional[int] = None
-    quantile: Optional[float] = None
 
     def document(self) -> str:
         lines = [
@@ -158,7 +157,7 @@ class ConstantsTable:
             f"horizon: {self.horizon}",
             f"samples: {self.sample_count}",
             f"seed: {self.seed}",
-            f"quantile: {self.quantile}",
+            "quantile: None",  # no sample filter; a line of discwalk-constants-v1
             f"m_global: {self.m_global!r}",
         ]
         for v in sorted(self.m_v):

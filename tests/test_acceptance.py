@@ -42,7 +42,6 @@ from discwalk import (
     verify_schedule,
     zero_entropy_proxy,
 )
-from discwalk.averages import full_circle_arc
 from discwalk.rotation import MODULUS, walk_heights
 from discwalk.walk import occupation_band
 
@@ -191,8 +190,7 @@ def test_criterion_8_ergodicity_correlation(golden, pinned):
     pin = pinned["ergodicity"]
     cyl = CylinderSpec(constraints=((0, 1),))
     lhs, rhs, stderr = ergodicity_correlation(
-        golden, cyl, cyl, full_circle_arc(), full_circle_arc(),
-        pin["N"], pin["n_samples"], pin["seed"])
+        golden, cyl, cyl, pin["N"], pin["n_samples"], pin["seed"])
     assert rhs == 0.25
     sigmas = abs(lhs - rhs) / stderr
     assert sigmas <= 4.0

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from discwalk import (
@@ -32,10 +32,10 @@ from discwalk import (
 )
 from discwalk import series as series_module
 from discwalk._parallel import ordered_map
-from discwalk.averages import EXACT_N_CAP, arc_from_floats, arc_measure, full_circle_arc
+from discwalk.averages import EXACT_N_CAP
 from discwalk.filters import QuantileFilter
 from discwalk.rotation import HALF, MODULUS, AlphaSpec, FixedAngle, resolve_alpha, walk_heights
-from discwalk.symbolic import sample_omega
+from discwalk.symbolic import default_window_radius, sample_omega
 
 ZERO = FixedAngle(0)
 
@@ -172,11 +172,46 @@ class TestRatioCheck:
         assert table.median_abs_dev_from_one(1, 1000) >= 0.0
 
 
+def ergodicity_reference(alpha, cyl_a, cyl_b, N, n_samples, seed):
+    """ergodicity_correlation as the per-step loop it ran before it moved onto
+    walk.level_counts: one omega gather per constraint of B over all N
+    heights."""
+    reach_a = max((abs(j) for j, _ in cyl_a.constraints), default=0)
+    reach_b = max((abs(j) for j, _ in cyl_b.constraints), default=0)
+    W = max(reach_a, default_window_radius(N) + reach_b)
+    vals = []
+    for i, theta in enumerate(sample_thetas(n_samples, seed)):
+        omega = sample_omega(W, np.random.SeedSequence(entropy=seed, spawn_key=(2, i)))
+        if not cyl_a.holds(omega):
+            vals.append(0.0)
+            continue
+        heights = walk_heights(theta.bits, alpha.bits, N)
+        if int(np.abs(heights).max()) + reach_b > W:
+            raise BudgetExceeded("walk left the symbol window budget")
+        ok = np.ones(N, dtype=bool)
+        for j, s in cyl_b.constraints:
+            ok &= omega.values[heights + j + W] == s
+        vals.append(np.count_nonzero(ok) / N)
+    vals = np.array(vals)
+    return (float(vals.mean()), cyl_a.measure * cyl_b.measure,
+            float(vals.std(ddof=1) / math.sqrt(n_samples)))
+
+
+cylinders = st.dictionaries(st.integers(-8, 8), st.sampled_from([-1, 1]), max_size=4).map(
+    lambda d: CylinderSpec(constraints=tuple(d.items())))
+# alpha just above 1/1001: the walk runs about 500 steps one way at a time
+SLOW_ALPHA = resolve_alpha(AlphaSpec(quotients=[1000] + [1] * 200, bound=1000))
+ergodic_alphas = st.one_of(
+    st.sampled_from(AlphaSpec.PRESETS).map(lambda name: resolve_alpha(AlphaSpec(preset=name))),
+    st.lists(st.integers(1, 4), min_size=200, max_size=200).map(
+        lambda qs: resolve_alpha(AlphaSpec(quotients=qs, bound=4))))
+
+
 class TestErgodicityCorrelation:
     def test_trivial_full_sets(self, golden):
         lhs, rhs, stderr = ergodicity_correlation(
             golden, CylinderSpec(constraints=()), CylinderSpec(constraints=()),
-            full_circle_arc(), full_circle_arc(), 64, 32, seed=4)
+            64, 32, seed=4)
         assert lhs == 1.0 and rhs == 1.0 and stderr == 0.0
 
     def test_first_two_terms_value(self, golden):
@@ -184,16 +219,38 @@ class TestErgodicityCorrelation:
         # n=1 is 1/4 (phi_1 is never 0, so the coordinates are independent);
         # expectation (1/2 + 1/4)/2 = 3/8
         cyl = CylinderSpec(constraints=((0, 1),))
-        lhs, _, stderr = ergodicity_correlation(
-            golden, cyl, cyl, full_circle_arc(), full_circle_arc(),
-            2, 4000, seed=5)
+        lhs, _, stderr = ergodicity_correlation(golden, cyl, cyl, 2, 4000, seed=5)
         assert abs(lhs - 0.375) <= 4 * stderr
 
-    def test_arc_helpers(self):
-        arc = arc_from_floats([(0.0, 0.25), (0.5, 0.75)])
-        assert arc_measure(arc) == 0.5
-        with pytest.raises(ValueError):
-            arc_from_floats([(0.5, 0.25)])
+    @settings(max_examples=100, deadline=None)
+    @given(alpha=ergodic_alphas, cyl_a=cylinders, cyl_b=cylinders, N=st.integers(1, 3000),
+           n_samples=st.integers(2, 6), seed=st.integers(0, 2**32 - 1),
+           workers=st.sampled_from([1, 2]))
+    @example(alpha=resolve_alpha(AlphaSpec(preset="golden")),
+             cyl_a=CylinderSpec(constraints=()),
+             cyl_b=CylinderSpec(constraints=((-3, 1), (2, -1), (5, 1))),
+             N=(1 << 16) + 3, n_samples=3, seed=7, workers=2)
+    # both walks reach height 47 within radius 40 + 8, so B's coordinate 8
+    # is what leaves the window
+    @example(alpha=SLOW_ALPHA, cyl_a=CylinderSpec(constraints=()),
+             cyl_b=CylinderSpec(constraints=((8, 1),)), N=48, n_samples=2, seed=1, workers=1)
+    def test_matches_per_step_reference(self, alpha, cyl_a, cyl_b, N, n_samples, seed,
+                                        workers):
+        try:
+            expected = ergodicity_reference(alpha, cyl_a, cyl_b, N, n_samples, seed)
+        except BudgetExceeded:
+            with pytest.raises(BudgetExceeded):
+                ergodicity_correlation(alpha, cyl_a, cyl_b, N, n_samples, seed, workers)
+            return
+        assert ergodicity_correlation(
+            alpha, cyl_a, cyl_b, N, n_samples, seed, workers) == expected
+
+    def test_walk_beyond_window_budget(self):
+        # the walk climbs or falls about 500 levels in its first 1000 steps,
+        # past the window radius 56 at N = 1000
+        cyl = CylinderSpec(constraints=())
+        with pytest.raises(BudgetExceeded, match="symbol window budget"):
+            ergodicity_correlation(SLOW_ALPHA, cyl, cyl, 1000, 2, seed=1)
 
 
 class TestZeroEntropyProxy:
@@ -482,8 +539,7 @@ class TestSampleCountChecks:
     def test_ergodicity_inputs(self, golden, N, n_samples, error):
         cyl = CylinderSpec(constraints=())
         with pytest.raises(error):
-            ergodicity_correlation(golden, cyl, cyl, full_circle_arc(), full_circle_arc(),
-                                   N, n_samples, seed=1)
+            ergodicity_correlation(golden, cyl, cyl, N, n_samples, seed=1)
 
 
 def partition_reference(alpha, e, N_list):

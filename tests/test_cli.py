@@ -184,6 +184,15 @@ class TestOtherCommands:
         assert code == 0
         assert "cesaro_average: 1.0" in out and "product_of_measures: 1.0" in out
 
+    def test_ergodicity_cylinder_a_beyond_walk_window(self, capsys):
+        # cylinder A is read at time 0 only, so its coordinate 100 widens
+        # the symbol window instead of failing the budget for B's walk
+        code, out, err = run(capsys, "ergodicity", "--alpha", "golden", "--n", "1000",
+                             "--n-samples", "20", "--seed", "1",
+                             "--cyl-a", "100:1", "--cyl-b", "0:1")
+        assert code == 0, err
+        assert "product_of_measures: 0.25" in out
+
 
 AVERAGE = ["average", "--alpha", "golden", "--pairs", "2:6", "--seed", "1"]
 WALK = ["walk", "--alpha", "golden", "--theta", "0", "--n", "4"]
@@ -309,6 +318,8 @@ class TestBadInput:
         b"mode: paper\nl[1]: 2\nr[1]: log:-1:5:0\n",
         b"mode: paper\nl[1]: 2\nr[1]: log:1:0:0\n",
         b"mode: desk\nl[1]: \xff\nr[1]: 12\n",  # not UTF-8
+        b"mode: desk\nl[1]: 50\nr[1]: 3\nl[2]: 10\nr[2]: 1\n",  # descending
+        b"mode: desk\nl[1]: log:1:5:0\nr[1]: 3\n",  # not an exact integer
     ])
     def test_bad_schedule_file_exit_2_with_one_line(self, capsys, tmp_path, body):
         path = tmp_path / "schedule.txt"

@@ -16,8 +16,7 @@ from discwalk import (
     phi,
     resolve_alpha,
 )
-from discwalk.rotation import (_BLOCK, HALF, MODULUS, orbit_hi64, orbit_signs, orbit_words,
-                               walk_heights)
+from discwalk.rotation import _BLOCK, HALF, MODULUS, orbit_hi64, orbit_words, walk_heights
 
 BITS = st.integers(min_value=0, max_value=MODULUS - 1)
 WORD = 1 << 64
@@ -183,12 +182,12 @@ class TestOrbitEngine:
     @settings(max_examples=20, deadline=None)
     @given(theta=BITS, alpha=BITS)
     def test_orbit_signs_match_phi(self, theta, alpha):
+        # the walk's steps are the signs of phi along the orbit
         n = 257
-        signs = orbit_signs(theta, alpha, n)
+        steps = np.diff(walk_heights(theta, alpha, n + 1))
         t = FixedAngle(theta)
         a = FixedAngle(alpha)
-        expected = [phi(advance(t, a, k)) == 1 for k in range(n)]
-        assert signs.tolist() == expected
+        assert steps.tolist() == [phi(advance(t, a, k)) for k in range(n)]
 
     @settings(max_examples=20, deadline=None)
     @given(theta=BITS, alpha=BITS)
@@ -230,17 +229,16 @@ class TestOrbitEngine:
              alpha_lo=WORD - 1, extra=2)
     def test_recheck_band_matches_phi(self, theta_hi, theta_lo, alpha_hi,
                                       alpha_lo, extra):
-        # n spans two block boundaries; signs and heights of the whole walk
+        # n signs span two block boundaries; the steps of the whole walk
         # against phi(advance(...))
         theta = theta_hi << 64 | theta_lo
         alpha = alpha_hi << 64 | alpha_lo
         n = 2 * _BLOCK + extra
         expected = _scalar_signs(theta, alpha, n)
-        assert orbit_signs(theta, alpha, n).tolist() == [s == 1 for s in expected]
-        heights = walk_heights(theta, alpha, n)
+        heights = walk_heights(theta, alpha, n + 1)
         assert heights.dtype == np.int64
         assert heights[0] == 0
-        assert np.array_equal(np.diff(heights), expected[:-1])
+        assert np.array_equal(np.diff(heights), expected)
 
 
 class TestOrbitWords:
