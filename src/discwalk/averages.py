@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, ConfigError, InsufficientSamples, MissingEntries
 from .eset import ESet, Schedule
-from .rotation import HALF, MODULUS, FixedAngle, orbit_words, walk_heights
+from .rotation import HALF, MODULUS, FixedAngle, partition_cells
 from .series import AverageEntry, AverageSeries, _sampled_series
 from .symbolic import CylinderSpec, default_window_radius, sample_omega
 from .walk import band_counts, check_n_list, level_counts, sample_thetas
@@ -98,15 +98,12 @@ class PartitionStepFn:
 # ---------------------------------------------------------------------------
 # The exact route.
 #
-# phi_t for t <= n is constant on the cells of the finest partition, which
-# begin at -k*alpha (cell k) and at 1/2 - k*alpha (cell n + k) for k < n.  With
-# P the prefix sum of the two-sided sign sequence phi(j*alpha), j in [-n, n)
-# (P[i] sums its first i terms, so P[n - k] stands at j = -k), the walk started
-# on cell k has height P[n - k + t] - P[n - k] at time t, exactly in fixed
-# point; started on cell n + k it has the negative, since
-# phi(1/2 + x) = -phi(x).  E is symmetric, so both cells share their hit
-# counts.  Widths are 128-bit, so sums of width times count run on 16-bit
-# limbs in int64 and are combined in Python integers.
+# phi_t for t <= n is constant on the cells of rotation.partition_cells(alpha,
+# n): the walk started on cell k has height P[n - k + t] - P[n - k] at time t,
+# exactly in fixed point, and started on cell n + k the negative.  E is
+# symmetric, so both cells share their hit counts.  Widths are 128-bit, so
+# sums of width times count run on 16-bit limbs in int64 and are combined in
+# Python integers.
 
 
 def _check_exact_budget(n: int) -> None:
@@ -117,19 +114,11 @@ def _check_exact_budget(n: int) -> None:
 def _finest_partition(alpha: FixedAngle, n: int) -> Tuple[np.ndarray, np.ndarray]:
     """(P, limbs) for the finest partition of phi_1..phi_n, n >= 1.
 
-    P is the int64 prefix sum above, of length 2n + 1; limbs[c] holds the
-    width of cell c as eight 16-bit limbs, least significant first.
+    P is the int64 prefix sum of partition_cells, of length 2n + 1; limbs[c]
+    holds the width of cell c as eight 16-bit limbs, least significant first.
     Coincident breakpoints give zero-width cells.
     """
-    bits = alpha.bits
-    P = walk_heights(-n * bits % MODULUS, bits, 2 * n + 1)
-    hi, lo = orbit_words(0, -bits % MODULUS, np.arange(n, dtype=np.uint64))
-    hi = np.concatenate([hi, hi ^ np.uint64(HALF >> 64)])
-    lo = np.concatenate([lo, lo])
-    order = np.lexsort((lo, hi))
-    hi, lo = hi[order], lo[order]
-    # each cell ends where the next begins; the last wraps round to the
-    # first, which is 0 (cell 0)
+    P, order, hi, lo = partition_cells(alpha.bits, n)
     next_hi, next_lo = np.roll(hi, -1), np.roll(lo, -1)
     widths = np.empty((2 * n, 2), dtype="<u8")
     widths[order, 0] = next_lo - lo

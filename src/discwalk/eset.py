@@ -333,11 +333,18 @@ class Schedule:
         return cls(mode=mode, intervals=intervals)
 
 
+_LUT_RADIUS_CAP = 1 << 20
+
+
 class ESet:
     """Compiled symmetric interval set: fast pointwise membership on |v|.
 
     The intervals are kept as one sorted edge array [lo_1, hi_1 + 1, lo_2,
     hi_2 + 1, ...]; |v| is in E iff an odd number of edges lie at or below it.
+    ``lut`` slices one read-only membership band over [-R, R], which doubles
+    (up to R = 2**20) when a wider band is asked for; the new band replaces
+    the old in one assignment, so a thread reading the old one still sees a
+    whole band.  A band reaching past 2**20 is computed on its own.
     """
 
     def __init__(self, bounds: Sequence[Tuple[int, int]]):
@@ -345,6 +352,7 @@ class ESet:
         self.bounds = list(bounds)
         self._edges = np.array([x for lo, hi in self.bounds for x in (lo, hi + 1)],
                                dtype=np.int64)
+        self._band = np.zeros(0, dtype=bool)  # R = -1: built on first use
 
     @classmethod
     def from_schedule(cls, schedule: Schedule) -> "ESet":
@@ -366,10 +374,22 @@ class ESet:
     def contains(self, v: int) -> bool:
         return bool(self._edges.searchsorted(abs(v), "right") % 2)
 
+    def _membership(self, v: np.ndarray) -> np.ndarray:
+        return self._edges.searchsorted(np.abs(v), "right") % 2 == 1
+
     def lut(self, lo: int, hi: int) -> np.ndarray:
         """Membership table over the height band [lo, hi], for vectorized use."""
-        v = np.abs(np.arange(lo, hi + 1))
-        return self._edges.searchsorted(v, "right") % 2 == 1
+        band = self._band
+        radius = (len(band) - 1) // 2
+        need = max(-lo, hi)
+        if need > radius:
+            if need > _LUT_RADIUS_CAP:
+                return self._membership(np.arange(lo, hi + 1))
+            radius = min(max(need, 2 * radius, 32), _LUT_RADIUS_CAP)
+            band = self._membership(np.arange(-radius, radius + 1))
+            band.flags.writeable = False
+            self._band = band
+        return band[lo + radius:hi + radius + 1]
 
     def __repr__(self):
         return f"ESet({self.bounds})"

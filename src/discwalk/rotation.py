@@ -244,3 +244,24 @@ def walk_heights(theta_bits: int, alpha_bits: int, n: int) -> np.ndarray:
         np.cumsum(steps, dtype=np.int64, out=block)
         block += heights[start]
     return heights
+
+
+def partition_cells(alpha_bits: int, n: int):
+    """The finest partition of the circle for phi_1 .. phi_n, n >= 1.
+
+    Returns (P, order, hi, lo).  Cell k (k < n) begins at -k*alpha and cell
+    n + k at 1/2 - k*alpha; order lists the cells by where they begin (ties
+    in cell order), and hi, lo are those beginnings' exact 64-bit words, in
+    that order.  Each cell runs up to the next beginning, and the last wraps
+    round to the first, which is 0 (cell 0).  P = walk_heights(-n*alpha,
+    alpha, 2n + 1) is the prefix sum of the two-sided sign sequence
+    phi(j*alpha), j in [-n, n): from any point of cell k the walk has height
+    P[n - k + t] - P[n - k] at time t <= n, and from cell n + k the negative,
+    since phi(1/2 + x) = -phi(x).
+    """
+    P = walk_heights(-n * alpha_bits % MODULUS, alpha_bits, 2 * n + 1)
+    hi, lo = orbit_words(0, -alpha_bits % MODULUS, np.arange(n, dtype=np.uint64))
+    hi = np.concatenate([hi, hi ^ np.uint64(HALF >> 64)])
+    lo = np.concatenate([lo, lo])
+    order = np.lexsort((lo, hi))
+    return P, order, hi[order], lo[order]

@@ -5,9 +5,10 @@ import shlex
 import mpmath
 import pytest
 
-from discwalk import AverageSeries, Schedule
+from discwalk import AverageSeries, Schedule, walk
 from discwalk.averages import EXACT_N_CAP
 from discwalk.cli import entrypoint
+from discwalk.rotation import walk_heights
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -304,6 +305,23 @@ class TestBadInput:
     def test_exit_2_with_one_line(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["walk", "--alpha", "golden", "--theta", "0", "--n", str(10**14)],
+        # [0; 3000, 2, 2, ...] has no block table, so its walk is one stretch
+        ["walk", "--alpha", "cf:3000" + ",2" * 150 + ":3000", "--theta", "0",
+         "--n", str(10**12)],
+    ])
+    def test_huge_walk_exit_4_with_one_line(self, capsys, monkeypatch, argv):
+        def short_walks_only(theta, alpha, n):
+            assert n <= 1 << 20, f"walked {n} steps"
+            return walk_heights(theta, alpha, n)
+
+        monkeypatch.setattr(walk, "walk_heights", short_walks_only)
+        code, out, err = run(capsys, *argv)
+        assert code == 4
         assert out == ""
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 

@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import pytest
@@ -124,6 +126,33 @@ class TestESet:
         _, e = make_desk_schedule([(2, 6), (30, 300)])
         lut = e.lut(-40, 40)
         assert all(lut[v + 40] == e.contains(v) for v in range(-40, 41))
+
+    def test_lut_band_grows_and_is_read_only(self):
+        e = ESet([(2, 4), (7, 40)])
+        # the cached band starts at radius 32 and doubles: 64, 128, then 1000
+        for lo, hi in [(-3, 5), (-30, 10), (-5, 60), (-100, 3), (-2, 1000), (-3, 5)]:
+            brute = [any(a <= abs(v) <= b for a, b in e.bounds) for v in range(lo, hi + 1)]
+            assert e.lut(lo, hi).tolist() == brute
+        with pytest.raises(ValueError):
+            e.lut(-3, 3)[0] = True
+
+    def test_lut_growing_under_threads(self):
+        e = ESet([(2, 4), (7, 40), (300, 900)])
+
+        def check(radius):
+            brute = [any(a <= abs(v) <= b for a, b in e.bounds)
+                     for v in range(-radius, radius + 1)]
+            return e.lut(-radius, radius).tolist() == brute
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(check, [r for r in range(1, 2000, 37)] * 2,
+                                        timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(results)
 
     @settings(max_examples=60, deadline=None)
     @given(interval_sets(), st.integers(-50, 50), st.integers(0, 60))

@@ -1,4 +1,6 @@
 import math
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from discwalk import (
+    BudgetExceeded,
     ConfigError,
     FixedAngle,
     InsufficientSamples,
@@ -18,8 +21,10 @@ from discwalk import (
     sample_thetas,
     walk_step,
 )
-from discwalk.rotation import MODULUS, AlphaSpec, resolve_alpha, walk_heights
-from discwalk.walk import WalkSummary, band_counts, default_checkpoints, level_counts
+from discwalk import walk as walk_module
+from discwalk.rotation import HALF, MODULUS, AlphaSpec, resolve_alpha, walk_heights
+from discwalk.walk import (WalkSummary, band_counts, block_length, block_table,
+                           default_checkpoints, level_counts)
 
 BITS = st.integers(min_value=0, max_value=MODULUS - 1)
 ZERO = FixedAngle(0)
@@ -142,6 +147,125 @@ class TestLevelCounts:
                                                    minlength=counts.shape[1]))
             assert band_row.tolist() == [int(np.count_nonzero(heights[:n] == v))
                                          for v in range(-v_max, v_max + 1)]
+
+
+def assert_matches_heights(theta, alpha_bits, checkpoints):
+    v_min, counts = level_counts(theta, alpha_bits, checkpoints)
+    heights = walk_heights(theta, alpha_bits, checkpoints[-1])
+    assert v_min == heights.min()
+    assert counts.shape == (len(checkpoints), heights.max() - v_min + 1)
+    assert counts.dtype == np.int64
+    for n, row in zip(checkpoints, counts):
+        assert np.array_equal(row, np.bincount(heights[:n] - v_min, minlength=counts.shape[1]))
+
+
+# [0; 3000, 2, 2, ...]: q = 15002, over which the walk drifts 1502 levels
+WIDE = resolve_alpha(AlphaSpec(quotients=[3000] + [2] * 150, bound=3000)).bits
+# 500 * TIE_ALPHA is within 500 units of 1/2, so the beginnings -k*alpha and
+# 1/2 - (k + 500)*alpha share their top word
+TIE_ALPHA = (501 * MODULUS + 500) // 1000
+
+
+def reading_only_short_walks(monkeypatch, limit=1 << 20):
+    """Make walk.level_counts fail if it walks more than limit steps."""
+    def guarded(theta, alpha, n):
+        assert n <= limit, f"walked {n} steps"
+        return walk_heights(theta, alpha, n)
+
+    monkeypatch.setattr(walk_module, "walk_heights", guarded)
+
+
+class TestBlockKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(quotients=st.lists(st.integers(1, 8), min_size=200, max_size=200),
+           random_theta=BITS, on=st.sampled_from([None, 0, -1]), k=st.integers(0, 1 << 14),
+           half=st.booleans(), block=st.integers(0, 12),
+           near=st.sets(st.tuples(st.integers(0, 12), st.integers(-1, 1)), max_size=5),
+           short=st.sets(st.integers(1, 1 << 14), max_size=3))
+    @example(quotients=[1] * 200, random_theta=0, on=0, k=5, half=True, block=3,
+             near={(3, -1), (3, 0), (3, 1), (10, 0)}, short=set())
+    @example(quotients=[8] * 200, random_theta=0, on=-1, k=77, half=False, block=0,
+             near={(12, 1)}, short={1})
+    @example(quotients=[1] * 200, random_theta=2**100, on=None, k=0, half=False, block=0,
+             near=set(), short={5, 100, 10945})
+    def test_matches_bincount_of_heights(self, quotients, random_theta, on, k, half, block,
+                                         near, short):
+        alpha = resolve_alpha(AlphaSpec(quotients=quotients, bound=8)).bits
+        q = block_length(alpha)
+        assert block_table(alpha) is not None
+        if on is None:
+            theta = random_theta
+        else:
+            # the start of the given block lies on the beginning of a cell, or
+            # one unit below it
+            start = (-(k % q) * alpha + half * HALF + on) % MODULUS
+            theta = (start - block * q * alpha) % MODULUS
+        # on, just before and just after multiples of q, and walks shorter than q
+        checkpoints = {max(1, b * q + d) for b, d in near} | {n for n in short if n < q}
+        assert_matches_heights(theta, alpha, sorted(checkpoints or {q - 1}))
+
+    @pytest.mark.parametrize("k", [0, 1, 499, 500, 777])
+    @pytest.mark.parametrize("half", [0, HALF])
+    @pytest.mark.parametrize("offset", [-300, -1, 0, 1, 300])
+    def test_beginnings_sharing_a_top_word(self, k, half, offset):
+        table = block_table(TIE_ALPHA)
+        assert table.q == 1000 and (table.hi[1:] == table.hi[:-1]).any()
+        theta = (-k * TIE_ALPHA + half + offset) % MODULUS
+        assert_matches_heights(theta, TIE_ALPHA, [3000, 5000, 7001])
+
+    def test_chunks_of_blocks(self, golden, monkeypatch):
+        monkeypatch.setattr(walk_module, "_CHUNK", 3)
+        q = block_length(golden.bits)
+        for theta in (0, 2**127 + 12345, MODULUS - 1):
+            assert_matches_heights(theta, golden.bits, [5, 2 * q + 1, 5 * q, 11 * q + 7, 20 * q])
+
+    def test_wide_band_alpha_walks_directly(self, monkeypatch):
+        assert block_length(WIDE) == 15002 and block_table(WIDE) is None
+        walked = []
+        monkeypatch.setattr(walk_module, "walk_heights",
+                            lambda t, a, n: walked.append(n) or walk_heights(t, a, n))
+        checkpoints = [100, 15002, 40000]
+        level_counts(7, WIDE, checkpoints)
+        assert walked == [40000]
+        assert_matches_heights(7, WIDE, checkpoints)
+
+    def test_budgets_raise_before_walking(self, golden, monkeypatch):
+        reading_only_short_walks(monkeypatch)
+        with pytest.raises(BudgetExceeded, match="blocks"):
+            level_counts(0, golden.bits, [10**14])
+        with pytest.raises(BudgetExceeded, match="stretch"):
+            level_counts(0, WIDE, [walk_module.MAX_DIRECT_STEPS + 1])
+        # below both budgets the golden walk reads its blocks off the table
+        level_counts(0, golden.bits, [10**9])
+
+    def test_table_built_once_across_workers(self, monkeypatch):
+        alpha = resolve_alpha(AlphaSpec(preset="sqrt3m1"))
+        build, builds = walk_module._build_table, []
+
+        def slow_build(alpha_bits, q):
+            builds.append((alpha_bits, q))
+            time.sleep(0.05)  # widen the window in which a second thread would build
+            return build(alpha_bits, q)
+
+        monkeypatch.setattr(walk_module, "_build_table", slow_build)
+        thetas = sample_thetas(8, 4)
+        bands = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2, 4):
+                walk_module._tables.pop(alpha.bits, None)
+                bands.append([b.tobytes() for b in
+                              occupation_band(alpha, thetas, [100, 10**5], workers=workers)])
+                assert builds.count((alpha.bits, 10864)) == len(bands)
+        finally:
+            sys.setswitchinterval(interval)
+        assert bands[0] == bands[1] == bands[2]
+
+    def test_table_cache_is_bounded(self):
+        for first in range(1, 13):
+            block_table(resolve_alpha(AlphaSpec(quotients=[first] + [1] * 199, bound=12)).bits)
+        assert len(walk_module._tables) <= walk_module._TABLE_CACHE
 
 
 class TestOccupationBand:
