@@ -206,11 +206,10 @@ def reduced_average_series(
     N_list: Sequence[int],
     n_theta: int,
     seed: int,
-    workers: int = 1,
 ) -> AverageSeries:
     """A_N by streaming the walk over sampled thetas (reduction formula):
     half the fraction of walk times whose height lies in E."""
-    return _sampled_series(alpha, b_filter, N_list, n_theta, seed, workers,
+    return _sampled_series(alpha, b_filter, N_list, n_theta, seed,
                            lambda i, lo, hi: e.lut(lo, hi), 0.5, "reduced")
 
 
@@ -339,7 +338,6 @@ def ratio_check(
     theta_samples: Sequence[FixedAngle],
     v_list: Sequence[int],
     N_checkpoints: Sequence[int],
-    workers: int = 1,
 ) -> RatioTable:
     """Per-level visit counts relative to returns to zero, per checkpoint."""
     if not theta_samples:
@@ -356,7 +354,7 @@ def ratio_check(
         # column v_max counts returns to zero, which is >= 1 since h_0 = 0
         return (counts[:, cols] / counts[:, [v_max]]).T
 
-    ratios = np.array(ordered_map(per_theta, theta_samples, workers))
+    ratios = np.array(ordered_map(per_theta, theta_samples))
     return RatioTable(checkpoints=checkpoints, v_list=v_list, ratios=ratios)
 
 
@@ -367,7 +365,6 @@ def ergodicity_correlation(
     N: int,
     n_samples: int,
     seed: int,
-    workers: int = 1,
 ) -> Tuple[float, float, float]:
     """Cesàro correlation of two product sets under T, against the product.
 
@@ -401,7 +398,7 @@ def ergodicity_correlation(
             table &= omega.values[v_min + j + W:v_top + j + W + 1] == s
         return int(counts[0] @ table) / N
 
-    vals = np.array(ordered_map(per_sample, list(enumerate(thetas)), workers))
+    vals = np.array(ordered_map(per_sample, list(enumerate(thetas))))
     lhs = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(n_samples))
     return lhs, cyl_a.measure * cyl_b.measure, stderr
@@ -422,7 +419,6 @@ def zero_entropy_proxy(
     alpha: FixedAngle,
     theta_samples: Sequence[FixedAngle],
     N_list: Sequence[int],
-    workers: int = 1,
 ) -> RangeDecayTable:
     """Fraction of distinct heights visited, per theta and horizon."""
     if not theta_samples:
@@ -434,5 +430,5 @@ def zero_entropy_proxy(
         # the visited levels form an interval: steps are +/-1
         return np.count_nonzero(counts, axis=1) / np.asarray(N_list)
 
-    table = np.array(ordered_map(per_theta, theta_samples, workers))
+    table = np.array(ordered_map(per_theta, theta_samples))
     return RangeDecayTable(N_list=list(N_list), per_theta=table)

@@ -187,10 +187,12 @@ def common_options(fn):
                      help="YAML config file; its keys are option names with '_'."),
         click.option("--alpha", type=click.UNPROCESSED, default=None,
                      help="Rotation angle: preset or cf:...:bound."),
-        click.option("--seed", type=int, default=None, help="RNG seed for sampling."),
+        click.option("--seed", type=click.IntRange(min=0), default=None,
+                     help="RNG seed for sampling (>= 0)."),
         click.option("--threads", type=click.IntRange(min=1), default=1,
                      callback=lambda ctx, param, n: min(n, os.cpu_count() or 1),
-                     help="Worker threads, at most the CPU count (output-invariant)."),
+                     help="No effect: every loop runs in the calling thread. Still "
+                          "checked, clamped to the CPU count and echoed."),
         click.option("--out", default=None, help="Output file (default stdout)."),
     ):
         fn = opt(fn)
@@ -242,8 +244,7 @@ def cmd_constants(alpha, seed, threads, out, n, n_theta, v_max):
     """Estimate the per-level occupation constants from a theta sample."""
     a = parse_alpha(alpha)
     seed = require_seed(seed)
-    table = estimate_constants(a, sample_thetas(n_theta, seed), n, v_max,
-                               seed=seed, workers=threads)
+    table = estimate_constants(a, sample_thetas(n_theta, seed), n, v_max, seed=seed)
     emit(header_lines(settings()) + table.document(), out)
 
 
@@ -334,13 +335,13 @@ def cmd_average(alpha, seed, threads, out, pairs, n_list, n_theta, routes, filte
     if "reduced" in route_set:
         require(n_theta is not None, "reduced route requires --n-theta")
         series_by_route["reduced"] = reduced_average_series(
-            a, e, b_filter, N_list, n_theta, require_seed(seed), workers=threads)
+            a, e, b_filter, N_list, n_theta, require_seed(seed))
     if "exact" in route_set:
         series_by_route["exact"], _ = exact_average_series(a, e, N_list)
     if "mc" in route_set:
         require(n_theta is not None, "mc route requires --n-theta")
         series_by_route["mc"] = mc_triple_average(
-            a, e, N_list, n_theta, require_seed(seed), b_filter=b_filter, workers=threads,
+            a, e, N_list, n_theta, require_seed(seed), b_filter=b_filter,
             fault_inject=fault_inject)
 
     # oracle gate: pairwise agreement within 3 combined standard errors
@@ -378,8 +379,7 @@ def cmd_ratio(alpha, seed, threads, out, n_theta, v_max, n_list):
     a = parse_alpha(alpha)
     v_list = [v for v in range(-v_max, v_max + 1) if v != 0]
     checkpoints = sorted(parse_int_list(n_list))
-    table = ratio_check(a, sample_thetas(n_theta, require_seed(seed)),
-                        v_list, checkpoints, workers=threads)
+    table = ratio_check(a, sample_thetas(n_theta, require_seed(seed)), v_list, checkpoints)
     lines = [header_lines(settings()) + "v,N,median_ratio,median_abs_dev_from_one"]
     for v in v_list:
         for n in checkpoints:
@@ -397,8 +397,7 @@ def cmd_entropy_proxy(alpha, seed, threads, out, n_theta, n_list):
     """Visited-range fraction a_N/N per horizon; emit per-N maxima."""
     a = parse_alpha(alpha)
     N_list = sorted(parse_int_list(n_list))
-    table = zero_entropy_proxy(
-        a, sample_thetas(n_theta, require_seed(seed)), N_list, workers=threads)
+    table = zero_entropy_proxy(a, sample_thetas(n_theta, require_seed(seed)), N_list)
     lines = [header_lines(settings()) + "N,max_range_fraction"]
     for N in N_list:
         lines.append(f"{N},{table.max_at(N)!r}")
@@ -431,8 +430,7 @@ def cmd_ergodicity(alpha, seed, threads, out, n, n_samples, cyl_a, cyl_b):
     """Cesàro correlation of two product sets against the product of measures."""
     a = parse_alpha(alpha)
     lhs, rhs, stderr = ergodicity_correlation(
-        a, parse_cylinder(cyl_a), parse_cylinder(cyl_b), n, n_samples,
-        require_seed(seed), workers=threads)
+        a, parse_cylinder(cyl_a), parse_cylinder(cyl_b), n, n_samples, require_seed(seed))
     sigmas = abs(lhs - rhs) / stderr if stderr > 0 else 0.0
     emit(header_lines(settings())
          + f"cesaro_average: {lhs!r}\nproduct_of_measures: {rhs!r}\n"

@@ -77,7 +77,6 @@ def _sampled_series(
     N_list: Sequence[int],
     n_theta: int,
     seed: int,
-    workers: int,
     indicator: Callable[[int, int, int], np.ndarray],
     prefactor: float,
     method: str,
@@ -105,7 +104,7 @@ def _sampled_series(
         v_min, counts = level_counts(thetas[i].bits, alpha.bits, N_list)
         return counts @ indicator(i, v_min, v_min + counts.shape[1] - 1) / n_arr
 
-    fractions = np.array(ordered_map(per_theta, range(n_theta), workers))
+    fractions = np.array(ordered_map(per_theta, range(n_theta)))
     values = prefactor * fractions.mean(axis=0)
     stderr = prefactor * fractions.std(axis=0, ddof=1) / math.sqrt(n_theta)
     return AverageSeries([

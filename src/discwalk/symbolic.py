@@ -165,7 +165,6 @@ def mc_triple_average(
     n_theta: int,
     seed: int,
     b_filter=None,
-    workers: int = 1,
     window_radius: Optional[int] = None,
     fault_inject: bool = False,
 ) -> AverageSeries:
@@ -191,5 +190,5 @@ def mc_triple_average(
 
     # no 1/2 prefactor here: averaging over omega already supplies the
     # symbol-cylinder measure
-    return _sampled_series(alpha, b_filter, N_list, n_theta, seed, workers,
+    return _sampled_series(alpha, b_filter, N_list, n_theta, seed,
                            indicator, 1.0, "montecarlo")

@@ -444,7 +444,6 @@ def estimate_constants(
     N: int,
     v_max: int,
     seed: Optional[int] = None,
-    workers: int = 1,
 ) -> ConstantsTable:
     """Estimate the per-level occupation constants from a theta sample."""
     if N < 16:
@@ -457,7 +456,7 @@ def estimate_constants(
         return band_counts(*level_counts(theta.bits, alpha.bits, checkpoints), v_max)
 
     # tables[t, i, j]: theta t, checkpoints[i], level j - v_max
-    tables = np.array(ordered_map(per_theta, theta_samples, workers))
+    tables = np.array(ordered_map(per_theta, theta_samples))
     best = (tables * occupation_scale(checkpoints)[:, None]).max(axis=(0, 1))
     m_v = {v: float(x) for v, x in zip(range(-v_max, v_max + 1), best)}
     # c_v[v]: running max of m_u over |u| <= v
@@ -483,7 +482,6 @@ def occupation_band(
     alpha: FixedAngle,
     theta_samples: Sequence[FixedAngle],
     checkpoints: Sequence[int],
-    workers: int = 1,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Mean and sup over thetas of psi_n * sqrt(log n) / n at each checkpoint.
 
@@ -501,16 +499,12 @@ def occupation_band(
         v_min, counts = level_counts(theta.bits, alpha.bits, checkpoints)
         return counts[:, -v_min]  # returns to zero
 
-    counts = np.array(ordered_map(per_theta, theta_samples, workers), dtype=float)
+    counts = np.array(ordered_map(per_theta, theta_samples), dtype=float)
     scaled = counts * occupation_scale(checkpoints)
     return scaled.mean(axis=0), scaled.max(axis=0)
 
 
 def sample_thetas(n: int, seed: int) -> List[FixedAngle]:
     """n uniform circle points, deterministic in seed and sample order."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(n):
-        hi, lo = rng.integers(0, 1 << 64, size=2, dtype=np.uint64)
-        out.append(FixedAngle((int(hi) << 64) | int(lo)))
-    return out
+    words = np.random.default_rng(seed).integers(0, 1 << 64, size=(n, 2), dtype=np.uint64)
+    return [FixedAngle((hi << 64) | lo) for hi, lo in words.tolist()]

@@ -1,5 +1,8 @@
 import json
 import os
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -23,3 +26,27 @@ def pinned():
     """Pilot-recorded reference values; regenerated only deliberately."""
     with open(PINNED_PATH) as f:
         return json.load(f)
+
+
+@pytest.fixture(scope="session")
+def from_threads():
+    """Run ``call()`` from 4 of the caller's own threads at once and return
+    their 4 results; the first exception raised is re-raised.  A small
+    ``switch_interval`` makes the threads interleave more often."""
+    def run(call, switch_interval=None):
+        start = threading.Barrier(4)
+
+        def go(_):
+            start.wait(timeout=60)
+            return call()
+
+        interval = sys.getswitchinterval()
+        if switch_interval is not None:
+            sys.setswitchinterval(switch_interval)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                return list(pool.map(go, range(4), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+
+    return run

@@ -198,7 +198,7 @@ def test_criterion_8_ergodicity_correlation(golden, pinned):
               f"sigma (<= 4)")
 
 
-def test_criterion_9_structural_suites(golden):
+def test_criterion_9_structural_suites(golden, from_threads):
     _, e = make_desk_schedule([(2, 6), (30, 300)])
     rng = np.random.default_rng(2718)
 
@@ -252,18 +252,23 @@ def test_criterion_9_structural_suites(golden):
         m, n = int(rng.integers(0, 1 << 40)), int(rng.integers(0, 1 << 40))
         assert advance(t, a, m + n) == advance(advance(t, a, m), a, n)
 
-    # bit-identical aggregates across worker counts
-    red1 = reduced_average_series(golden, e, None, [64, 256], 128, 53, workers=1)
-    red4 = reduced_average_series(golden, e, None, [64, 256], 128, 53, workers=4)
-    assert red1.values() == red4.values()
-    mc1 = mc_triple_average(golden, e, [64, 256], 128, seed=53, workers=1)
-    mc4 = mc_triple_average(golden, e, [64, 256], 128, seed=53, workers=4)
-    assert mc1.values() == mc4.values()
+    # bit-identical aggregates when 4 of the caller's threads run them at once
+    def red():
+        return reduced_average_series(golden, e, None, [64, 256], 128, 53).values()
+
+    def mc():
+        return mc_triple_average(golden, e, [64, 256], 128, seed=53).values()
+
     thetas = sample_thetas(8, 59)
-    c1 = estimate_constants(golden, thetas, 10**4, 2, workers=1)
-    c4 = estimate_constants(golden, thetas, 10**4, 2, workers=4)
-    assert c1.m_v == c4.m_v and c1.m_global == c4.m_global
+
+    def constants():
+        c = estimate_constants(golden, thetas, 10**4, 2)
+        return c.m_v, c.m_global
+
+    for call in (red, mc, constants):
+        serial = call()
+        assert all(r == serial for r in from_threads(call))
 
     report(9, "involution (1e5 windows), S-conjugacy (1e3 points x 1e3 steps), "
               "offset identity, conservation, symmetry, semigroup law, and "
-              "thread-count determinism all exact")
+              "determinism under concurrent callers all exact")

@@ -117,11 +117,14 @@ class TestReducedAverage:
         with pytest.raises(ValueError):
             reduced_average_series(golden, ESet.empty(), None, [4], 8, 1)
 
-    def test_worker_count_does_not_change_output(self, golden):
+    def test_threaded_callers_match_serial_call(self, golden, from_threads):
         _, e = make_desk_schedule([(2, 6)])
-        one = reduced_average_series(golden, e, None, [64], 64, 3, workers=1)
-        four = reduced_average_series(golden, e, None, [64], 64, 3, workers=4)
-        assert one.values() == four.values()
+
+        def call():
+            return reduced_average_series(golden, e, None, [64], 64, 3).values()
+
+        serial = call()
+        assert all(r == serial for r in from_threads(call))
 
 
 class TestOscillationReport:
@@ -225,25 +228,29 @@ class TestErgodicityCorrelation:
     @settings(max_examples=100, deadline=None)
     @given(alpha=ergodic_alphas, cyl_a=cylinders, cyl_b=cylinders, N=st.integers(1, 3000),
            n_samples=st.integers(2, 6), seed=st.integers(0, 2**32 - 1),
-           workers=st.sampled_from([1, 2]))
+           threaded=st.booleans())
     @example(alpha=resolve_alpha(AlphaSpec(preset="golden")),
              cyl_a=CylinderSpec(constraints=()),
              cyl_b=CylinderSpec(constraints=((-3, 1), (2, -1), (5, 1))),
-             N=(1 << 16) + 3, n_samples=3, seed=7, workers=2)
+             N=(1 << 16) + 3, n_samples=3, seed=7, threaded=True)
     # both walks reach height 47 within radius 40 + 8, so B's coordinate 8
     # is what leaves the window
     @example(alpha=SLOW_ALPHA, cyl_a=CylinderSpec(constraints=()),
-             cyl_b=CylinderSpec(constraints=((8, 1),)), N=48, n_samples=2, seed=1, workers=1)
-    def test_matches_per_step_reference(self, alpha, cyl_a, cyl_b, N, n_samples, seed,
-                                        workers):
+             cyl_b=CylinderSpec(constraints=((8, 1),)), N=48, n_samples=2, seed=1,
+             threaded=False)
+    def test_matches_per_step_reference(self, from_threads, alpha, cyl_a, cyl_b, N,
+                                        n_samples, seed, threaded):
+        def call():
+            return ergodicity_correlation(alpha, cyl_a, cyl_b, N, n_samples, seed)
+
+        run = from_threads if threaded else lambda call: [call()]
         try:
             expected = ergodicity_reference(alpha, cyl_a, cyl_b, N, n_samples, seed)
         except BudgetExceeded:
             with pytest.raises(BudgetExceeded):
-                ergodicity_correlation(alpha, cyl_a, cyl_b, N, n_samples, seed, workers)
+                run(call)
             return
-        assert ergodicity_correlation(
-            alpha, cyl_a, cyl_b, N, n_samples, seed, workers) == expected
+        assert all(r == expected for r in run(call))
 
     def test_walk_beyond_window_budget(self):
         # the walk climbs or falls about 500 levels in its first 1000 steps,

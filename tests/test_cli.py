@@ -242,6 +242,7 @@ class TestConfigFile:
         (["walk", "--alpha", "golden", "--theta", "0"], "n: [1]"),
         (WALK, "threads: abc"),
         (WALK, "seed: abc"),
+        (["walk", "--alpha", "golden", "--n-theta", "2", "--n", "4"], "seed: -1"),
         (PAPER, "margin: [1]"),
         (["schedule", "--mode", "paper", "--m-max", "2"], "c_const: abc"),
         (["schedule", "--pairs", "3:12,40:100"], "mode: bogus"),
@@ -301,6 +302,8 @@ class TestBadInput:
         AVERAGE + ["--n-list", "64", "--n-theta", "32", "--filter", "quantile:0.2:0"],
         AVERAGE + ["--n-list", "64", "--n-theta", "32", "--filter", "quantile:0.2:-5"],
         AVERAGE + ["--n-list", "64", "--n-theta", "32", "--filter", "quantile:0.2:64:-1"],
+        ["walk", "--alpha", "golden", "--n-theta", "2", "--n", "4", "--seed", "-5"],
+        ["ergodicity", "--alpha", "golden", "--n", "8", "--n-samples", "4", "--seed", "-1"],
     ])
     def test_exit_2_with_one_line(self, capsys, argv):
         code, out, err = run(capsys, *argv)

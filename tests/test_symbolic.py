@@ -231,10 +231,12 @@ class TestMcTripleAverage:
         with pytest.raises(ValueError):
             mc_triple_average(golden, ESet.empty(), [64, 16], 64, seed=2)
 
-    def test_worker_count_does_not_change_output(self, golden, e_small):
-        one = mc_triple_average(golden, e_small, [64, 256], 128, seed=5, workers=1)
-        four = mc_triple_average(golden, e_small, [64, 256], 128, seed=5, workers=4)
-        assert one.values() == four.values()
+    def test_threaded_callers_match_serial_call(self, golden, e_small, from_threads):
+        def call():
+            return mc_triple_average(golden, e_small, [64, 256], 128, seed=5).values()
+
+        serial = call()
+        assert all(r == serial for r in from_threads(call))
 
     def test_fault_injection_shifts_estimate(self, golden, e_small):
         good = mc_triple_average(golden, e_small, [256], 256, seed=6)

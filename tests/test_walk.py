@@ -1,5 +1,4 @@
 import math
-import sys
 import time
 
 import numpy as np
@@ -238,7 +237,7 @@ class TestBlockKernel:
         # below both budgets the golden walk reads its blocks off the table
         level_counts(0, golden.bits, [10**9])
 
-    def test_table_built_once_across_workers(self, monkeypatch):
+    def test_table_built_once_across_threads(self, monkeypatch, from_threads):
         alpha = resolve_alpha(AlphaSpec(preset="sqrt3m1"))
         build, builds = walk_module._build_table, []
 
@@ -249,18 +248,16 @@ class TestBlockKernel:
 
         monkeypatch.setattr(walk_module, "_build_table", slow_build)
         thetas = sample_thetas(8, 4)
-        bands = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for workers in (1, 2, 4):
-                walk_module._tables.pop(alpha.bits, None)
-                bands.append([b.tobytes() for b in
-                              occupation_band(alpha, thetas, [100, 10**5], workers=workers)])
-                assert builds.count((alpha.bits, 10864)) == len(bands)
-        finally:
-            sys.setswitchinterval(interval)
-        assert bands[0] == bands[1] == bands[2]
+
+        def call():
+            return [b.tobytes() for b in occupation_band(alpha, thetas, [100, 10**5])]
+
+        walk_module._tables.pop(alpha.bits, None)
+        serial = call()
+        assert builds.count((alpha.bits, 10864)) == 1
+        walk_module._tables.pop(alpha.bits, None)
+        assert all(r == serial for r in from_threads(call, switch_interval=1e-6))
+        assert builds.count((alpha.bits, 10864)) == 2
 
     def test_table_cache_is_bounded(self):
         for first in range(1, 13):
@@ -318,12 +315,15 @@ class TestEstimateConstants:
         assert doc.startswith("schema: discwalk-constants-v1\n")
         assert "m[0]:" in doc and "c[0]:" in doc
 
-    def test_worker_count_does_not_change_output(self, golden):
+    def test_threaded_callers_match_serial_call(self, golden, from_threads):
         thetas = sample_thetas(8, 9)
-        t1 = estimate_constants(golden, thetas, 10**4, 2, workers=1)
-        t4 = estimate_constants(golden, thetas, 10**4, 2, workers=4)
-        assert t1.m_v == t4.m_v and t1.c_v == t4.c_v
-        assert t1.m_global == t4.m_global
+
+        def call():
+            t = estimate_constants(golden, thetas, 10**4, 2)
+            return t.m_v, t.c_v, t.m_global
+
+        serial = call()
+        assert all(r == serial for r in from_threads(call))
 
 
 class TestConstantsRegression:
@@ -350,3 +350,14 @@ class TestSampleThetas:
 
     def test_prefix_stable(self):
         assert sample_thetas(10, 42)[:5] == sample_thetas(5, 42)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 1 << 40, 123456789])
+    def test_matches_one_draw_per_theta(self, seed):
+        # the reference: one two-word draw per theta, high word first
+        for n in (0, 1, 5, 1000):
+            rng = np.random.default_rng(seed)
+            expected = []
+            for _ in range(n):
+                hi, lo = rng.integers(0, 1 << 64, size=2, dtype=np.uint64)
+                expected.append(FixedAngle((int(hi) << 64) | int(lo)))
+            assert sample_thetas(n, seed) == expected
