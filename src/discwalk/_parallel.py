@@ -1,4 +1,4 @@
-"""The one per-item loop every per-theta reducer runs through.
+"""The per-item loop the per-theta reducers run through.
 
 Items run in order in the calling thread, so aggregates downstream are
 bit-identical and nothing depends on a thread count.  A thread pool used to

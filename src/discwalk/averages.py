@@ -210,7 +210,8 @@ def reduced_average_series(
     """A_N by streaming the walk over sampled thetas (reduction formula):
     half the fraction of walk times whose height lies in E."""
     return _sampled_series(alpha, b_filter, N_list, n_theta, seed,
-                           lambda i, lo, hi: e.lut(lo, hi), 0.5, "reduced")
+                           lambda idx, lo, hi: e.lut(int(lo.min()), int(hi.max())),
+                           0.5, "reduced")
 
 
 # ---------------------------------------------------------------------------

@@ -341,10 +341,11 @@ class ESet:
 
     The intervals are kept as one sorted edge array [lo_1, hi_1 + 1, lo_2,
     hi_2 + 1, ...]; |v| is in E iff an odd number of edges lie at or below it.
-    ``lut`` slices one read-only membership band over [-R, R], which doubles
-    (up to R = 2**20) when a wider band is asked for; the new band replaces
-    the old in one assignment, so a thread reading the old one still sees a
-    whole band.  A band reaching past 2**20 is computed on its own.
+    ``lut`` and ``signs`` slice two read-only bands over [-R, R], membership
+    and its +/-1 form, which double (up to R = 2**20) when a wider band is
+    asked for; the new pair replaces the old in one assignment, so a thread
+    reading the old pair still sees whole bands.  A band reaching past 2**20
+    is computed on its own.
     """
 
     def __init__(self, bounds: Sequence[Tuple[int, int]]):
@@ -352,7 +353,7 @@ class ESet:
         self.bounds = list(bounds)
         self._edges = np.array([x for lo, hi in self.bounds for x in (lo, hi + 1)],
                                dtype=np.int64)
-        self._band = np.zeros(0, dtype=bool)  # R = -1: built on first use
+        self._bands = _with_signs(np.zeros(0, dtype=bool))  # R = -1: built on first use
 
     @classmethod
     def from_schedule(cls, schedule: Schedule) -> "ESet":
@@ -379,20 +380,36 @@ class ESet:
 
     def lut(self, lo: int, hi: int) -> np.ndarray:
         """Membership table over the height band [lo, hi], for vectorized use."""
-        band = self._band
-        radius = (len(band) - 1) // 2
+        return self._band(lo, hi, 0)
+
+    def signs(self, lo: int, hi: int) -> np.ndarray:
+        """int8 +1 where v is in E and -1 elsewhere, over [lo, hi]: the flip
+        outside E as a factor."""
+        return self._band(lo, hi, 1)
+
+    def _band(self, lo: int, hi: int, k: int) -> np.ndarray:
+        bands = self._bands
+        radius = (len(bands[0]) - 1) // 2
         need = max(-lo, hi)
         if need > radius:
             if need > _LUT_RADIUS_CAP:
-                return self._membership(np.arange(lo, hi + 1))
+                return _with_signs(self._membership(np.arange(lo, hi + 1)))[k]
             radius = min(max(need, 2 * radius, 32), _LUT_RADIUS_CAP)
-            band = self._membership(np.arange(-radius, radius + 1))
-            band.flags.writeable = False
-            self._band = band
-        return band[lo + radius:hi + radius + 1]
+            bands = _with_signs(self._membership(np.arange(-radius, radius + 1)))
+            for band in bands:
+                band.flags.writeable = False
+            self._bands = bands
+        return bands[k][lo + radius:hi + radius + 1]
 
     def __repr__(self):
         return f"ESet({self.bounds})"
+
+
+def _with_signs(member: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    signs = member.astype(np.int8)
+    signs *= 2
+    signs -= 1
+    return member, signs
 
 
 def verify_schedule(schedule: Schedule, c_of: CBound) -> ConditionReport:

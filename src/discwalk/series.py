@@ -13,8 +13,7 @@ import numpy as np
 from .errors import ConfigError, EmptyAfterFilter
 from .filters import AcceptAll
 from .rotation import FixedAngle
-from .walk import check_n_list, level_counts, sample_thetas
-from ._parallel import ordered_map
+from .walk import cell_counts, check_n_list, level_counts, sample_thetas
 
 CSV_HEADER = "N,A,stderr,method,n_theta,seed"
 
@@ -71,23 +70,81 @@ class AverageSeries:
         return cls(entries)
 
 
+# Count entries (thetas x len(N_list) x band width) gathered at a time from
+# a cell table: large enough that per-chunk overhead vanishes, small enough
+# that peak memory stays put.
+_CHUNK_ENTRIES = 1 << 16
+
+
+def _sampled_fractions(
+    alpha: FixedAngle,
+    mask: np.ndarray,
+    thetas: Sequence[FixedAngle],
+    N_list: List[int],
+    level_table: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """fractions[t, i]: the fraction of theta t's first N_list[i] walk times
+    whose level the level table marks; 0.0 for rejected thetas."""
+    n_arr = np.asarray(N_list)
+    fractions = np.zeros((len(thetas), len(N_list)))
+
+    def fill(idx: np.ndarray, v_min: int, counts: np.ndarray) -> None:
+        # counts[t, i, j]: visits of theta idx[t] to level v_min + j
+        seen = counts[:, -1] != 0
+        lo = v_min + seen.argmax(axis=1)
+        hi = v_min + counts.shape[2] - 1 - seen[:, ::-1].argmax(axis=1)
+        band = counts[:, :, lo.min() - v_min:hi.max() - v_min + 1]
+        table = level_table(idx, lo, hi)
+        fractions[idx] = (band @ table[..., None])[..., 0] / n_arr
+
+    accepted = np.flatnonzero(mask)
+    cells = cell_counts(alpha.bits, N_list)
+    if cells is None:
+        for i in accepted.tolist():
+            v_min, counts = level_counts(thetas[i].bits, alpha.bits, N_list)
+            fill(np.array([i]), v_min, counts[None])
+        return fractions
+    step = max(1, _CHUNK_ENTRIES // cells.counts[0].size)
+    for c0 in range(0, len(accepted), step):
+        idx = accepted[c0:c0 + step]
+        fill(idx, -cells.reach, cells.of([thetas[i].bits for i in idx]))
+    return fractions
+
+
 def _sampled_series(
     alpha: FixedAngle,
     b_filter,
     N_list: Sequence[int],
     n_theta: int,
     seed: int,
-    indicator: Callable[[int, int, int], np.ndarray],
+    level_table: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     prefactor: float,
     method: str,
 ) -> AverageSeries:
     """A_N as prefactor times the mean over sampled thetas of the fraction of
-    walk times n < N whose level v has ``indicator(i, lo, hi)[v - lo]`` true:
-    the level table of theta i over its visited band [lo, hi].
+    walk times n < N whose height the level table marks.
 
-    One walk per theta covers every N in the list.  Thetas rejected by the
-    filter contribute zero, folding the accepted fraction into the estimate
-    so it targets the integral over the accepted set.
+    ``level_table(idx, lo, hi)`` gets accepted theta indices (ascending) and
+    the visited band [lo[t], hi[t]] of each, and returns a boolean table over
+    their common band [lo.min(), hi.max()]: one row shared by all, or one row
+    per theta.  It may raise for the first theta whose band it cannot serve.
+
+    A walk of at most n = max N steps is fixed by the cell of
+    rotation.partition_cells(alpha, n) its theta lies in.  So when n is below
+    the block length q (checked before anything is built) and the table
+    stays under 2**22 count entries (walk.cell_counts), one table built per
+    call gives the counts of every cell at every N, and no theta is walked.
+    Accepted thetas are looked up in chunks of about 2**16 count entries,
+    which keeps peak memory where the per-theta loop had it, and a chunk's
+    hits are integer products of its counts with its level table.  Otherwise
+    each accepted theta is walked by walk.level_counts.  Both give the
+    fractions, and so the aggregates, byte for byte.  What remains per theta
+    is the Monte Carlo route's omega draw (about 45 us a theta), most of
+    that route's time.
+
+    Thetas rejected by the filter contribute zero, folding the accepted
+    fraction into the estimate so it targets the integral over the accepted
+    set.
     """
     N_list = check_n_list(N_list)
     if n_theta < 16:
@@ -96,15 +153,7 @@ def _sampled_series(
     mask = (b_filter or AcceptAll()).select(thetas, alpha)
     if not mask.any():
         raise EmptyAfterFilter("no theta samples pass the filter")
-    n_arr = np.asarray(N_list)
-
-    def per_theta(i: int) -> np.ndarray:
-        if not mask[i]:
-            return np.zeros(len(n_arr))
-        v_min, counts = level_counts(thetas[i].bits, alpha.bits, N_list)
-        return counts @ indicator(i, v_min, v_min + counts.shape[1] - 1) / n_arr
-
-    fractions = np.array(ordered_map(per_theta, range(n_theta)))
+    fractions = _sampled_fractions(alpha, mask, thetas, N_list, level_table)
     values = prefactor * fractions.mean(axis=0)
     stderr = prefactor * fractions.std(axis=0, ddof=1) / math.sqrt(n_theta)
     return AverageSeries([

@@ -110,9 +110,8 @@ def apply_T(p: SymbolicPoint, alpha: FixedAngle) -> SymbolicPoint:
 def apply_pi_E(w: SymbolWindow, e: ESet) -> SymbolWindow:
     """Flip every in-window symbol whose current coordinate is outside E."""
     W = w.radius
-    keep = e.lut(-W - w.offset, W - w.offset)
-    values = np.where(keep, w.values, -w.values).astype(np.int8)
-    return SymbolWindow(values=values, offset=w.offset)
+    return SymbolWindow(values=w.values * e.signs(-W - w.offset, W - w.offset),
+                        offset=w.offset)
 
 
 def apply_S(p: SymbolicPoint, alpha: FixedAngle, e: ESet) -> SymbolicPoint:
@@ -177,18 +176,25 @@ def mc_triple_average(
     W = window_radius if window_radius is not None else default_window_radius(
         max(N_list, default=1))
 
-    def indicator(i: int, lo: int, hi: int) -> np.ndarray:
-        worst = lo if -lo > hi else hi  # lo <= 0 <= hi
-        if abs(worst) > W:
-            raise WindowExceeded(f"walk height {worst} exceeds window radius {W}; "
-                                 "re-run with a larger budget", height=worst)
-        omega = sample_omega(W, np.random.SeedSequence(entropy=seed, spawn_key=(1, i)))
-        in_e = e.lut(lo, hi)
+    def level_table(idx: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        # each theta's own band must fit the window; lo <= 0 <= hi
+        worst = np.where(-lo > hi, lo, hi)
+        over = np.flatnonzero(np.abs(worst) > W)
+        if over.size:
+            h = int(worst[over[0]])
+            raise WindowExceeded(f"walk height {h} exceeds window radius {W}; "
+                                 "re-run with a larger budget", height=h)
+        a, b = int(lo.min()), int(hi.max())
+        in_e = e.lut(a, b)
         if fault_inject:
             in_e = ~in_e
-        return in_e & (omega.values[lo + W:hi + W + 1] == 1)
+        rows = np.empty((len(idx), b - a + 1), dtype=bool)
+        for t, i in enumerate(idx.tolist()):
+            omega = sample_omega(W, np.random.SeedSequence(entropy=seed, spawn_key=(1, i)))
+            rows[t] = omega.values[a + W:b + W + 1] == 1
+        return rows & in_e
 
     # no 1/2 prefactor here: averaging over omega already supplies the
     # symbol-cylinder measure
     return _sampled_series(alpha, b_filter, N_list, n_theta, seed,
-                           indicator, 1.0, "montecarlo")
+                           level_table, 1.0, "montecarlo")

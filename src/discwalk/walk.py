@@ -4,7 +4,8 @@ The walk height after k steps is h_k = sum_{i<k} phi(theta + i*alpha), a
 +/-1-step path on the integers.  This module computes prefixes of the walk,
 per-level visit counts at checkpoint times (``level_counts``, the one
 per-theta reducer that every sampled statistic is computed from, which reads
-whole q-step blocks off a cached per-alpha table), the range
+whole q-step blocks off a cached per-alpha table; ``cell_counts`` gives the
+same counts for every walk shorter than q at once), the range
 statistic (number of distinct levels visited), and empirical estimates of
 the occupation constants, the C of the schedule's growth conditions.
 """
@@ -230,16 +231,41 @@ class BlockTable:
         self.hist = hist  # int16: no count exceeds q <= 2**14
         self.reach = reach
 
-    def cells(self, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-        """The cell of each point (hi, lo): the last beginning at or below it.
-        The first beginning is 0, so every point has one."""
-        right = np.searchsorted(self.hi, hi, "right")
-        cell = right - 1
-        # where the point's top word equals a beginning's, compare low words
-        for i in np.flatnonzero(self.hi[cell] == hi):
-            left = int(np.searchsorted(self.hi, hi[i], "left"))
-            cell[i] = left + int(np.searchsorted(self.lo[left:right[i]], lo[i], "right")) - 1
-        return cell
+
+def _last_at_or_below(hi_sorted: np.ndarray, lo_sorted: np.ndarray,
+                      hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """The index of the last beginning (hi_sorted, lo_sorted), in
+    lexicographic order, at or below each point (hi, lo).  The first
+    beginning is 0, so every point has one."""
+    right = np.searchsorted(hi_sorted, hi, "right")
+    cell = right - 1
+    # where the point's top word equals a beginning's, compare low words
+    for i in np.flatnonzero(hi_sorted[cell] == hi):
+        left = int(np.searchsorted(hi_sorted, hi[i], "left"))
+        cell[i] = left + int(np.searchsorted(lo_sorted[left:right[i]], lo[i], "right")) - 1
+    return cell
+
+
+def _window_counts(P: np.ndarray, s: np.ndarray,
+                   lengths: Sequence[int]) -> Tuple[np.ndarray, int]:
+    """(counts, reach): counts[k, i, r + reach] = visits of P[s[k]:s[k] +
+    lengths[i]] to level P[s[k]] + r, where reach is the largest |r| any
+    window visits.  Per level of P, a window's visits are a difference of
+    that level's running count.  Windows are at most 2**14 long, so the
+    counts are int16."""
+    p_min, p_max = int(P.min()), int(P.max())
+    span = p_max - p_min
+    rows, start = np.arange(len(s)), P[s]
+    rel = np.zeros((len(s), len(lengths), 2 * span + 1), dtype=np.int16)
+    running = np.zeros(len(P) + 1, dtype=np.int32)
+    for level in range(p_min, p_max + 1):
+        np.cumsum(P == level, dtype=np.int32, out=running[1:])
+        col = level - start + span
+        for i, length in enumerate(lengths):
+            rel[rows, i, col] = running[s + length] - running[s]
+    used = np.flatnonzero(rel.any(axis=(0, 1))) - span
+    reach = max(-int(used[0]), int(used[-1]))
+    return rel[:, :, span - reach:span + reach + 1], reach
 
 
 @functools.lru_cache(maxsize=64)
@@ -261,22 +287,13 @@ def _build_table(alpha_bits: int, q: int) -> Optional[BlockTable]:
     if q < _MIN_Q:
         return None
     P, order, hi, lo = partition_cells(alpha_bits, q)
-    p_min, p_max = int(P.min()), int(P.max())
-    span = p_max - p_min
-    if span > _MAX_SPAN:
+    if int(P.max()) - int(P.min()) > _MAX_SPAN:
         return None
-    # cell k < q starts its block at P[s], s = q - k, and visits P[s:s + q];
-    # per level, that is a window of the level's running count
+    # cell k < q starts its block at P[s], s = q - k, and visits P[s:s + q]
     s = np.arange(q, 0, -1)
-    rows, start = np.arange(q), P[s]
-    rel = np.zeros((q, 2 * span + 1), dtype=np.int16)
-    running = np.zeros(2 * q + 2, dtype=np.int32)
-    for level in range(p_min, p_max + 1):
-        np.cumsum(P == level, dtype=np.int32, out=running[1:])
-        rel[rows, level - start + span] = running[s + q] - running[s]
-    used = np.flatnonzero(rel.any(axis=0)) - span
-    reach = max(-int(used[0]), int(used[-1]))
-    rel = rel[:, span - reach:span + reach + 1]
+    start = P[s]
+    rel, reach = _window_counts(P, s, [q])
+    rel = rel[:, 0]
     # each cell's place in the order of beginnings; cell q + k mirrors cell k
     pos = np.empty(2 * q, dtype=np.intp)
     pos[order] = np.arange(2 * q)
@@ -306,6 +323,58 @@ def block_table(alpha_bits: int) -> Optional[BlockTable]:
             if len(_tables) > _TABLE_CACHE:
                 _tables.popitem(last=False)
         return _tables[alpha_bits]
+
+
+# ---------------------------------------------------------------------------
+# The cell table.
+#
+# The same argument fixes a whole walk of at most n steps by the cell of
+# rotation.partition_cells(alpha, n) it starts in, so a sampled route with
+# max N = n builds, once per call, the visit counts of every cell at every N
+# and looks each theta up instead of walking it.  It does so only for n < q,
+# where level_counts has no blocks to read, and when the table stays below
+# _MAX_CELL_ENTRIES entries.
+
+_MAX_CELL_ENTRIES = 1 << 22
+
+
+class CellCounts:
+    """``counts[k, i, r + reach]``: the visits of a walk from cell k < n to
+    level r among its first N_list[i] heights.  Cell n + k is the mirror of
+    cell k (r -> -r).  No count, nor any sum of a walk's counts, exceeds
+    n < q <= 2**14, so int16 holds them."""
+
+    def __init__(self, n: int, order: np.ndarray, hi: np.ndarray, lo: np.ndarray,
+                 counts: np.ndarray, reach: int):
+        self.n = n
+        self.order, self.hi, self.lo = order, hi, lo
+        self.counts = counts
+        self.reach = reach
+
+    def of(self, theta_bits: Sequence[int]) -> np.ndarray:
+        """The counts of the walk from each theta, shape
+        (len(theta_bits), len(N_list), 2 * reach + 1)."""
+        words = np.array([divmod(b, 1 << 64) for b in theta_bits],
+                         dtype=np.uint64).reshape(-1, 2)
+        cells = self.order[_last_at_or_below(self.hi, self.lo, words[:, 0], words[:, 1])]
+        mirror = cells >= self.n
+        out = self.counts[np.where(mirror, cells - self.n, cells)]
+        out[mirror] = out[mirror, :, ::-1]
+        return out
+
+
+def cell_counts(alpha_bits: int, N_list: Sequence[int]) -> Optional[CellCounts]:
+    """The cell table for walks of at most n = N_list[-1] steps; None when
+    n >= q or the table would exceed _MAX_CELL_ENTRIES entries."""
+    n = N_list[-1]
+    if n >= block_length(alpha_bits):
+        return None
+    P, order, hi, lo = partition_cells(alpha_bits, n)
+    if n * len(N_list) * (2 * (int(P.max()) - int(P.min())) + 1) > _MAX_CELL_ENTRIES:
+        return None
+    # the walk from cell k < n has heights P[s:s + N] - P[s], s = n - k
+    counts, reach = _window_counts(P, np.arange(n, 0, -1), N_list)
+    return CellCounts(n, order, hi, lo, np.ascontiguousarray(counts), reach)
 
 
 def _merge(acc, lo: int, part: np.ndarray):
@@ -380,7 +449,7 @@ def level_counts(
         b = np.arange(b0, min(b0 + _CHUNK, top), dtype=np.int64)
         hi, lo = orbit_words((theta_bits + b0 * table.step) % MODULUS, table.step,
                              (b - b0).astype(np.uint64))
-        cell = table.cells(hi, lo)
+        cell = _last_at_or_below(table.hi, table.lo, hi, lo)
         inc = table.inc[cell]
         starts = np.cumsum(inc, dtype=np.int64)
         starts += height

@@ -31,7 +31,6 @@ from discwalk import (
     zero_entropy_proxy,
 )
 from discwalk import series as series_module
-from discwalk._parallel import ordered_map
 from discwalk.averages import EXACT_N_CAP
 from discwalk.filters import QuantileFilter
 from discwalk.rotation import HALF, MODULUS, AlphaSpec, FixedAngle, resolve_alpha, walk_heights
@@ -465,15 +464,16 @@ def sampled_rows_reference(alpha, N_list, n_theta, seed, indicator):
 
 def sampled_rows(run):
     """The per-theta fractions a sampled route averages, recorded from its
-    ordered_map call."""
+    _sampled_fractions call."""
     rows = []
+    fractions = series_module._sampled_fractions
 
-    def recording(fn, items, workers=1):
-        out = ordered_map(fn, items, workers)
-        rows.append(np.array(out))
+    def recording(*args):
+        out = fractions(*args)
+        rows.append(out)
         return out
 
-    with mock.patch.object(series_module, "ordered_map", recording):
+    with mock.patch.object(series_module, "_sampled_fractions", recording):
         run()
     (table,) = rows
     return table

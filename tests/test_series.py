@@ -1,0 +1,161 @@
+"""The sampled routes' cell table against walk.level_counts, and their
+output bytes against the per-theta loop they replaced."""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from discwalk import WindowExceeded, make_desk_schedule, mc_triple_average
+from discwalk import series as series_module
+from discwalk.averages import reduced_average_series
+from discwalk.filters import QuantileFilter
+from discwalk.rotation import HALF, MODULUS, AlphaSpec, resolve_alpha
+from discwalk.walk import block_length, cell_counts, level_counts, sample_thetas
+
+ALPHAS = {
+    "golden": AlphaSpec(preset="golden"),
+    "sqrt2m1": AlphaSpec(preset="sqrt2m1"),
+    "sqrt3m1": AlphaSpec(preset="sqrt3m1"),
+    "cf8": AlphaSpec(quotients=[8] * 200, bound=8),
+}
+ALPHA_BITS = {name: resolve_alpha(spec).bits for name, spec in ALPHAS.items()}
+# [0; 3000, 2, 2, ...]: n < q = 15002, but the walk drifts about 1500 levels,
+# so the cell table would be far too large and the routes walk each theta
+WIDE = resolve_alpha(AlphaSpec(quotients=[3000] + [2] * 150, bound=3000))
+# 500 * TIE_ALPHA is within 500 units of 1/2, so the beginnings -k*alpha and
+# 1/2 - (k + 500)*alpha share their top word
+TIE_ALPHA = (501 * MODULUS + 500) // 1000
+PAIRS = [(2, 6), (30, 300)]
+
+
+def assert_cells_match_level_counts(alpha_bits, N_list, theta_bits):
+    cells = cell_counts(alpha_bits, N_list)
+    assert cells is not None
+    rows = cells.of(theta_bits)
+    assert rows.shape == (len(theta_bits), len(N_list), 2 * cells.reach + 1)
+    for theta, row in zip(theta_bits, rows):
+        v_min, counts = level_counts(theta, alpha_bits, N_list)
+        seen = np.flatnonzero(row[-1])
+        # the visited band, and every visit inside it
+        assert (int(seen[0]) - cells.reach, int(seen[-1]) - cells.reach) == (
+            v_min, v_min + counts.shape[1] - 1)
+        assert row.sum(axis=1).tolist() == N_list
+        assert row[:, seen[0]:seen[-1] + 1].tolist() == counts.tolist()
+
+
+class TestCellCounts:
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(sorted(ALPHAS)),
+           lengths=st.sets(st.integers(1, 1 << 14), min_size=1, max_size=4),
+           random=st.lists(st.integers(0, MODULUS - 1), max_size=3),
+           beginnings=st.lists(st.tuples(st.integers(0, 1 << 14), st.booleans(),
+                                         st.integers(-1, 1)), max_size=6))
+    @example(name="golden", lengths={1}, random=[0, MODULUS - 1], beginnings=[(0, True, 0)])
+    @example(name="cf8", lengths={1 << 14}, random=[], beginnings=[(4287, False, -1)])
+    def test_matches_level_counts(self, name, lengths, random, beginnings):
+        alpha = ALPHA_BITS[name]
+        q = block_length(alpha)
+        N_list = sorted({min(N, q - 1) for N in lengths})  # from [1] up to q - 1
+        n = N_list[-1]
+        # on the beginnings -k*alpha and 1/2 - k*alpha, and one unit either side
+        on = [(-(k % n) * alpha + half * HALF + d) % MODULUS for k, half, d in beginnings]
+        assert_cells_match_level_counts(alpha, N_list, random + on)
+
+    @pytest.mark.parametrize("k", [0, 1, 499, 500, 777])
+    @pytest.mark.parametrize("half", [0, HALF])
+    @pytest.mark.parametrize("offset", [-300, -1, 0, 1, 300])
+    def test_beginnings_sharing_a_top_word(self, k, half, offset):
+        assert block_length(TIE_ALPHA) == 1000
+        assert_cells_match_level_counts(TIE_ALPHA, [1, 500, 999],
+                                        [(-k * TIE_ALPHA + half + offset) % MODULUS])
+
+    def test_fallbacks(self, golden):
+        q = block_length(golden.bits)
+        assert cell_counts(golden.bits, [q - 1]) is not None
+        assert cell_counts(golden.bits, [q]) is None
+        assert cell_counts(WIDE.bits, [64, 2048]) is None
+
+
+def routes_match(e, alpha, N_list, n_theta, seed, b_filter, fault_inject, sampled_reference,
+                 window_radius=None):
+    got = reduced_average_series(alpha, e, b_filter, N_list, n_theta, seed).to_csv()
+    assert got == sampled_reference.reduced(alpha, e, b_filter, N_list, n_theta, seed).to_csv()
+    mc_args = dict(b_filter=b_filter, window_radius=window_radius, fault_inject=fault_inject)
+    got = mc_triple_average(alpha, e, N_list, n_theta, seed, **mc_args).to_csv()
+    assert got == sampled_reference.mc(alpha, e, N_list, n_theta, seed, **mc_args).to_csv()
+
+
+class TestSampledRoutesMatchPerThetaLoop:
+    @pytest.mark.parametrize("seed", [1, 7, 2**40])
+    @pytest.mark.parametrize("filtered", [False, True])
+    @pytest.mark.parametrize("fault_inject", [False, True])
+    def test_csv_bytes(self, golden, seed, filtered, fault_inject, sampled_reference,
+                       monkeypatch):
+        monkeypatch.setattr(series_module, "_CHUNK_ENTRIES", 1 << 10)  # several chunks
+        _, e = make_desk_schedule(PAIRS)
+        b_filter = QuantileFilter(q=0.1, horizon=1024) if filtered else None
+        routes_match(e, golden, [1, 64, 331, 1024], 200, seed, b_filter, fault_inject,
+                     sampled_reference)
+
+    @pytest.mark.parametrize("N_list", [[64, 2048], [100, 20000]])
+    def test_fallback_alphas(self, N_list, sampled_reference):
+        # WIDE's table would be too large; at 20000 >= q golden walks blocks
+        _, e = make_desk_schedule(PAIRS)
+        routes_match(e, WIDE, N_list, 32, 5, QuantileFilter(q=0.25, horizon=256), True,
+                     sampled_reference, window_radius=N_list[-1])
+        routes_match(e, resolve_alpha(ALPHAS["golden"]), N_list, 32, 5, None, False,
+                     sampled_reference)
+
+
+def band_of(theta, alpha, N):
+    v_min, counts = level_counts(theta.bits, alpha.bits, [N])
+    return v_min, v_min + counts.shape[1] - 1
+
+
+class BandFilter:
+    """Accept the thetas whose walk of N steps stays within [-W, W]."""
+
+    def __init__(self, N, W):
+        self.N, self.W = N, W
+
+    def select(self, thetas, alpha):
+        return np.array([max(-lo, hi) <= self.W
+                         for lo, hi in (band_of(t, alpha, self.N) for t in thetas)])
+
+
+class TestMcWindowPerTheta:
+    # the first offender is theta 0 at W = 2, theta 4 at W = 3 and 4 (theta 3
+    # also reaches past 3, but is rejected) and theta 8 at W = 5
+    @pytest.mark.parametrize("W", [2, 3, 4, 5, 6, 7])
+    def test_first_offending_theta_raises_as_before(self, golden, W, sampled_reference):
+        _, e = make_desk_schedule(PAIRS)
+        # reject a few thetas up front so the first offender is not always theta 0
+        b_filter = QuantileFilter(q=0.2, horizon=2048)
+        args = (golden, e, [64, 2048], 64, 11)
+        try:
+            expected = sampled_reference.mc(*args, b_filter=b_filter, window_radius=W)
+        except WindowExceeded as ref:
+            with pytest.raises(WindowExceeded) as info:
+                mc_triple_average(*args, b_filter=b_filter, window_radius=W)
+            assert str(info.value) == str(ref)
+            assert info.value.height == ref.height
+        else:
+            got = mc_triple_average(*args, b_filter=b_filter, window_radius=W)
+            assert got.to_csv() == expected.to_csv()
+
+    def test_window_narrower_than_table_band(self, golden, sampled_reference):
+        # rejected thetas reach past W, and so does the cell table; every
+        # accepted theta stays within W, so nothing raises
+        N, W = 2048, 5
+        cells = cell_counts(golden.bits, [64, N])
+        thetas = sample_thetas(64, 13)
+        bands = [band_of(t, golden, N) for t in thetas]
+        assert cells.reach > W
+        assert any(max(-lo, hi) > W for lo, hi in bands)
+        assert any(max(-lo, hi) <= W for lo, hi in bands)
+        _, e = make_desk_schedule(PAIRS)
+        args = (golden, e, [64, N], 64, 13)
+        got = mc_triple_average(*args, b_filter=BandFilter(N, W), window_radius=W)
+        expected = sampled_reference.mc(*args, b_filter=BandFilter(N, W), window_radius=W)
+        assert got.to_csv() == expected.to_csv()

@@ -253,7 +253,11 @@ class TestMcTripleAverage:
         with pytest.raises(EmptyAfterFilter):
             mc_triple_average(golden, e_small, [64], 32, seed=8, b_filter=RejectAll())
 
-    def test_tight_window_reports_height(self, golden, e_small):
+    def test_tight_window_reports_height(self, golden, e_small, sampled_reference):
         with pytest.raises(WindowExceeded) as info:
             mc_triple_average(golden, e_small, [4096], 64, seed=7, window_radius=2)
         assert abs(info.value.height) > 2
+        with pytest.raises(WindowExceeded) as ref:
+            sampled_reference.mc(golden, e_small, [4096], 64, seed=7, window_radius=2)
+        assert str(info.value) == str(ref.value)
+        assert info.value.height == ref.value.height
