@@ -238,7 +238,8 @@ def cmd_walk(alpha, seed, threads, out, theta, n, n_theta):
 @main.command("constants")
 @common_options
 @click.option("--n", type=int, required=True, help="Horizon N >= 16.")
-@click.option("--n-theta", type=int, required=True, help="Number of theta samples.")
+@click.option("--n-theta", type=click.IntRange(min=1), required=True,
+              help="Number of theta samples.")
 @click.option("--v-max", type=click.IntRange(min=0), default=2, help="Largest |level| to estimate.")
 def cmd_constants(alpha, seed, threads, out, n, n_theta, v_max):
     """Estimate the per-level occupation constants from a theta sample."""
@@ -370,7 +371,7 @@ def cmd_average(alpha, seed, threads, out, pairs, n_list, n_theta, routes, filte
 
 @main.command("ratio")
 @common_options
-@click.option("--n-theta", type=int, required=True)
+@click.option("--n-theta", type=click.IntRange(min=1), required=True)
 @click.option("--v-max", type=click.IntRange(min=1), default=3)
 @click.option("--n-list", type=click.UNPROCESSED, required=True,
               help="Comma-separated N checkpoints.")
@@ -390,7 +391,7 @@ def cmd_ratio(alpha, seed, threads, out, n_theta, v_max, n_list):
 
 @main.command("entropy-proxy")
 @common_options
-@click.option("--n-theta", type=int, required=True)
+@click.option("--n-theta", type=click.IntRange(min=1), required=True)
 @click.option("--n-list", type=click.UNPROCESSED, required=True,
               help="Comma-separated horizons.")
 def cmd_entropy_proxy(alpha, seed, threads, out, n_theta, n_list):

@@ -72,8 +72,9 @@ class AverageSeries:
 
 # Count entries (thetas x len(N_list) x band width) gathered at a time from
 # a cell table: large enough that per-chunk overhead vanishes, small enough
-# that peak memory stays put.
-_CHUNK_ENTRIES = 1 << 16
+# that a chunk beside the table (2n rows, mirror cells included) stays under
+# the peak memory sample_thetas already reached.
+_CHUNK_ENTRIES = 1 << 15
 
 
 def _sampled_fractions(
@@ -104,7 +105,7 @@ def _sampled_fractions(
             v_min, counts = level_counts(thetas[i].bits, alpha.bits, N_list)
             fill(np.array([i]), v_min, counts[None])
         return fractions
-    step = max(1, _CHUNK_ENTRIES // cells.counts[0].size)
+    step = max(1, _CHUNK_ENTRIES // cells.hist[0].size)
     for c0 in range(0, len(accepted), step):
         idx = accepted[c0:c0 + step]
         fill(idx, -cells.reach, cells.of([thetas[i].bits for i in idx]))
@@ -131,16 +132,19 @@ def _sampled_series(
 
     A walk of at most n = max N steps is fixed by the cell of
     rotation.partition_cells(alpha, n) its theta lies in.  So when n is below
-    the block length q (checked before anything is built) and the table
-    stays under 2**22 count entries (walk.cell_counts), one table built per
-    call gives the counts of every cell at every N, and no theta is walked.
-    Accepted thetas are looked up in chunks of about 2**16 count entries,
-    which keeps peak memory where the per-theta loop had it, and a chunk's
-    hits are integer products of its counts with its level table.  Otherwise
-    each accepted theta is walked by walk.level_counts.  Both give the
-    fractions, and so the aggregates, byte for byte.  What remains per theta
-    is the Monte Carlo route's omega draw (about 45 us a theta), most of
-    that route's time.
+    the block length q (checked before anything is built) and the table's 2n
+    rows stay within 2**22 count entries, one walk.CellTable built per call
+    (walk.cell_counts) holds the counts of every cell at every N, and each
+    accepted theta's counts are one row of it: no theta is walked.  Accepted
+    thetas are looked up in chunks of about 2**15 count entries, which keeps
+    peak memory where the per-theta loop had it, and a chunk's hits are
+    integer products of its counts with its level table.  Otherwise each
+    accepted theta goes through walk.level_counts, which reads a walk of q
+    or more steps off the cached block table (the same table with n = q) and
+    walks a shorter one, or one on an alpha with no block table, directly.
+    Both give the fractions, and so the aggregates, byte for byte.  What
+    remains per theta is the Monte Carlo route's omega draw (about 45 us a
+    theta), most of that route's time.
 
     Thetas rejected by the filter contribute zero, folding the accepted
     fraction into the estimate so it targets the integral over the accepted

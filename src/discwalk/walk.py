@@ -3,11 +3,12 @@
 The walk height after k steps is h_k = sum_{i<k} phi(theta + i*alpha), a
 +/-1-step path on the integers.  This module computes prefixes of the walk,
 per-level visit counts at checkpoint times (``level_counts``, the one
-per-theta reducer that every sampled statistic is computed from, which reads
-whole q-step blocks off a cached per-alpha table; ``cell_counts`` gives the
-same counts for every walk shorter than q at once), the range
+per-theta reducer that every sampled statistic is computed from), the range
 statistic (number of distinct levels visited), and empirical estimates of
-the occupation constants, the C of the schedule's growth conditions.
+the occupation constants, the C of the schedule's growth conditions.  A
+``CellTable`` fixes every walk of at most n steps by its starting cell: the
+cached block table (n = q) carries long walks, and ``cell_counts`` gives
+every walk shorter than q at once.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -188,84 +189,126 @@ def check_n_list(N_list: Sequence[int]) -> List[int]:
 
 
 # ---------------------------------------------------------------------------
-# The block table.
+# The cell table.
 #
-# Let q be a continued-fraction denominator of alpha.  On each cell of
-# rotation.partition_cells(alpha, q), phi_1 .. phi_q are all constant, so a
-# q-step block of the walk is fixed by the cell its start lies in: its
-# increment phi_q (at most Var phi = 4 in size, by the Denjoy-Koksma
-# inequality) and the histogram of its heights relative to its start.  The
-# table holds both per cell.  A walk reads every block no checkpoint cuts off
-# the table and walks only the rest directly.
+# On each cell of rotation.partition_cells(alpha, n), phi_1 .. phi_n are all
+# constant, so the first n steps of a walk are fixed by the cell its start
+# lies in.  Two kinds of cell table are built:
 #
-# A table is built only where it pays: for q >= _MIN_Q (a shorter block costs
-# more to look up than to walk) and when max P - min P <= _MAX_SPAN (a large
-# quotient near q makes the walk drift and the table grow with the drift:
-# alpha = [0; 3000, 2, 2, ...] has max P - min P = 1502).  It is built on
-# first use, under a lock, and kept in a small LRU cache.
+# - The block table: n = q, the largest continued-fraction denominator of
+#   alpha at most 2**14, and lengths [q]; cached per alpha.  A q-step block
+#   has increment at most Var phi = 4 in size (the Denjoy-Koksma
+#   inequality), and level_counts reads every block off the table.  It is
+#   built only where it pays: for q >= _MIN_Q (a shorter block costs more to
+#   look up than to walk) and when max P - min P <= _MAX_SPAN (a large
+#   quotient near q makes the walk drift and the table grow with the drift:
+#   alpha = [0; 3000, 2, 2, ...] has max P - min P = 1502).
+# - The table of a sampled route: n = max N < q and lengths N_list; built
+#   per call when it stays within _MAX_CELL_ENTRIES count entries.
 
 _MAX_Q = 1 << 14
 _MIN_Q = 1 << 6
 _MAX_SPAN = 64
 _TABLE_CACHE = 8
+_MAX_CELL_ENTRIES = 1 << 22
 _CHUNK = 1 << 14  # blocks looked up at a time
-# Budgets (exit 4), checked before the walk allocates anything: block starts
-# stay where orbit_words is exact, and a directly walked stretch keeps its
-# int64 heights in memory.
+_STRETCH = 1 << 20  # steps of a directly walked stretch in memory at a time
+# Budgets (exit 4), checked before anything is walked or looked up.  A walk's
+# memory does not grow with its length, so both bound its time.
 MAX_BLOCKS = 1 << 32
 MAX_DIRECT_STEPS = 1 << 30
 
 
-class BlockTable:
-    """Per cell, in the order of the cells' beginnings (hi, lo): the block
-    increment ``inc`` and ``hist[c, r]``, the block's visits to level
-    r - reach relative to its start.  A plain class: a dataclass would
-    cost milliseconds at import."""
+class CellTable:
+    """Per cell, in the order of the cells' beginnings: the top word ``hi``
+    of its beginning; the walk from it, with heights sign * (P[start + t] -
+    P[start]) at times t <= n; its increment ``inc`` over n steps; and
+    ``hist[c, i, r + reach]``, its visits to level r among its first
+    lengths[i] heights.  No count exceeds n <= 2**14, so int16 holds them.
+    A plain class: a dataclass would cost milliseconds at import."""
 
-    def __init__(self, q: int, step: int, hi: np.ndarray, lo: np.ndarray,
-                 inc: np.ndarray, hist: np.ndarray, reach: int):
-        self.q = q
-        self.step = step  # q * alpha mod 2**128, from one block start to the next
-        self.hi, self.lo = hi, lo
-        self.inc = inc  # int8
-        self.hist = hist  # int16: no count exceeds q <= 2**14
-        self.reach = reach
+    def __init__(self, alpha_bits: int, n: int, P: np.ndarray, hi: np.ndarray,
+                 start: np.ndarray, sign: np.ndarray, inc: np.ndarray, hist: np.ndarray,
+                 reach: int):
+        self.n = n
+        self.step = n * alpha_bits % MODULUS  # from one block start to the next
+        self.alpha_lo = np.uint64(alpha_bits % (1 << 64))
+        self.P, self.hi = P, hi
+        self.start, self.sign, self.inc = start, sign, inc
+        self.hist, self.reach = hist, reach
+        for a in (P, hi, start, sign, inc, hist):
+            a.flags.writeable = False
+
+    def cells(self, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+        """The cell of each point (hi, lo): the last beginning at or below it,
+        in lexicographic order.  The first beginning is 0, so every point
+        has one."""
+        right = np.searchsorted(self.hi, hi, "right")
+        cell = right - 1
+        # where the point's top word equals a beginning's, compare low words:
+        # those of -k * alpha and 1/2 - k * alpha are both -k * alpha mod 2**64
+        for i in np.flatnonzero(self.hi[cell] == hi):
+            left = int(np.searchsorted(self.hi, hi[i], "left"))
+            k = (self.n - self.start[left:right[i]]).astype(np.uint64)
+            low = np.uint64(0) - k * self.alpha_lo
+            cell[i] = left + int(np.searchsorted(low, lo[i], "right")) - 1
+        return cell
+
+    def of(self, theta_bits: Sequence[int]) -> np.ndarray:
+        """The histograms of the walk from each theta, shape
+        (len(theta_bits), len(lengths), 2 * reach + 1)."""
+        words = np.array([divmod(b, 1 << 64) for b in theta_bits],
+                         dtype=np.uint64).reshape(-1, 2)
+        return self.hist[self.cells(words[:, 0], words[:, 1])]
 
 
-def _last_at_or_below(hi_sorted: np.ndarray, lo_sorted: np.ndarray,
-                      hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """The index of the last beginning (hi_sorted, lo_sorted), in
-    lexicographic order, at or below each point (hi, lo).  The first
-    beginning is 0, so every point has one."""
-    right = np.searchsorted(hi_sorted, hi, "right")
-    cell = right - 1
-    # where the point's top word equals a beginning's, compare low words
-    for i in np.flatnonzero(hi_sorted[cell] == hi):
-        left = int(np.searchsorted(hi_sorted, hi[i], "left"))
-        cell[i] = left + int(np.searchsorted(lo_sorted[left:right[i]], lo[i], "right")) - 1
-    return cell
-
-
-def _window_counts(P: np.ndarray, s: np.ndarray,
+def _window_counts(P: np.ndarray, start: np.ndarray, sign: np.ndarray,
                    lengths: Sequence[int]) -> Tuple[np.ndarray, int]:
-    """(counts, reach): counts[k, i, r + reach] = visits of P[s[k]:s[k] +
-    lengths[i]] to level P[s[k]] + r, where reach is the largest |r| any
-    window visits.  Per level of P, a window's visits are a difference of
-    that level's running count.  Windows are at most 2**14 long, so the
-    counts are int16."""
-    p_min, p_max = int(P.min()), int(P.max())
-    span = p_max - p_min
-    rows, start = np.arange(len(s)), P[s]
-    rel = np.zeros((len(s), len(lengths), 2 * span + 1), dtype=np.int16)
+    """(counts, reach): counts[k, i, r + reach] = visits of the walk
+    sign[k] * (P[start[k] + t] - P[start[k]]), t < lengths[i], to level r,
+    where reach is the largest |r| any walk visits.  Per level of P, a walk's
+    visits are a difference of that level's running count.  A first pass
+    finds reach, so that counts is allocated once at its final size.  Walks
+    are at most 2**14 long, so the counts are int16."""
+    levels = range(int(P.min()), int(P.max()) + 1)
+    base = P[start]
     running = np.zeros(len(P) + 1, dtype=np.int32)
-    for level in range(p_min, p_max + 1):
+    reach = 0
+    for level in levels:  # the longest length visits every level a shorter one does
         np.cumsum(P == level, dtype=np.int32, out=running[1:])
-        col = level - start + span
+        seen = running[start + max(lengths)] > running[start]
+        reach = max(reach, int(np.abs(level - base[seen]).max(initial=0)))
+    width = 2 * reach + 1
+    counts = np.zeros((len(start), len(lengths), width), dtype=np.int16)
+    flat = counts.reshape(-1)
+    at_zero = np.arange(len(start), dtype=np.int32) * (len(lengths) * width) + reach
+    for level in levels:
+        np.cumsum(P == level, dtype=np.int32, out=running[1:])
+        before = running[start]
+        # a walk has no visits to add at a level out of its reach
+        at = at_zero + np.clip(sign * (level - base), -reach, reach)
         for i, length in enumerate(lengths):
-            rel[rows, i, col] = running[s + length] - running[s]
-    used = np.flatnonzero(rel.any(axis=(0, 1))) - span
-    reach = max(-int(used[0]), int(used[-1]))
-    return rel[:, :, span - reach:span + reach + 1], reach
+            flat[at + i * width] += running[start + length] - before
+    return counts, reach
+
+
+def _cell_table(alpha_bits: int, n: int, lengths: Sequence[int],
+                fits: Callable[[int], bool]) -> Optional[CellTable]:
+    """The cell table of alpha for walks of at most n steps; None unless
+    fits(max P - min P)."""
+    P, order, hi, _ = partition_cells(alpha_bits, n)
+    span = int(P.max()) - int(P.min())
+    if not fits(span):
+        return None
+    # P[0] = 0, so every height, and every difference of two, fits in +/-span
+    P = P.astype(np.min_scalar_type(-span - 1))
+    # cell k < n starts its walk at P[n - k]; cell n + k mirrors it
+    start = (n - order % n).astype(np.int32)
+    sign = np.where(order < n, 1, -1).astype(np.int8)
+    del order  # freed before the histograms are allocated
+    hist, reach = _window_counts(P, start, sign, lengths)
+    inc = sign * (P[start + n] - P[start])
+    return CellTable(alpha_bits, n, P, hi, start, sign, inc, hist, reach)
 
 
 @functools.lru_cache(maxsize=64)
@@ -283,36 +326,17 @@ def block_length(alpha_bits: int) -> int:
     return q
 
 
-def _build_table(alpha_bits: int, q: int) -> Optional[BlockTable]:
+def _build_table(alpha_bits: int, q: int) -> Optional[CellTable]:
     if q < _MIN_Q:
         return None
-    P, order, hi, lo = partition_cells(alpha_bits, q)
-    if int(P.max()) - int(P.min()) > _MAX_SPAN:
-        return None
-    # cell k < q starts its block at P[s], s = q - k, and visits P[s:s + q]
-    s = np.arange(q, 0, -1)
-    start = P[s]
-    rel, reach = _window_counts(P, s, [q])
-    rel = rel[:, 0]
-    # each cell's place in the order of beginnings; cell q + k mirrors cell k
-    pos = np.empty(2 * q, dtype=np.intp)
-    pos[order] = np.arange(2 * q)
-    hist = np.empty((2 * q, 2 * reach + 1), dtype=np.int16)
-    hist[pos[:q]] = rel
-    hist[pos[q:]] = rel[:, ::-1]
-    inc = np.empty(2 * q, dtype=np.int8)
-    inc[pos[:q]] = P[s + q] - start
-    inc[pos[q:]] = -inc[pos[:q]]
-    for a in (hi, lo, inc, hist):
-        a.flags.writeable = False
-    return BlockTable(q, q * alpha_bits % MODULUS, hi, lo, inc, hist, reach)
+    return _cell_table(alpha_bits, q, [q], lambda span: span <= _MAX_SPAN)
 
 
-_tables: "OrderedDict[int, Optional[BlockTable]]" = OrderedDict()
+_tables: "OrderedDict[int, Optional[CellTable]]" = OrderedDict()
 _tables_lock = threading.Lock()
 
 
-def block_table(alpha_bits: int) -> Optional[BlockTable]:
+def block_table(alpha_bits: int) -> Optional[CellTable]:
     """The block table of alpha, built once and cached; None where a table
     would not pay."""
     with _tables_lock:
@@ -325,56 +349,16 @@ def block_table(alpha_bits: int) -> Optional[BlockTable]:
         return _tables[alpha_bits]
 
 
-# ---------------------------------------------------------------------------
-# The cell table.
-#
-# The same argument fixes a whole walk of at most n steps by the cell of
-# rotation.partition_cells(alpha, n) it starts in, so a sampled route with
-# max N = n builds, once per call, the visit counts of every cell at every N
-# and looks each theta up instead of walking it.  It does so only for n < q,
-# where level_counts has no blocks to read, and when the table stays below
-# _MAX_CELL_ENTRIES entries.
-
-_MAX_CELL_ENTRIES = 1 << 22
-
-
-class CellCounts:
-    """``counts[k, i, r + reach]``: the visits of a walk from cell k < n to
-    level r among its first N_list[i] heights.  Cell n + k is the mirror of
-    cell k (r -> -r).  No count, nor any sum of a walk's counts, exceeds
-    n < q <= 2**14, so int16 holds them."""
-
-    def __init__(self, n: int, order: np.ndarray, hi: np.ndarray, lo: np.ndarray,
-                 counts: np.ndarray, reach: int):
-        self.n = n
-        self.order, self.hi, self.lo = order, hi, lo
-        self.counts = counts
-        self.reach = reach
-
-    def of(self, theta_bits: Sequence[int]) -> np.ndarray:
-        """The counts of the walk from each theta, shape
-        (len(theta_bits), len(N_list), 2 * reach + 1)."""
-        words = np.array([divmod(b, 1 << 64) for b in theta_bits],
-                         dtype=np.uint64).reshape(-1, 2)
-        cells = self.order[_last_at_or_below(self.hi, self.lo, words[:, 0], words[:, 1])]
-        mirror = cells >= self.n
-        out = self.counts[np.where(mirror, cells - self.n, cells)]
-        out[mirror] = out[mirror, :, ::-1]
-        return out
-
-
-def cell_counts(alpha_bits: int, N_list: Sequence[int]) -> Optional[CellCounts]:
-    """The cell table for walks of at most n = N_list[-1] steps; None when
-    n >= q or the table would exceed _MAX_CELL_ENTRIES entries."""
+def cell_counts(alpha_bits: int, N_list: Sequence[int]) -> Optional[CellTable]:
+    """The cell table for walks of at most n = N_list[-1] steps, with
+    lengths N_list; None when n >= q or its 2n rows would hold more than
+    _MAX_CELL_ENTRIES count entries."""
     n = N_list[-1]
     if n >= block_length(alpha_bits):
         return None
-    P, order, hi, lo = partition_cells(alpha_bits, n)
-    if n * len(N_list) * (2 * (int(P.max()) - int(P.min())) + 1) > _MAX_CELL_ENTRIES:
-        return None
-    # the walk from cell k < n has heights P[s:s + N] - P[s], s = n - k
-    counts, reach = _window_counts(P, np.arange(n, 0, -1), N_list)
-    return CellCounts(n, order, hi, lo, np.ascontiguousarray(counts), reach)
+    rows = 2 * n * len(N_list)
+    return _cell_table(alpha_bits, n, N_list,
+                       lambda span: rows * (2 * span + 1) <= _MAX_CELL_ENTRIES)
 
 
 def _merge(acc, lo: int, part: np.ndarray):
@@ -393,106 +377,97 @@ def _merge(acc, lo: int, part: np.ndarray):
     return a_lo, counts
 
 
+def _add_segments(acc, ends: List[int], t0: int, heights: np.ndarray):
+    """Add the heights h[t0], h[t0 + 1], ... (int64; overwritten) to acc, the
+    heights of times in [ends[i - 1], ends[i]) to row i.  Row i goes to bins
+    [i * width, (i + 1) * width), so one bincount histograms every row."""
+    v_lo = int(heights.min())
+    width = int(heights.max()) - v_lo + 1
+    seg = bisect.bisect_right(ends, t0)
+    cuts = [0] + [c - t0 for c in ends[seg:] if c < t0 + len(heights)] + [len(heights)]
+    for i, (c0, c1) in enumerate(zip(cuts, cuts[1:]), seg):
+        heights[c0:c1] += i * width - v_lo
+    counts = np.bincount(heights, minlength=len(ends) * width).reshape(len(ends), width)
+    return _merge(acc, v_lo, counts)
+
+
 def level_counts(
     theta_bits: int, alpha_bits: int, checkpoints: Sequence[int]
 ) -> Tuple[int, np.ndarray]:
     """(v_min, counts): counts[i, j] = visits to level v_min + j among the
     first checkpoints[i] heights (ascending, >= 1), over the whole visited band.
 
-    The one per-theta walk reducer.  The walk is cut into blocks of q steps
-    (see the block table above).  A block no checkpoint cuts is read off the
-    table; the blocks checkpoints cut, a lone whole block beside them or at
-    the start, and the final partial block are walked directly, adjacent
-    ones as one stretch.  With no table, or fewer than q steps, that stretch
-    is the whole walk.  Heights of checkpoint segment i
-    (between checkpoints i - 1 and i) go to bins [i * width, (i + 1) * width),
-    so one bincount histograms every segment of a stretch or of a chunk of
-    blocks, and a cumsum adds the segments up.  Time O(N/q + q * number of
-    checkpoints), memory O(q + width * number of checkpoints).
+    The one per-theta walk reducer.  With a block table and at least q
+    steps, the walk is cut into q-step blocks and every block is read off
+    the table (see the cell table above): nothing is walked.  Otherwise the
+    walk is walked directly as one stretch, _STRETCH steps at a time, each
+    carrying on from the height the last ended at.  The counts of the
+    heights between checkpoints i - 1 and i go to row i, and a cumsum over
+    rows adds them up.  Time O(N/q + q * number of checkpoints) with a
+    table, O(N) without; memory O(q + width * number of checkpoints), and
+    O(_STRETCH) more without a table.
     """
     ends = list(checkpoints)
     m, n = len(ends), ends[-1]
-    q = block_length(alpha_bits)
-    table = block_table(alpha_bits) if n >= q else None
-    if table is None:
-        q = n + 1
-    blocks = n // q
-    if blocks >= MAX_BLOCKS:
-        raise BudgetExceeded(f"a walk of {n} steps takes {blocks} blocks of {q}; "
-                             f"the budget is {MAX_BLOCKS}")
-    # stretches [a, b) of blocks walked directly: those a checkpoint cuts,
-    # which takes in the final partial one, and a lone whole block next to
-    # them or at the start, which costs more to look up than to walk
-    stretches: List[List[int]] = []
-    for c in ends:
-        d, r = divmod(c, q)
-        if r and stretches and stretches[-1][1] >= d - 1:
-            stretches[-1][1] = d + 1
-        elif r:
-            stretches.append([d if d > 1 else 0, d + 1])
-    for a, b in stretches:
-        if min(b * q, n) - a * q > MAX_DIRECT_STEPS:
-            raise BudgetExceeded(f"a directly walked stretch of {min(b * q, n) - a * q} "
-                                 f"steps exceeds the budget {MAX_DIRECT_STEPS}")
-
-    # blocks from top on are all walked directly, so only those below it are
-    # looked up: for their increments, and for the heights stretches start at
-    top = stretches[-1][0] if stretches and stretches[-1][1] >= blocks else blocks
+    table = block_table(alpha_bits) if n >= block_length(alpha_bits) else None
     acc = None
-    height = 0  # at the start of the next block
-    start_height = {}  # of each stretch, by its first block
-    if top:
+    height = 0  # at the start of the next block or piece of the stretch
+    if table is None:
+        if n > MAX_DIRECT_STEPS:
+            raise BudgetExceeded(f"a directly walked stretch of {n} "
+                                 f"steps exceeds the budget {MAX_DIRECT_STEPS}")
+        for t0 in range(0, n, _STRETCH):
+            # each piece but the last walks one height more: where the next starts
+            heights = walk_heights((theta_bits + t0 * alpha_bits) % MODULUS, alpha_bits,
+                                   min(_STRETCH + 1, n - t0))
+            heights += height
+            height = int(heights[-1])
+            acc = _add_segments(acc, ends, t0, heights[:_STRETCH])
+    else:
+        q = table.n
+        if n // q >= MAX_BLOCKS:
+            raise BudgetExceeded(f"a walk of {n} steps takes {n // q} blocks of {q}; "
+                                 f"the budget is {MAX_BLOCKS}")
         ends_arr = np.array(ends, dtype=np.int64)
-        direct = np.array([d for a, b in stretches for d in range(a, b)], dtype=np.int64)
         width_r = 2 * table.reach + 1
-    for b0 in range(0, top, _CHUNK):
-        b = np.arange(b0, min(b0 + _CHUNK, top), dtype=np.int64)
-        hi, lo = orbit_words((theta_bits + b0 * table.step) % MODULUS, table.step,
-                             (b - b0).astype(np.uint64))
-        cell = _last_at_or_below(table.hi, table.lo, hi, lo)
-        inc = table.inc[cell]
-        starts = np.cumsum(inc, dtype=np.int64)
-        starts += height
-        height = int(starts[-1])
-        starts -= inc
-        for a, _ in stretches:
-            if b0 <= a < b0 + len(b):
-                start_height[a] = int(starts[a - b0])
-        whole = np.ones(len(b), dtype=bool)
-        whole[direct[(direct >= b0) & (direct < b0 + len(b))] - b0] = False
-        if not whole.any():
-            continue
-        cell, starts = cell[whole], starts[whole]
-        low = int(starts.min())
-        width = int(starts.max()) - low + width_r
-        bins = np.searchsorted(ends_arr, b[whole] * q, "right") * width + starts - low
-        bins = (bins[:, None] + np.arange(width_r)).ravel()
-        # every bin sums integers below 2**53, so the float sums are exact
-        part = np.bincount(bins, weights=table.hist[cell].ravel(), minlength=m * width)
-        acc = _merge(acc, low - table.reach, part.astype(np.int64).reshape(m, width))
-    start_height[top] = height
-    padded = acc is not None  # block parts span each block's whole reach
-
-    for a, b in stretches:
-        s, e = a * q, min(b * q, n)
-        heights = walk_heights((theta_bits + s * alpha_bits) % MODULUS, alpha_bits, e - s)
-        v_lo, v_hi = int(heights.min()), int(heights.max())
-        lo_level, width = v_lo + start_height[a], v_hi - v_lo + 1
-        # checkpoints cut the stretch into pieces; the first lies in segment seg
-        seg = bisect.bisect_right(ends, s)
-        cuts = [0] + [c - s for c in ends[seg:] if c < e] + [e - s]
-        for i, (c0, c1) in enumerate(zip(cuts, cuts[1:]), seg):
-            heights[c0:c1] += i * width - v_lo
-        counts = np.bincount(heights, minlength=m * width).reshape(m, width)
-        acc = _merge(acc, lo_level, counts)
+        blocks = -(-n // q)  # the final partial block too
+        for b0 in range(0, blocks, _CHUNK):
+            b = np.arange(b0, min(b0 + _CHUNK, blocks), dtype=np.int64)
+            hi, lo = orbit_words((theta_bits + b0 * table.step) % MODULUS, table.step,
+                                 (b - b0).astype(np.uint64))
+            cell = table.cells(hi, lo)
+            inc = table.inc[cell]
+            starts = np.cumsum(inc, dtype=np.int64)
+            starts += height
+            height = int(starts[-1])
+            starts -= inc
+            # a block is whole when the first checkpoint after its start
+            # is at or past its end; the checkpoint n comes after every start
+            seg = np.searchsorted(ends_arr, b * q, "right")
+            whole = ends_arr[seg] >= (b + 1) * q
+            for j in np.flatnonzero(~whole).tolist():
+                s, t0 = int(table.start[cell[j]]), int(b[j]) * q
+                heights = table.P[s:s + min(q, n - t0)].astype(np.int64)
+                heights -= table.P[s]
+                heights *= table.sign[cell[j]]
+                heights += starts[j]
+                acc = _add_segments(acc, ends, t0, heights)
+            if not whole.any():
+                continue
+            cell, starts = cell[whole], starts[whole]
+            low = int(starts.min())
+            width = int(starts.max()) - low + width_r
+            bins = seg[whole] * width + starts - low
+            bins = (bins[:, None] + np.arange(width_r)).ravel()
+            # every bin sums integers below 2**53, so the float sums are exact
+            part = np.bincount(bins, weights=table.hist[cell].ravel(), minlength=m * width)
+            acc = _merge(acc, low - table.reach, part.astype(np.int64).reshape(m, width))
 
     v_min, counts = acc
     np.cumsum(counts, axis=0, out=counts)
-    if padded:  # trim to the visited band
-        seen = np.flatnonzero(counts[-1])
-        v_min += int(seen[0])
-        counts = counts[:, seen[0]:seen[-1] + 1].copy()
-    return v_min, counts
+    # block histograms span each block's whole reach: trim to the visited band
+    seen = np.flatnonzero(counts[-1])
+    return v_min + int(seen[0]), counts[:, seen[0]:seen[-1] + 1]
 
 
 def band_counts(v_min: int, counts: np.ndarray, v_max: int) -> np.ndarray:

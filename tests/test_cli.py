@@ -303,6 +303,10 @@ class TestBadInput:
         AVERAGE + ["--n-list", "64", "--n-theta", "32", "--filter", "quantile:0.2:-5"],
         AVERAGE + ["--n-list", "64", "--n-theta", "32", "--filter", "quantile:0.2:64:-1"],
         ["walk", "--alpha", "golden", "--n-theta", "2", "--n", "4", "--seed", "-5"],
+        ["ratio", "--alpha", "golden", "--n-theta", "-1", "--n-list", "100", "--seed", "1"],
+        ["entropy-proxy", "--alpha", "golden", "--n-theta", "-3", "--n-list", "100",
+         "--seed", "1"],
+        ["constants", "--alpha", "golden", "--n", "100", "--n-theta", "-2", "--seed", "1"],
         ["ergodicity", "--alpha", "golden", "--n", "8", "--n-samples", "4", "--seed", "-1"],
     ])
     def test_exit_2_with_one_line(self, capsys, argv):

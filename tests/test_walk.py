@@ -208,7 +208,7 @@ class TestBlockKernel:
     @pytest.mark.parametrize("offset", [-300, -1, 0, 1, 300])
     def test_beginnings_sharing_a_top_word(self, k, half, offset):
         table = block_table(TIE_ALPHA)
-        assert table.q == 1000 and (table.hi[1:] == table.hi[:-1]).any()
+        assert table.n == 1000 and (table.hi[1:] == table.hi[:-1]).any()
         theta = (-k * TIE_ALPHA + half + offset) % MODULUS
         assert_matches_heights(theta, TIE_ALPHA, [3000, 5000, 7001])
 
@@ -217,6 +217,33 @@ class TestBlockKernel:
         q = block_length(golden.bits)
         for theta in (0, 2**127 + 12345, MODULUS - 1):
             assert_matches_heights(theta, golden.bits, [5, 2 * q + 1, 5 * q, 11 * q + 7, 20 * q])
+
+    @pytest.mark.parametrize("name", ["golden", "tie"])
+    def test_tabled_walk_walks_nothing(self, golden, monkeypatch, name):
+        alpha = golden.bits if name == "golden" else TIE_ALPHA
+        q = block_length(alpha)
+        assert block_table(alpha) is not None
+        # checkpoints that cut blocks, sit on q * k +/- 1 and end on a partial block
+        checkpoints = [q - 1, q + 1, 2 * q, 3 * q - 1, 3 * q + 1, 5 * q + q // 3]
+        thetas = [0, MODULUS - 1, (-7 * alpha + HALF) % MODULUS, 2**127 + 12345]
+        expected = [level_counts(t, alpha, checkpoints) for t in thetas]
+
+        def no_walks(theta, alpha, n):
+            raise AssertionError(f"walked {n} steps")
+
+        monkeypatch.setattr(walk_module, "walk_heights", no_walks)
+        for theta, (v_min, counts) in zip(thetas, expected):
+            got_min, got = level_counts(theta, alpha, checkpoints)
+            assert got_min == v_min and np.array_equal(got, counts)
+
+    def test_direct_stretch_walked_in_pieces(self, monkeypatch):
+        piece = walk_module._STRETCH
+        assert piece == 1 << 20
+        reading_only_short_walks(monkeypatch, limit=piece + 1)
+        # on both sides of each piece's end, and past the last whole piece
+        edges = [k * piece + d for k in (1, 2, 3) for d in (-1, 0, 1)]
+        for theta in (7, 2**127 + 1):
+            assert_matches_heights(theta, WIDE, [1, 1000] + edges + [3 * piece + 5])
 
     def test_wide_band_alpha_walks_directly(self, monkeypatch):
         assert block_length(WIDE) == 15002 and block_table(WIDE) is None
