@@ -21,7 +21,6 @@ from .rotation import AlphaSpec, FixedAngle, advance, phi, resolve_alpha
 from .walk import (
     ConstantsTable,
     OccupationHistogram,
-    WalkState,
     WalkSummary,
     estimate_constants,
     occupation_band,
@@ -29,7 +28,6 @@ from .walk import (
     range_stat,
     run_walk,
     sample_thetas,
-    walk_step,
 )
 from .eset import (
     ESet,

@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import click
@@ -136,9 +137,12 @@ def parse_int_list(value) -> List[int]:
 
 def parse_theta(value) -> FixedAngle:
     try:
-        return FixedAngle.from_decimal_string(str(value))
+        frac = Fraction(str(value))
+        if 0 <= frac < 1:
+            return FixedAngle.from_fraction(frac)
     except (ValueError, ZeroDivisionError):
-        raise ConfigError(f"bad theta {value!r}; expected a decimal in [0,1)")
+        pass
+    raise ConfigError(f"bad theta {value!r}; expected a decimal in [0,1)")
 
 
 def make_filter(spec):
@@ -414,9 +418,9 @@ def parse_cylinder(value) -> CylinderSpec:
     try:
         constraints = tuple(
             (int(p.split(":")[0]), int(p.split(":")[1])) for p in value.split(","))
-        return CylinderSpec(constraints=constraints)
     except (ValueError, IndexError):
         raise ConfigError(f"bad cylinder spec {value!r}; expected j:i,j:i")
+    return CylinderSpec(constraints=constraints)
 
 
 @main.command("ergodicity")

@@ -44,10 +44,6 @@ class FixedAngle:
         return cls.from_fraction(Fraction(x))
 
     @classmethod
-    def from_decimal_string(cls, s: str) -> "FixedAngle":
-        return cls.from_fraction(Fraction(s))
-
-    @classmethod
     def from_hex(cls, s: str) -> "FixedAngle":
         return cls(int(s, 16) % MODULUS)
 
@@ -156,27 +152,12 @@ def phi(theta: FixedAngle) -> int:
 # Vectorized orbit engine.
 #
 # Orbit points x_j = base + j*alpha (mod 2**128) are produced in blocks of
-# _BLOCK indices; the block base is advanced in exact Python integers.
-#
-# A sign needs only the top 64-bit word of x_j.  With base = b_hi*2**64 + b_lo
-# and alpha = a_hi*2**64 + a_lo, that word is t + c (mod 2**64), where
-# t = b_hi + j*a_hi (mod 2**64) is one uint64 multiply-add and
-# c = (b_lo + j*a_lo) >> 64 is the carry out of the low words.  Since
-# b_lo, a_lo < 2**64, the invariant 0 <= c <= j <= _BLOCK - 1 holds, so adding
-# c flips the top bit of t only when 2**63 - t or 2**64 - t is at most
-# _BLOCK - 1, i.e. when t mod 2**63 >= 2**63 - (_BLOCK - 1).  The signs
-# of exactly those indices are recomputed from the exact words of
-# orbit_words.  For a generic alpha the band holds about one index in 2**47;
-# an alpha with a tiny top word can put whole blocks in it, and then the cost
-# is that of orbit_words.
-#
-# orbit_hi64 takes the top word of every index from orbit_words: the carry c
-# changes the low bits of the word at most indices, not only in the band.
+# _BLOCK indices as exact (hi, lo) 64-bit word pairs; the block base is
+# advanced in exact Python integers.  A sign is the top bit of the exact hi
+# word, carry out of the low words included.
 
 _BLOCK = 1 << 16
 _TOP_BIT = np.uint64(1 << 63)
-_LOW63 = np.uint64((1 << 63) - 1)
-_BAND_START = np.uint64((1 << 63) - (_BLOCK - 1))
 _WORD = (1 << 64) - 1
 
 
@@ -216,29 +197,18 @@ def walk_heights(theta_bits: int, alpha_bits: int, n: int) -> np.ndarray:
     """Cocycle heights h[k] = sum_{i<k} phi(theta + i*alpha), as int64.
 
     h[0] = 0 and h has length n, i.e. it covers the walk prefix of length n.
-    The n - 1 signs are computed a block at a time into one reused buffer
-    and summed straight into h, offset by the height the previous block
-    ended at.
+    The n - 1 signs are read a block at a time from the exact words of
+    orbit_words, over one reused index array, and summed straight into h,
+    offset by the height the previous block ended at.
     """
     heights = np.empty(n, dtype=np.int64)
     heights[0] = 0
-    size = min(n - 1, _BLOCK)
-    j_a_hi = np.arange(size, dtype=np.uint64)
-    j_a_hi *= np.uint64(alpha_bits >> 64)
-    t = np.empty(size, dtype=np.uint64)
-    s = np.empty(size, dtype=bool)
+    j = np.arange(min(n - 1, _BLOCK), dtype=np.uint64)
     for start in range(0, n - 1, _BLOCK):
         size = min(_BLOCK, n - 1 - start)
-        base = (theta_bits + start * alpha_bits) % MODULUS
-        tb, sb = t[:size], s[:size]
-        np.add(j_a_hi[:size], np.uint64(base >> 64), out=tb)
-        np.less(tb, _TOP_BIT, out=sb)
-        np.bitwise_and(tb, _LOW63, out=tb)
-        idx = np.flatnonzero(tb >= _BAND_START)
-        if idx.size:
-            hi, _ = orbit_words(base, alpha_bits, idx.astype(np.uint64))
-            sb[idx] = hi < _TOP_BIT
-        steps = sb.view(np.int8) * np.int8(2)
+        hi, _ = orbit_words((theta_bits + start * alpha_bits) % MODULUS, alpha_bits,
+                            j[:size])
+        steps = (hi < _TOP_BIT).view(np.int8) * np.int8(2)
         steps -= np.int8(1)
         block = heights[start + 1:start + 1 + size]
         np.cumsum(steps, dtype=np.int64, out=block)

@@ -24,40 +24,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import BudgetExceeded, ConfigError, HeightOverflow, InsufficientSamples
-from .rotation import (MODULUS, FixedAngle, advance, orbit_words, partition_cells, phi,
-                       walk_heights)
+from .rotation import MODULUS, FixedAngle, orbit_words, partition_cells, walk_heights
 from ._parallel import ordered_map
 
 _HEIGHT_LIMIT = 1 << 62
-
-
-@dataclass(frozen=True)
-class WalkState:
-    """One position of the scalar (step-at-a-time) walk."""
-
-    theta0: FixedAngle
-    alpha: FixedAngle
-    n: int = 0
-    theta_n: Optional[FixedAngle] = None
-    height: int = 0
-
-    def __post_init__(self):
-        if self.theta_n is None:
-            object.__setattr__(self, "theta_n", advance(self.theta0, self.alpha, self.n))
-
-
-def walk_step(state: WalkState) -> WalkState:
-    step = phi(state.theta_n)
-    new_height = state.height + step
-    if abs(new_height) >= _HEIGHT_LIMIT:
-        raise HeightOverflow(f"walk height {new_height} exceeds 64-bit budget")
-    return WalkState(
-        theta0=state.theta0,
-        alpha=state.alpha,
-        n=state.n + 1,
-        theta_n=advance(state.theta_n, state.alpha, 1),
-        height=new_height,
-    )
 
 
 @dataclass
@@ -550,5 +520,11 @@ def occupation_band(
 
 def sample_thetas(n: int, seed: int) -> List[FixedAngle]:
     """n uniform circle points, deterministic in seed and sample order."""
-    words = np.random.default_rng(seed).integers(0, 1 << 64, size=(n, 2), dtype=np.uint64)
+    rng = np.random.default_rng(seed)
+    try:
+        words = rng.integers(0, 1 << 64, size=(n, 2), dtype=np.uint64)
+    except (MemoryError, ValueError):
+        if n < 0:
+            raise
+        raise BudgetExceeded(f"{n} theta samples do not fit in memory") from None
     return [FixedAngle((hi << 64) | lo) for hi, lo in words.tolist()]

@@ -308,10 +308,39 @@ class TestBadInput:
          "--seed", "1"],
         ["constants", "--alpha", "golden", "--n", "100", "--n-theta", "-2", "--seed", "1"],
         ["ergodicity", "--alpha", "golden", "--n", "8", "--n-samples", "4", "--seed", "-1"],
+        ["walk", "--alpha", "golden", "--theta", "1.5", "--n", "4"],
+        ["walk", "--alpha", "golden", "--theta", "-0.5", "--n", "4"],
+        ["walk", "--alpha", "golden", "--theta", "1e400", "--n", "4"],
     ])
     def test_exit_2_with_one_line(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--cyl-a", "0:1,0:1", "cylinder coordinates must be distinct"),
+        ("--cyl-b", "0:2", "cylinder symbols must be +/-1"),
+    ])
+    def test_cylinder_spec_keeps_its_message(self, capsys, flag, value, message):
+        code, out, err = run(capsys, "ergodicity", "--alpha", "golden", "--n", "10",
+                             "--n-samples", "4", "--seed", "1", flag, value)
+        assert code == 2
+        assert out == ""
+        assert err.strip() == f"config: {message}"
+
+    # the kernel refuses each of these requests outright, so no memory is touched
+    @pytest.mark.parametrize("argv", [
+        ["walk", "--alpha", "golden", "--n", "4", "--seed", "1", "--n-theta", str(10**17)],
+        ["walk", "--alpha", "golden", "--n", "4", "--seed", "1", "--n-theta", str(10**18)],
+        ["walk", "--alpha", "golden", "--n", "4", "--seed", "1", "--n-theta", str(10**20)],
+        AVERAGE + ["--n-list", "64", "--n-theta", str(10**17)],
+        ["ergodicity", "--alpha", "golden", "--n", "8", "--seed", "1",
+         "--n-samples", str(10**17)],
+    ])
+    def test_unallocatable_sample_count_exit_4_with_one_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 4
         assert out == ""
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 

@@ -35,12 +35,13 @@ def _scalar_heights(theta: int, alpha: int, n: int) -> list:
     return heights
 
 
-# Starts that reach the engine's exact recheck: the top word t of an orbit
-# point is computed without the carry c (0 <= c <= j < _BLOCK) out of the
-# low word, so its sign is rechecked when t lies at most _BLOCK - 1 below
-# 2**63 or 2**64.  A top word in that band, an alpha whose top word is
-# small (or whose value is below 2**64) and low words near 2**64, which make
-# the carry as large as it can be, put whole runs of indices in the band.
+# Carry-heavy starts for orbit_words: the top word of an orbit point is the
+# sum of the top words plus the carry c (0 <= c <= j < _BLOCK) out of the low
+# words, and that carry decides the sign when the top word lies at most
+# _BLOCK - 1 below 2**63 or 2**64.  A top word that close, an alpha whose top
+# word is small (or whose value is below 2**64) and low words near 2**64,
+# which make the carry as large as it can be, put whole runs of indices
+# where a lost carry would flip the sign.
 _NEAR = st.integers(0, _BLOCK)
 TOP_IN_BAND = st.one_of(
     _NEAR.map(lambda d: (1 << 63) - d),
@@ -215,20 +216,21 @@ class TestOrbitEngine:
     @settings(max_examples=12, deadline=None)
     @given(theta_hi=TOP_IN_BAND, theta_lo=LOW_WORD, alpha_hi=SMALL_TOP,
            alpha_lo=LOW_WORD, extra=st.integers(2, 64))
-    # every index on the band's edge: alpha = -2**-128, theta top word 2**63
+    # the carry decides every sign: alpha = -2**-128, theta top word 2**63
     @example(theta_hi=1 << 63, theta_lo=WORD - 1, alpha_hi=WORD - 1,
              alpha_lo=WORD - 1, extra=2)
-    # alpha < 2**64: t is constant and in the band; the carry flips the sign
+    # alpha < 2**64: the top words sum to 2**63 - 1 at every index, and the
+    # carry flips the sign
     @example(theta_hi=(1 << 63) - 1, theta_lo=0, alpha_hi=0,
              alpha_lo=WORD - 1, extra=2)
-    # t at the far edge of the band; only the largest carry, c = j =
-    # _BLOCK - 1, flips the sign
+    # top words sum to _BLOCK - 1 below 2**63 or 2**64; only the largest
+    # carry, c = j = _BLOCK - 1, flips the sign
     @example(theta_hi=(1 << 63) - (_BLOCK - 1), theta_lo=WORD - 1, alpha_hi=0,
              alpha_lo=WORD - 1, extra=2)
     @example(theta_hi=WORD - (_BLOCK - 1), theta_lo=WORD - 1, alpha_hi=0,
              alpha_lo=WORD - 1, extra=2)
-    def test_recheck_band_matches_phi(self, theta_hi, theta_lo, alpha_hi,
-                                      alpha_lo, extra):
+    def test_carry_heavy_starts_match_phi(self, theta_hi, theta_lo, alpha_hi,
+                                          alpha_lo, extra):
         # n signs span two block boundaries; the steps of the whole walk
         # against phi(advance(...))
         theta = theta_hi << 64 | theta_lo

@@ -11,14 +11,12 @@ from discwalk import (
     ConfigError,
     FixedAngle,
     InsufficientSamples,
-    WalkState,
     estimate_constants,
     occupation_band,
     psi,
     range_stat,
     run_walk,
     sample_thetas,
-    walk_step,
 )
 from discwalk import walk as walk_module
 from discwalk.rotation import HALF, MODULUS, AlphaSpec, resolve_alpha, walk_heights
@@ -27,23 +25,6 @@ from discwalk.walk import (WalkSummary, band_counts, block_length, block_table,
 
 BITS = st.integers(min_value=0, max_value=MODULUS - 1)
 ZERO = FixedAngle(0)
-
-
-class TestWalkStep:
-    def test_first_step_up(self, golden):
-        s = walk_step(WalkState(theta0=ZERO, alpha=golden))
-        assert (s.n, s.height) == (1, 1)
-
-    def test_second_step_down(self, golden):
-        s = walk_step(walk_step(WalkState(theta0=ZERO, alpha=golden)))
-        assert (s.n, s.height) == (2, 0)
-
-    def test_initial_height_zero(self, golden):
-        assert WalkState(theta0=ZERO, alpha=golden).height == 0
-
-    def test_theta_n_derived(self, golden):
-        s = WalkState(theta0=ZERO, alpha=golden, n=3)
-        assert s.theta_n == FixedAngle(3 * golden.bits % MODULUS)
 
 
 class TestRunWalk:
@@ -388,3 +369,12 @@ class TestSampleThetas:
                 hi, lo = rng.integers(0, 1 << 64, size=2, dtype=np.uint64)
                 expected.append(FixedAngle((int(hi) << 64) | int(lo)))
             assert sample_thetas(n, seed) == expected
+
+    def test_unallocatable_count_is_a_budget_error(self):
+        # numpy refuses these before touching memory; a negative count stays
+        # numpy's own error
+        for n in (10**17, 10**18, 10**20):
+            with pytest.raises(BudgetExceeded, match="do not fit"):
+                sample_thetas(n, 1)
+        with pytest.raises(ValueError, match="negative"):
+            sample_thetas(-1, 1)
