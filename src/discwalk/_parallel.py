@@ -1,14 +1,10 @@
-"""The per-item loop the per-theta reducers run through.
+"""A plain per-item loop, kept only for the benchmark harness.
 
-Items run in order in the calling thread, so aggregates downstream are
-bit-identical and nothing depends on a thread count.  A thread pool used to
-run them when ``workers > 1``, on the grounds that numpy releases the GIL.
-Since the block kernel a theta costs about 1 ms of short numpy calls, and
-two threads fought over the GIL: on a 2-vCPU box ``--threads 2`` was
-slower than ``--threads 1`` on every sampled command (best of 5: ``average``
-at 4000 thetas 1250 against 340 ms, ``ergodicity`` 90 against 58 ms).
+Nothing in the package calls ``ordered_map`` any more: every per-theta
+statistic loops in the calling thread, in sample order.  ``bench/workloads.py``
+imports this module and ``bench/spans.py`` wraps ``ordered_map``, so it goes
+with the bench change that counts work by meaning (ROADMAP item 1).
 ``workers`` is accepted and ignored, since ``bench/spans.py`` still passes it.
-Callers may still call the package from their own threads.
 """
 
 from __future__ import annotations

@@ -26,8 +26,7 @@ from .eset import ESet, Schedule
 from .rotation import HALF, MODULUS, FixedAngle, partition_cells
 from .series import AverageEntry, AverageSeries, _sampled_series
 from .symbolic import CylinderSpec, default_window_radius, sample_omega
-from .walk import band_counts, check_n_list, level_counts, sample_thetas
-from ._parallel import ordered_map
+from .walk import check_n_list, level_counts, sample_thetas, theta_band_counts
 
 EXACT_N_CAP = 1 << 20
 
@@ -348,14 +347,9 @@ def ratio_check(
         raise ConfigError("v_list must name at least one level")
     checkpoints = check_n_list(sorted(N_checkpoints))
     v_max = max((abs(v) for v in v_list), default=0)
-    cols = [v + v_max for v in v_list]
-
-    def per_theta(theta: FixedAngle) -> np.ndarray:
-        counts = band_counts(*level_counts(theta.bits, alpha.bits, checkpoints), v_max)
-        # column v_max counts returns to zero, which is >= 1 since h_0 = 0
-        return (counts[:, cols] / counts[:, [v_max]]).T
-
-    ratios = np.array(ordered_map(per_theta, theta_samples))
+    counts = theta_band_counts(alpha, theta_samples, checkpoints, v_max).transpose(0, 2, 1)
+    # row v_max counts returns to zero, which is >= 1 since h_0 = 0
+    ratios = counts[:, [v + v_max for v in v_list]] / counts[:, [v_max]]
     return RatioTable(checkpoints=checkpoints, v_list=v_list, ratios=ratios)
 
 
@@ -385,8 +379,7 @@ def ergodicity_correlation(
     W = max(reach_a, default_window_radius(N) + reach_b)
     thetas = sample_thetas(n_samples, seed)
 
-    def per_sample(item) -> float:
-        i, theta = item
+    def per_sample(i: int, theta: FixedAngle) -> float:
         omega = sample_omega(W, np.random.SeedSequence(entropy=seed, spawn_key=(2, i)))
         if not cyl_a.holds(omega):
             return 0.0
@@ -399,7 +392,7 @@ def ergodicity_correlation(
             table &= omega.values[v_min + j + W:v_top + j + W + 1] == s
         return int(counts[0] @ table) / N
 
-    vals = np.array(ordered_map(per_sample, list(enumerate(thetas))))
+    vals = np.array([per_sample(i, theta) for i, theta in enumerate(thetas)])
     lhs = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(n_samples))
     return lhs, cyl_a.measure * cyl_b.measure, stderr
@@ -425,11 +418,8 @@ def zero_entropy_proxy(
     if not theta_samples:
         raise InsufficientSamples("need at least 1 theta sample")
     N_list = check_n_list(sorted(N_list))
-
-    def per_theta(theta: FixedAngle) -> np.ndarray:
-        _, counts = level_counts(theta.bits, alpha.bits, N_list)
-        # the visited levels form an interval: steps are +/-1
-        return np.count_nonzero(counts, axis=1) / np.asarray(N_list)
-
-    table = np.array(ordered_map(per_theta, theta_samples))
+    # the visited levels form an interval: steps are +/-1
+    visited = [np.count_nonzero(level_counts(t.bits, alpha.bits, N_list)[1], axis=1)
+               for t in theta_samples]
+    table = np.array(visited) / np.asarray(N_list)
     return RangeDecayTable(N_list=list(N_list), per_theta=table)

@@ -17,7 +17,7 @@ import math
 import os
 import sys
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 import click
 import yaml
@@ -107,32 +107,23 @@ def parse_alpha(value) -> FixedAngle:
     return resolve_alpha(AlphaSpec(preset=value))
 
 
-def parse_pairs(value) -> List[Tuple[int, int]]:
-    """'l:r,l:r' flag form or [[l, r], ...] config form."""
-    if isinstance(value, str):
+def parse_list(value, what: str, form: str) -> list:
+    """A list option in flag form, ``form`` ('l:r,l:r', or 'n,n' for single
+    integers), or config form (a YAML list of such items, an item of several
+    fields as a list): integers, or tuples of as many as an item of form has."""
+    width = form.split(",")[0].count(":") + 1
+    items = value.split(",") if isinstance(value, str) else value
+    parsed = None
+    if isinstance(items, list):
         try:
-            return [
-                (int(piece.split(":")[0]), int(piece.split(":")[1]))
-                for piece in value.split(",")
-            ]
-        except (ValueError, IndexError):
-            raise ConfigError(f"bad interval pairs {value!r}; expected l:r,l:r")
-    try:
-        return [(int(l), int(r)) for l, r in value]
-    except (TypeError, ValueError):
-        raise ConfigError(f"bad interval pairs {value!r}")
-
-
-def parse_int_list(value) -> List[int]:
-    if isinstance(value, str):
-        try:
-            return [int(p) for p in value.split(",")]
-        except ValueError:
-            raise ConfigError(f"bad integer list {value!r}")
-    try:
-        return [int(v) for v in value]
-    except (TypeError, ValueError):
-        raise ConfigError(f"bad integer list {value!r}")
+            parsed = [[int(x) for x in (item.split(":") if isinstance(item, str) else
+                                        item if isinstance(item, list) else [item])]
+                      for item in items]
+        except (TypeError, ValueError, OverflowError):
+            pass
+    if parsed is None or any(len(item) != width for item in parsed):
+        raise ConfigError(f"bad {what} {value!r}; expected {form}")
+    return [item[0] if width == 1 else tuple(item) for item in parsed]
 
 
 def parse_theta(value) -> FixedAngle:
@@ -175,9 +166,21 @@ def header_lines(cfg: Dict) -> str:
 def emit(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w") as f:
             f.write(text)
+    except OSError as e:
+        raise ConfigError(f"cannot write {out}: {e.strerror}")
+
+
+def check_writable(out: Optional[str]) -> None:
+    """Refuse, before anything is written, an output path emit cannot open:
+    a directory, or a file in a directory that does not exist."""
+    if out is not None:
+        where = os.path.dirname(out) or "."
+        require(os.path.isdir(where), f"cannot write {out}: No such file or directory")
+        require(not os.path.isdir(out), f"cannot write {out}: Is a directory")
 
 
 def require(condition: bool, message: str) -> None:
@@ -285,7 +288,7 @@ def cmd_schedule(alpha, seed, threads, out, mode, pairs, schedule_file, c_const,
         schedule = generate_paper_schedule(c_of, m_max, 1.0 if margin is None else margin)
     else:
         require(pairs is not None, "desk mode requires --pairs (or a schedule/config file)")
-        schedule, _ = make_desk_schedule(parse_pairs(pairs))
+        schedule, _ = make_desk_schedule(parse_list(pairs, "interval pairs", "l:r,l:r"))
     report_text = ""
     if c_of is not None:
         report = verify_schedule(schedule, c_of)
@@ -321,8 +324,8 @@ def cmd_average(alpha, seed, threads, out, pairs, n_list, n_theta, routes, filte
     standard errors at every checkpoint; disagreement exits with code 3.
     """
     a = parse_alpha(alpha)
-    pair_list = parse_pairs(pairs) if pairs else []
-    N_list = sorted(parse_int_list(n_list))
+    pair_list = parse_list(pairs, "interval pairs", "l:r,l:r") if pairs else []
+    N_list = sorted(parse_list(n_list, "integer list", "n,n"))
     route_set = set((routes or "reduced").split(","))
     require(route_set <= {"reduced", "exact", "mc"}, f"unknown routes in {routes!r}")
     b_filter = make_filter(filter)
@@ -362,12 +365,13 @@ def cmd_average(alpha, seed, threads, out, pairs, n_list, n_theta, routes, filte
                         f"{ea.value!r} vs {eb.value!r} (tolerance {tol!r})")
 
     primary = series_by_route.get("reduced") or series_by_route[names[0]]
+    report = oscillation_report(primary, schedule)
     cfg = settings()
     body = header_lines(cfg)
     for name in names:
         body += f"# route: {name}\n" + series_by_route[name].to_csv()
+    check_writable(report_out)
     emit(body, out)
-    report = oscillation_report(primary, schedule)
     doc = json.loads(report.to_json())
     doc["config"] = cfg
     emit(json.dumps(doc, indent=2) + "\n", report_out)
@@ -383,7 +387,7 @@ def cmd_ratio(alpha, seed, threads, out, n_theta, v_max, n_list):
     """Per-level visit ratios against returns to zero; emit summary medians."""
     a = parse_alpha(alpha)
     v_list = [v for v in range(-v_max, v_max + 1) if v != 0]
-    checkpoints = sorted(parse_int_list(n_list))
+    checkpoints = sorted(parse_list(n_list, "integer list", "n,n"))
     table = ratio_check(a, sample_thetas(n_theta, require_seed(seed)), v_list, checkpoints)
     lines = [header_lines(settings()) + "v,N,median_ratio,median_abs_dev_from_one"]
     for v in v_list:
@@ -401,7 +405,7 @@ def cmd_ratio(alpha, seed, threads, out, n_theta, v_max, n_list):
 def cmd_entropy_proxy(alpha, seed, threads, out, n_theta, n_list):
     """Visited-range fraction a_N/N per horizon; emit per-N maxima."""
     a = parse_alpha(alpha)
-    N_list = sorted(parse_int_list(n_list))
+    N_list = sorted(parse_list(n_list, "integer list", "n,n"))
     table = zero_entropy_proxy(a, sample_thetas(n_theta, require_seed(seed)), N_list)
     lines = [header_lines(settings()) + "N,max_range_fraction"]
     for N in N_list:
@@ -410,17 +414,10 @@ def cmd_entropy_proxy(alpha, seed, threads, out, n_theta, n_list):
 
 
 def parse_cylinder(value) -> CylinderSpec:
-    """'j:i,j:i' with symbols +-1; empty string for the whole space."""
+    """'j:i,j:i' with symbols +-1, or its config list; empty for the whole space."""
     if value in (None, ""):
         return CylinderSpec(constraints=())
-    if not isinstance(value, str):
-        raise ConfigError(f"bad cylinder spec {value!r}; expected a string j:i,j:i")
-    try:
-        constraints = tuple(
-            (int(p.split(":")[0]), int(p.split(":")[1])) for p in value.split(","))
-    except (ValueError, IndexError):
-        raise ConfigError(f"bad cylinder spec {value!r}; expected j:i,j:i")
-    return CylinderSpec(constraints=constraints)
+    return CylinderSpec(constraints=tuple(parse_list(value, "cylinder spec", "j:i,j:i")))
 
 
 @main.command("ergodicity")

@@ -11,6 +11,7 @@ condition checks, not pointwise membership.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
@@ -30,6 +31,7 @@ _LIFT_LN = _mp.mpf(92)
 _BUMP = _mp.mpf("1e-13")
 
 
+@functools.total_ordering
 class LogNum:
     """A positive number, exact when small, else exp-tower of an mpf.
 
@@ -108,15 +110,6 @@ class LogNum:
 
     def __eq__(self, other):
         return self._key() == LogNum.coerce(other)._key()
-
-    def __le__(self, other):
-        return self < other or self == other
-
-    def __gt__(self, other):
-        return LogNum.coerce(other) < self
-
-    def __ge__(self, other):
-        return LogNum.coerce(other) <= self
 
     def __hash__(self):
         return hash(self._key()[1]) ^ self.depth
@@ -427,28 +420,22 @@ def verify_schedule(schedule: Schedule, c_of: CBound) -> ConditionReport:
         m = m1 + 1
         rhs = LogNum(x=_mp.mpf(1) / m)
         hi = iv.hi
-        b_lhs = LogNum.coerce(c_of(iv.l)).mul(iv.l)
-        b_den = hi.log().sqrt()
-        b_ratio = b_lhs.div_float(b_den.mul(rhs))
-        row = ConditionRow(
-            m=m,
-            b_struct_ok=iv.r > iv.l,
-            b_lhs=b_lhs.div_float(b_den),
-            b_rhs=rhs.to_float(),
-            b_ratio=b_ratio,
-            b_ok=b_lhs < b_den.mul(rhs),
-        )
+        row = ConditionRow(m, iv.r > iv.l, *_margin(
+            LogNum.coerce(c_of(iv.l)).mul(iv.l), hi.log().sqrt(), rhs))
         if m1 + 1 < len(ivs):
             l_next = ivs[m1 + 1].l
-            c_lhs = LogNum.coerce(c_of(hi)).mul(hi.add(1))
-            c_den = l_next.log().sqrt()
             row.c_struct_ok = l_next > hi
-            row.c_lhs = c_lhs.div_float(c_den)
-            row.c_rhs = rhs.to_float()
-            row.c_ratio = c_lhs.div_float(c_den.mul(rhs))
-            row.c_ok = c_lhs < c_den.mul(rhs)
+            row.c_lhs, row.c_rhs, row.c_ratio, row.c_ok = _margin(
+                LogNum.coerce(c_of(hi)).mul(hi.add(1)), l_next.log().sqrt(), rhs)
         report.rows.append(row)
     return report
+
+
+def _margin(lhs: LogNum, den: LogNum, rhs: LogNum) -> Tuple[float, float, float, bool]:
+    """The condition lhs / den < rhs as (lhs / den, rhs, ratio to the bound,
+    whether it holds); the floats saturate at tower depth."""
+    bound = den.mul(rhs)
+    return lhs.div_float(den), rhs.to_float(), lhs.div_float(bound), lhs < bound
 
 
 def generate_paper_schedule(

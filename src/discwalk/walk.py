@@ -25,7 +25,6 @@ import numpy as np
 
 from .errors import BudgetExceeded, ConfigError, HeightOverflow, InsufficientSamples
 from .rotation import MODULUS, FixedAngle, orbit_words, partition_cells, walk_heights
-from ._parallel import ordered_map
 
 _HEIGHT_LIMIT = 1 << 62
 
@@ -447,6 +446,15 @@ def band_counts(v_min: int, counts: np.ndarray, v_max: int) -> np.ndarray:
     return padded[:, -v_min:-v_min + 2 * v_max + 1]
 
 
+def theta_band_counts(alpha: FixedAngle, theta_samples: Sequence[FixedAngle],
+                      checkpoints: Sequence[int], v_max: int) -> np.ndarray:
+    """band_counts of every theta, stacked: [t, i, j] counts the visits of the
+    walk from theta_samples[t] to level j - v_max among its first
+    checkpoints[i] heights."""
+    return np.array([band_counts(*level_counts(t.bits, alpha.bits, checkpoints), v_max)
+                     for t in theta_samples])
+
+
 def occupation_scale(checkpoints: Sequence[int]) -> np.ndarray:
     """The occupation band's normalisation sqrt(log n) / n per checkpoint."""
     return np.array([math.sqrt(math.log(n)) / n for n in checkpoints])
@@ -465,12 +473,7 @@ def estimate_constants(
     if len(theta_samples) < 2:
         raise InsufficientSamples("need at least 2 theta samples")
     checkpoints = [n for n in default_checkpoints(N) if n >= 16]
-
-    def per_theta(theta: FixedAngle) -> np.ndarray:
-        return band_counts(*level_counts(theta.bits, alpha.bits, checkpoints), v_max)
-
-    # tables[t, i, j]: theta t, checkpoints[i], level j - v_max
-    tables = np.array(ordered_map(per_theta, theta_samples))
+    tables = theta_band_counts(alpha, theta_samples, checkpoints, v_max)
     best = (tables * occupation_scale(checkpoints)[:, None]).max(axis=(0, 1))
     m_v = {v: float(x) for v, x in zip(range(-v_max, v_max + 1), best)}
     # c_v[v]: running max of m_u over |u| <= v
@@ -508,13 +511,8 @@ def occupation_band(
     checkpoints = check_n_list(sorted(checkpoints))
     if checkpoints[0] < 16:
         raise ConfigError("checkpoints must be >= 16 so log n > 1")
-
-    def per_theta(theta: FixedAngle) -> np.ndarray:
-        v_min, counts = level_counts(theta.bits, alpha.bits, checkpoints)
-        return counts[:, -v_min]  # returns to zero
-
-    counts = np.array(ordered_map(per_theta, theta_samples), dtype=float)
-    scaled = counts * occupation_scale(checkpoints)
+    returns = theta_band_counts(alpha, theta_samples, checkpoints, 0)[:, :, 0]
+    scaled = returns * occupation_scale(checkpoints)
     return scaled.mean(axis=0), scaled.max(axis=0)
 
 

@@ -148,6 +148,23 @@ class TestAverageCommand:
         assert code == 2 and "exact" in err and len(err.strip().splitlines()) == 1
         assert not out.exists() and not report.exists()
 
+    def test_missing_subsequence_time_writes_nothing(self, capsys, tmp_path):
+        # 331 = l_2 + r_2 + 1 is a subsequence time the report needs
+        out = tmp_path / "series.csv"
+        code, stdout, err = run(capsys, "average", "--alpha", "golden",
+                                "--pairs", "2:6,30:300", "--n-list", "64,256,512",
+                                "--n-theta", "16", "--seed", "1", "--out", str(out))
+        assert code == 2 and "N=331" in err and len(err.strip().splitlines()) == 1
+        assert stdout == "" and not out.exists()
+
+    def test_unwritable_report_out_writes_nothing(self, capsys, tmp_path):
+        out = tmp_path / "series.csv"
+        code, stdout, err = run(capsys, *AVERAGE, "--n-list", "64", "--n-theta", "16",
+                                "--out", str(out),
+                                "--report-out", str(tmp_path / "missing" / "r.json"))
+        assert code == 2 and len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        assert stdout == "" and not out.exists()
+
     def test_thread_count_does_not_change_bytes(self, capsys, tmp_path):
         outs = []
         for i, threads in enumerate(("1", "4")):
@@ -251,6 +268,9 @@ class TestConfigFile:
          "cyl_a: 5"),
         (WALK, "nn: 5"),
         (WALK, "alpha: [golden"),
+        (AVERAGE + ["--n-theta", "32"], "n_list: [.inf]"),
+        (["average", "--alpha", "golden", "--n-list", "64", "--n-theta", "32", "--seed", "1"],
+         "pairs: [[2, 6, 1]]"),
     ])
     def test_bad_config_exit_2_with_one_line(self, capsys, tmp_path, argv, text):
         cfg = self.write(tmp_path, "schema: discwalk-config-v1\n" + text + "\n")
@@ -258,6 +278,17 @@ class TestConfigFile:
         assert code == 2
         assert out == ""
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+    def test_cylinder_list_matches_flag_run(self, capsys, tmp_path):
+        argv = ["ergodicity", "--alpha", "golden", "--n", "1000", "--n-samples", "20",
+                "--seed", "1", "--cyl-b", "0:1"]
+        cfg = self.write(tmp_path, "schema: discwalk-config-v1\ncyl_a: [[0, 1]]\n")
+        code, from_file, _ = run(capsys, *argv, "--config", cfg)
+        assert code == 0
+        code, from_flags, _ = run(capsys, *argv, "--cyl-a", "0:1")
+        assert code == 0
+        # the echoed setting keeps the form it was given in
+        assert from_file.replace("# cyl_a: [[0, 1]]\n", "# cyl_a: 0:1\n") == from_flags
 
     def test_effective_config_echoed(self, capsys, tmp_path):
         cfg = self.write(tmp_path, "schema: discwalk-config-v1\n"
@@ -268,6 +299,15 @@ class TestConfigFile:
 
 
 class TestBadInput:
+    @pytest.mark.parametrize("where", ["directory", "missing directory"])
+    def test_unwritable_out_exit_2_with_one_line(self, capsys, tmp_path, where):
+        out = tmp_path if where == "directory" else tmp_path / "missing" / "x.csv"
+        code, stdout, err = run(capsys, *WALK, "--out", str(out))
+        assert code == 2
+        assert stdout == ""
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        assert err.startswith(f"config: cannot write {out}")
+
     @pytest.mark.parametrize("argv", [
         AVERAGE + ["--n-list", "64", "--n-theta", "5"],
         AVERAGE + ["--n-list", "64", "--n-theta", "5", "--routes", "mc"],
@@ -311,6 +351,9 @@ class TestBadInput:
         ["walk", "--alpha", "golden", "--theta", "1.5", "--n", "4"],
         ["walk", "--alpha", "golden", "--theta", "-0.5", "--n", "4"],
         ["walk", "--alpha", "golden", "--theta", "1e400", "--n", "4"],
+        ["schedule", "--mode", "desk", "--pairs", "2:6:99"],
+        ["ergodicity", "--alpha", "golden", "--n", "8", "--n-samples", "4", "--seed", "1",
+         "--cyl-a", "0:1:7"],
     ])
     def test_exit_2_with_one_line(self, capsys, argv):
         code, out, err = run(capsys, *argv)
