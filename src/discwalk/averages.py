@@ -2,12 +2,13 @@
 
 The average A_N reduces to (1/2) * integral over accepted thetas of the
 fraction of walk times n < N whose height lies in E.  Routes: ``reduced``
-(stream the walk over sampled thetas), ``exact`` (integrate the height step
-function over the finest partition of the circle in fixed point, through
-prefix sums of one two-sided sign sequence; no sampling error), and the
-direct Monte Carlo orbit route in :mod:`discwalk.symbolic`.  The auxiliary
-checks cover the return-ratio convergence, the correlation form of
-ergodicity, and the decay of the visited-range fraction.
+(sampled thetas' visits per level, read through walk.theta_counts),
+``exact`` (integrate the height step function over the finest partition of
+the circle in fixed point, through prefix sums of one two-sided sign
+sequence; no sampling error), and the direct Monte Carlo orbit route in
+:mod:`discwalk.symbolic`.  The auxiliary checks cover the return-ratio
+convergence, the correlation form of ergodicity, and the decay of the
+visited-range fraction.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ import numpy as np
 from .errors import BudgetExceeded, ConfigError, InsufficientSamples, MissingEntries
 from .eset import ESet, Schedule
 from .rotation import HALF, MODULUS, FixedAngle, partition_cells
-from .series import AverageEntry, AverageSeries, _sampled_series
+from .series import AverageEntry, AverageSeries, _sampled_fractions, _sampled_series
 from .symbolic import CylinderSpec, default_window_radius, sample_omega
-from .walk import check_n_list, level_counts, sample_thetas, theta_band_counts
+from .walk import check_n_list, sample_thetas, theta_band_counts, theta_counts
 
 EXACT_N_CAP = 1 << 20
 
@@ -206,8 +207,8 @@ def reduced_average_series(
     n_theta: int,
     seed: int,
 ) -> AverageSeries:
-    """A_N by streaming the walk over sampled thetas (reduction formula):
-    half the fraction of walk times whose height lies in E."""
+    """A_N over sampled thetas by the reduction formula: half the fraction of
+    walk times whose height lies in E."""
     return _sampled_series(alpha, b_filter, N_list, n_theta, seed,
                            lambda idx, lo, hi: e.lut(int(lo.min()), int(hi.max())),
                            0.5, "reduced")
@@ -366,8 +367,8 @@ def ergodicity_correlation(
     Returns (Monte Carlo Cesàro average, product of measures, standard
     error).  T^t shifts the symbols by the walk height h_t, so cylinder B
     holds at time t iff it holds on omega read around level h_t: each
-    sample is the walk's per-level visit counts weighted by a table of B
-    over the visited band.
+    sample where A holds is the walk's per-level visit counts weighted by a
+    table of B over the visited band, and every other sample is 0.
     """
     if N < 1:
         raise ConfigError("N must be >= 1")
@@ -378,21 +379,27 @@ def ergodicity_correlation(
     # cylinder A is read at time 0 only, B around every level the walk visits
     W = max(reach_a, default_window_radius(N) + reach_b)
     thetas = sample_thetas(n_samples, seed)
-
-    def per_sample(i: int, theta: FixedAngle) -> float:
+    # each sample's omega in sample order; a row of zeros where A fails, and
+    # then its theta is never walked
+    try:
+        windows = np.zeros((n_samples, 2 * W + 1), dtype=np.int8)
+    except MemoryError:
+        raise BudgetExceeded(f"{n_samples} symbol windows do not fit in memory") from None
+    for i in range(n_samples):
         omega = sample_omega(W, np.random.SeedSequence(entropy=seed, spawn_key=(2, i)))
-        if not cyl_a.holds(omega):
-            return 0.0
-        v_min, counts = level_counts(theta.bits, alpha.bits, [N])
-        v_top = v_min + counts.shape[1] - 1
-        if max(-v_min, v_top) + reach_b > W:
-            raise BudgetExceeded("walk left the symbol window budget")
-        table = np.ones(counts.shape[1], dtype=bool)
-        for j, s in cyl_b.constraints:
-            table &= omega.values[v_min + j + W:v_top + j + W + 1] == s
-        return int(counts[0] @ table) / N
+        if cyl_a.holds(omega):
+            windows[i] = omega.values
 
-    vals = np.array([per_sample(i, theta) for i, theta in enumerate(thetas)])
+    def level_table(idx: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        if (np.maximum(-lo, hi) + reach_b > W).any():
+            raise BudgetExceeded("walk left the symbol window budget")
+        a, b = int(lo.min()), int(hi.max())
+        table = np.ones((len(idx), b - a + 1), dtype=bool)
+        for j, s in cyl_b.constraints:
+            table &= windows[idx, a + j + W:b + j + W + 1] == s
+        return table
+
+    vals = _sampled_fractions(alpha, windows[:, 0] != 0, thetas, [N], level_table)[:, 0]
     lhs = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(n_samples))
     return lhs, cyl_a.measure * cyl_b.measure, stderr
@@ -419,7 +426,8 @@ def zero_entropy_proxy(
         raise InsufficientSamples("need at least 1 theta sample")
     N_list = check_n_list(sorted(N_list))
     # the visited levels form an interval: steps are +/-1
-    visited = [np.count_nonzero(level_counts(t.bits, alpha.bits, N_list)[1], axis=1)
-               for t in theta_samples]
-    table = np.array(visited) / np.asarray(N_list)
+    visited = np.empty((len(theta_samples), len(N_list)), dtype=np.int64)
+    for idx, _, counts in theta_counts(alpha, theta_samples, N_list):
+        visited[idx] = np.count_nonzero(counts, axis=2)
+    table = visited / np.asarray(N_list)
     return RangeDecayTable(N_list=list(N_list), per_theta=table)

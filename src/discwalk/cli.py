@@ -371,6 +371,8 @@ def cmd_average(alpha, seed, threads, out, pairs, n_list, n_theta, routes, filte
     for name in names:
         body += f"# route: {name}\n" + series_by_route[name].to_csv()
     check_writable(report_out)
+    require(None in (out, report_out) or os.path.realpath(out) != os.path.realpath(report_out),
+            f"--out and --report-out name the same file: {report_out}")
     emit(body, out)
     doc = json.loads(report.to_json())
     doc["config"] = cfg

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .rotation import FixedAngle
-from .walk import band_counts, level_counts, occupation_scale
+from .walk import occupation_scale, theta_band_counts
 
 
 class AcceptAll:
@@ -44,13 +44,16 @@ class QuantileFilter:
         if self.v_max < 0:
             raise ConfigError(f"quantile v_max must be >= 0: {self.v_max}")
 
-    def statistic(self, theta: FixedAngle, alpha: FixedAngle) -> float:
+    def _statistics(self, thetas: Sequence[FixedAngle], alpha: FixedAngle) -> np.ndarray:
         h = self.horizon
         times = [16 << k for k in range(h.bit_length()) if 16 << k < h] + [h]
-        counts = band_counts(*level_counts(theta.bits, alpha.bits, times), self.v_max)
-        return float((counts * occupation_scale(times)[:, None]).max())
+        counts = theta_band_counts(alpha, thetas, times, self.v_max)
+        return (counts * occupation_scale(times)[:, None]).max(axis=(1, 2))
+
+    def statistic(self, theta: FixedAngle, alpha: FixedAngle) -> float:
+        return float(self._statistics([theta], alpha)[0])
 
     def select(self, thetas: Sequence[FixedAngle], alpha: FixedAngle) -> np.ndarray:
-        stats = np.array([self.statistic(t, alpha) for t in thetas])
+        stats = self._statistics(thetas, alpha)
         cutoff = np.quantile(stats, 1.0 - self.q)
         return stats <= cutoff

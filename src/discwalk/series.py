@@ -13,7 +13,7 @@ import numpy as np
 from .errors import ConfigError, EmptyAfterFilter
 from .filters import AcceptAll
 from .rotation import FixedAngle
-from .walk import cell_counts, check_n_list, level_counts, sample_thetas
+from .walk import check_n_list, sample_thetas, theta_counts, visited_band
 
 CSV_HEADER = "N,A,stderr,method,n_theta,seed"
 
@@ -70,13 +70,6 @@ class AverageSeries:
         return cls(entries)
 
 
-# Count entries (thetas x len(N_list) x band width) gathered at a time from
-# a cell table: large enough that per-chunk overhead vanishes, small enough
-# that a chunk beside the table (2n rows, mirror cells included) stays under
-# the peak memory sample_thetas already reached.
-_CHUNK_ENTRIES = 1 << 15
-
-
 def _sampled_fractions(
     alpha: FixedAngle,
     mask: np.ndarray,
@@ -86,29 +79,14 @@ def _sampled_fractions(
 ) -> np.ndarray:
     """fractions[t, i]: the fraction of theta t's first N_list[i] walk times
     whose level the level table marks; 0.0 for rejected thetas."""
-    n_arr = np.asarray(N_list)
     fractions = np.zeros((len(thetas), len(N_list)))
-
-    def fill(idx: np.ndarray, v_min: int, counts: np.ndarray) -> None:
-        # counts[t, i, j]: visits of theta idx[t] to level v_min + j
-        seen = counts[:, -1] != 0
-        lo = v_min + seen.argmax(axis=1)
-        hi = v_min + counts.shape[2] - 1 - seen[:, ::-1].argmax(axis=1)
+    accepted = np.flatnonzero(mask)
+    for idx, v_min, counts in theta_counts(alpha, [thetas[i] for i in accepted], N_list):
+        idx = accepted[idx]
+        lo, hi = visited_band(v_min, counts)
         band = counts[:, :, lo.min() - v_min:hi.max() - v_min + 1]
         table = level_table(idx, lo, hi)
-        fractions[idx] = (band @ table[..., None])[..., 0] / n_arr
-
-    accepted = np.flatnonzero(mask)
-    cells = cell_counts(alpha.bits, N_list)
-    if cells is None:
-        for i in accepted.tolist():
-            v_min, counts = level_counts(thetas[i].bits, alpha.bits, N_list)
-            fill(np.array([i]), v_min, counts[None])
-        return fractions
-    step = max(1, _CHUNK_ENTRIES // cells.hist[0].size)
-    for c0 in range(0, len(accepted), step):
-        idx = accepted[c0:c0 + step]
-        fill(idx, -cells.reach, cells.of([thetas[i].bits for i in idx]))
+        fractions[idx] = (band @ table[..., None])[..., 0] / np.asarray(N_list)
     return fractions
 
 
@@ -129,22 +107,6 @@ def _sampled_series(
     the visited band [lo[t], hi[t]] of each, and returns a boolean table over
     their common band [lo.min(), hi.max()]: one row shared by all, or one row
     per theta.  It may raise for the first theta whose band it cannot serve.
-
-    A walk of at most n = max N steps is fixed by the cell of
-    rotation.partition_cells(alpha, n) its theta lies in.  So when n is below
-    the block length q (checked before anything is built) and the table's 2n
-    rows stay within 2**22 count entries, one walk.CellTable built per call
-    (walk.cell_counts) holds the counts of every cell at every N, and each
-    accepted theta's counts are one row of it: no theta is walked.  Accepted
-    thetas are looked up in chunks of about 2**15 count entries, which keeps
-    peak memory where the per-theta loop had it, and a chunk's hits are
-    integer products of its counts with its level table.  Otherwise each
-    accepted theta goes through walk.level_counts, which reads a walk of q
-    or more steps off the cached block table (the same table with n = q) and
-    walks a shorter one, or one on an alpha with no block table, directly.
-    Both give the fractions, and so the aggregates, byte for byte.  What
-    remains per theta is the Monte Carlo route's omega draw (about 45 us a
-    theta), most of that route's time.
 
     Thetas rejected by the filter contribute zero, folding the accepted
     fraction into the estimate so it targets the integral over the accepted

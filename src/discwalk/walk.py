@@ -2,13 +2,13 @@
 
 The walk height after k steps is h_k = sum_{i<k} phi(theta + i*alpha), a
 +/-1-step path on the integers.  This module computes prefixes of the walk,
-per-level visit counts at checkpoint times (``level_counts``, the one
-per-theta reducer that every sampled statistic is computed from), the range
-statistic (number of distinct levels visited), and empirical estimates of
-the occupation constants, the C of the schedule's growth conditions.  A
-``CellTable`` fixes every walk of at most n steps by its starting cell: the
-cached block table (n = q) carries long walks, and ``cell_counts`` gives
-every walk shorter than q at once.
+per-level visit counts at checkpoint times (``level_counts`` for one theta,
+``theta_counts`` for the many every sampled statistic is computed from), the
+range statistic (number of distinct levels visited), and empirical
+estimates of the occupation constants, the C of the schedule's growth
+conditions.  A ``CellTable`` fixes every walk of at most n steps by its
+starting cell: the cached block table (n = q) carries long walks, and
+``cell_counts`` gives every walk shorter than q at once.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -86,14 +86,9 @@ def run_walk(theta0: FixedAngle, alpha: FixedAngle, N: int) -> WalkSummary:
     max_h = min_h + counts.shape[1] - 1
     if max(abs(min_h), abs(max_h)) >= _HEIGHT_LIMIT:
         raise HeightOverflow("walk height exceeds 64-bit budget")
-    return WalkSummary(
-        theta0=theta0,
-        alpha=alpha,
-        N=N,
-        histogram=OccupationHistogram(min_h, counts[0]),
-        min_height=min_h,
-        max_height=max_h,
-    )
+    return WalkSummary(theta0=theta0, alpha=alpha, N=N,
+                       histogram=OccupationHistogram(min_h, counts[0]),
+                       min_height=min_h, max_height=max_h)
 
 
 def psi(summary: WalkSummary, v: int) -> int:
@@ -172,8 +167,9 @@ def check_n_list(N_list: Sequence[int]) -> List[int]:
 #   look up than to walk) and when max P - min P <= _MAX_SPAN (a large
 #   quotient near q makes the walk drift and the table grow with the drift:
 #   alpha = [0; 3000, 2, 2, ...] has max P - min P = 1502).
-# - The table of a sampled route: n = max N < q and lengths N_list; built
-#   per call when it stays within _MAX_CELL_ENTRIES count entries.
+# - The table of a sampled statistic: n = max N < q and lengths its
+#   checkpoints; built per call by theta_counts when it stays within
+#   _MAX_CELL_ENTRIES count entries.
 
 _MAX_Q = 1 << 14
 _MIN_Q = 1 << 6
@@ -222,13 +218,6 @@ class CellTable:
             low = np.uint64(0) - k * self.alpha_lo
             cell[i] = left + int(np.searchsorted(low, lo[i], "right")) - 1
         return cell
-
-    def of(self, theta_bits: Sequence[int]) -> np.ndarray:
-        """The histograms of the walk from each theta, shape
-        (len(theta_bits), len(lengths), 2 * reach + 1)."""
-        words = np.array([divmod(b, 1 << 64) for b in theta_bits],
-                         dtype=np.uint64).reshape(-1, 2)
-        return self.hist[self.cells(words[:, 0], words[:, 1])]
 
 
 def _window_counts(P: np.ndarray, start: np.ndarray, sign: np.ndarray,
@@ -439,20 +428,61 @@ def level_counts(
     return v_min + int(seen[0]), counts[:, seen[0]:seen[-1] + 1]
 
 
+# Count entries read off a cell table at a time: per-chunk overhead vanishes,
+# and a chunk beside the table stays under the peak sample_thetas reached.
+_CHUNK_ENTRIES = 1 << 15
+
+
+def theta_counts(alpha: FixedAngle, thetas: Sequence[FixedAngle],
+                 checkpoints: Sequence[int]) -> Iterator[Tuple[np.ndarray, int, np.ndarray]]:
+    """Chunks (idx, v_min, counts), idx ascending: counts[t, i, j] = visits of
+    the walk from thetas[idx[t]] to level v_min + j among its first
+    checkpoints[i] heights (ascending, >= 1); unvisited levels read 0.
+
+    The one rule of every sampled statistic: when max N < q and its cell
+    table fits (cell_counts), the table is built once and each theta's
+    counts are its row, looked up about _CHUNK_ENTRIES entries at a time;
+    otherwise each theta goes through level_counts alone.  Same counts.
+    """
+    cells = cell_counts(alpha.bits, checkpoints) if thetas else None  # no table for no theta
+    if cells is None:
+        for i, theta in enumerate(thetas):
+            v_min, counts = level_counts(theta.bits, alpha.bits, checkpoints)
+            yield np.array([i]), v_min, counts[None]
+        return
+    words = np.array([divmod(t.bits, 1 << 64) for t in thetas], dtype=np.uint64)
+    step = max(1, _CHUNK_ENTRIES // cells.hist[0].size)
+    for c0 in range(0, len(thetas), step):
+        w = words[c0:c0 + step]
+        yield np.arange(c0, c0 + len(w)), -cells.reach, cells.hist[cells.cells(w[:, 0], w[:, 1])]
+
+
+def visited_band(v_min: int, counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(lo, hi): the lowest and highest level each theta of a theta_counts
+    chunk visits, from the nonzero columns at its last checkpoint."""
+    seen = counts[:, -1] != 0
+    lo = v_min + seen.argmax(axis=1)
+    hi = v_min + counts.shape[2] - 1 - seen[:, ::-1].argmax(axis=1)
+    return lo, hi
+
+
 def band_counts(v_min: int, counts: np.ndarray, v_max: int) -> np.ndarray:
-    """The columns of level_counts for levels -v_max..v_max; levels the walk
-    never visits read 0.  Every walk visits 0, so v_min <= 0 <= its top."""
-    padded = np.pad(counts, ((0, 0), (v_max, v_max)))
-    return padded[:, -v_min:-v_min + 2 * v_max + 1]
+    """Level counts (last axis: level v_min + j) cut to the levels
+    -v_max..v_max; levels the walk never visits read 0.  Every walk visits
+    0, so v_min <= 0 <= its top."""
+    padded = np.pad(counts, [(0, 0)] * (counts.ndim - 1) + [(v_max, v_max)])
+    return padded[..., -v_min:-v_min + 2 * v_max + 1]
 
 
 def theta_band_counts(alpha: FixedAngle, theta_samples: Sequence[FixedAngle],
                       checkpoints: Sequence[int], v_max: int) -> np.ndarray:
-    """band_counts of every theta, stacked: [t, i, j] counts the visits of the
-    walk from theta_samples[t] to level j - v_max among its first
-    checkpoints[i] heights."""
-    return np.array([band_counts(*level_counts(t.bits, alpha.bits, checkpoints), v_max)
-                     for t in theta_samples])
+    """band_counts of every theta: [t, i, j] counts the visits of the walk
+    from theta_samples[t] to level j - v_max among its first checkpoints[i]
+    heights."""
+    out = np.empty((len(theta_samples), len(checkpoints), 2 * v_max + 1), dtype=np.int64)
+    for idx, v_min, counts in theta_counts(alpha, theta_samples, checkpoints):
+        out[idx] = band_counts(v_min, counts, v_max)
+    return out
 
 
 def occupation_scale(checkpoints: Sequence[int]) -> np.ndarray:
@@ -485,14 +515,8 @@ def estimate_constants(
     mean = returns_at_N.mean()
     m_global = float(returns_at_N.max() / mean) if mean > 0 else float("inf")
 
-    return ConstantsTable(
-        horizon=N,
-        m_v=m_v,
-        c_v=c_v,
-        m_global=m_global,
-        sample_count=len(theta_samples),
-        seed=seed,
-    )
+    return ConstantsTable(horizon=N, m_v=m_v, c_v=c_v, m_global=m_global,
+                          sample_count=len(theta_samples), seed=seed)
 
 
 def occupation_band(

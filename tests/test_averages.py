@@ -31,12 +31,19 @@ from discwalk import (
     zero_entropy_proxy,
 )
 from discwalk import series as series_module
+from discwalk import walk as walk_module
 from discwalk.averages import EXACT_N_CAP
 from discwalk.filters import QuantileFilter
 from discwalk.rotation import HALF, MODULUS, AlphaSpec, FixedAngle, resolve_alpha, walk_heights
 from discwalk.symbolic import default_window_radius, sample_omega
 
 ZERO = FixedAngle(0)
+
+
+def small_chunks():
+    """Read a few thetas a chunk off the cell table, so that calls on a
+    handful of thetas still cross chunk boundaries."""
+    return mock.patch.object(walk_module, "_CHUNK_ENTRIES", 1 << 6)
 
 
 class TestPartitionStepFn:
@@ -246,10 +253,11 @@ class TestErgodicityCorrelation:
         try:
             expected = ergodicity_reference(alpha, cyl_a, cyl_b, N, n_samples, seed)
         except BudgetExceeded:
-            with pytest.raises(BudgetExceeded):
+            with small_chunks(), pytest.raises(BudgetExceeded):
                 run(call)
             return
-        assert all(r == expected for r in run(call))
+        with small_chunks():
+            assert all(r == expected for r in run(call))
 
     def test_walk_beyond_window_budget(self):
         # the walk climbs or falls about 500 levels in its first 1000 steps,
@@ -316,9 +324,10 @@ class TestFilters:
 
         thetas = sample_thetas(40, 2)
         filt = QuantileFilter(q=0.25, horizon=1 << 10)
-        mask = filt.select(thetas, golden)
+        with small_chunks():
+            mask = filt.select(thetas, golden)
+            stats = [filt.statistic(t, golden) for t in thetas]
         assert 0 < mask.sum() < len(thetas)
-        stats = [filt.statistic(t, golden) for t in thetas]
         kept = [s for s, m in zip(stats, mask) if m]
         dropped = [s for s, m in zip(stats, mask) if not m]
         assert max(kept) <= min(dropped)
@@ -378,7 +387,8 @@ class TestSharedOccupationCounter:
     @given(angles, angles, st.integers(1, 5000), st.integers(0, 4))
     def test_quantile_statistic_matches_reference(self, theta, alpha, horizon, v_max):
         filt = QuantileFilter(q=0.5, horizon=horizon, v_max=v_max)
-        assert filt.statistic(theta, alpha) == statistic_reference(filt, theta, alpha)
+        with small_chunks():
+            assert filt.statistic(theta, alpha) == statistic_reference(filt, theta, alpha)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(angles, min_size=1, max_size=3), angles,
@@ -386,7 +396,8 @@ class TestSharedOccupationCounter:
            st.sets(st.integers(1, 3000), min_size=1, max_size=4))
     def test_ratio_check_matches_reference(self, thetas, alpha, v_list, checkpoints):
         checkpoints = sorted(checkpoints)
-        table = ratio_check(alpha, thetas, v_list, checkpoints)
+        with small_chunks():
+            table = ratio_check(alpha, thetas, v_list, checkpoints)
         expected = ratio_reference(alpha, thetas, v_list, checkpoints)
         assert table.ratios.shape == expected.shape
         assert table.ratios.tobytes() == expected.tobytes()
@@ -489,7 +500,8 @@ class TestLevelCountReducers:
            st.sets(st.integers(1, 3000), min_size=1, max_size=4))
     def test_range_matches_running_extremes(self, thetas, alpha, n_set):
         N_list = sorted(n_set)
-        table = zero_entropy_proxy(alpha, thetas, N_list)
+        with small_chunks():
+            table = zero_entropy_proxy(alpha, thetas, N_list)
         assert table.per_theta.tobytes() == range_reference(alpha, thetas, N_list).tobytes()
 
     @settings(max_examples=30, deadline=None)

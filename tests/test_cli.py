@@ -165,6 +165,15 @@ class TestAverageCommand:
         assert code == 2 and len(err.strip().splitlines()) == 1 and "Traceback" not in err
         assert stdout == "" and not out.exists()
 
+    @pytest.mark.parametrize("report_out", ["same.txt", "./same.txt"])
+    def test_out_and_report_out_same_file_writes_nothing(self, capsys, tmp_path, monkeypatch,
+                                                         report_out):
+        monkeypatch.chdir(tmp_path)
+        code, stdout, err = run(capsys, *AVERAGE, "--n-list", "64", "--n-theta", "16",
+                                "--out", "same.txt", "--report-out", report_out)
+        assert code == 2 and "same file" in err and len(err.strip().splitlines()) == 1
+        assert stdout == "" and list(tmp_path.iterdir()) == []
+
     def test_thread_count_does_not_change_bytes(self, capsys, tmp_path):
         outs = []
         for i, threads in enumerate(("1", "4")):

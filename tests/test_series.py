@@ -1,5 +1,7 @@
-"""The sampled routes' cell table against walk.level_counts, and their
-output bytes against the per-theta loop they replaced."""
+"""walk.theta_counts against walk.level_counts on every path, and the
+sampled routes' output bytes against the per-theta loop they replaced."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,11 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from discwalk import WindowExceeded, make_desk_schedule, mc_triple_average
-from discwalk import series as series_module
+from discwalk import walk as walk_module
 from discwalk.averages import reduced_average_series
 from discwalk.filters import QuantileFilter
-from discwalk.rotation import HALF, MODULUS, AlphaSpec, resolve_alpha
-from discwalk.walk import block_length, cell_counts, level_counts, sample_thetas
+from discwalk.rotation import HALF, MODULUS, AlphaSpec, FixedAngle, resolve_alpha
+from discwalk.walk import (block_length, block_table, cell_counts, level_counts, sample_thetas,
+                           theta_counts, visited_band)
 
 ALPHAS = {
     "golden": AlphaSpec(preset="golden"),
@@ -29,19 +32,20 @@ TIE_ALPHA = (501 * MODULUS + 500) // 1000
 PAIRS = [(2, 6), (30, 300)]
 
 
-def assert_cells_match_level_counts(alpha_bits, N_list, theta_bits):
-    cells = cell_counts(alpha_bits, N_list)
-    assert cells is not None
-    rows = cells.of(theta_bits)
-    assert rows.shape == (len(theta_bits), len(N_list), 2 * cells.reach + 1)
-    for theta, row in zip(theta_bits, rows):
-        v_min, counts = level_counts(theta, alpha_bits, N_list)
-        seen = np.flatnonzero(row[-1])
-        # the visited band, and every visit inside it
-        assert (int(seen[0]) - cells.reach, int(seen[-1]) - cells.reach) == (
-            v_min, v_min + counts.shape[1] - 1)
-        assert row.sum(axis=1).tolist() == N_list
-        assert row[:, seen[0]:seen[-1] + 1].tolist() == counts.tolist()
+def assert_theta_counts_match_level_counts(alpha_bits, N_list, theta_bits):
+    """Every theta once, in order; its visited band, and every visit inside
+    it, as level_counts gives them."""
+    thetas = [FixedAngle(b) for b in theta_bits]
+    order = []
+    for idx, v_min, counts in theta_counts(FixedAngle(alpha_bits), thetas, N_list):
+        assert counts.shape[:2] == (len(idx), len(N_list))
+        for i, row, lo, hi in zip(idx.tolist(), counts, *visited_band(v_min, counts)):
+            ref_min, ref = level_counts(theta_bits[i], alpha_bits, N_list)
+            assert (lo, hi) == (ref_min, ref_min + ref.shape[1] - 1)
+            assert row.sum(axis=1).tolist() == N_list
+            assert row[:, lo - v_min:hi - v_min + 1].tolist() == ref.tolist()
+        order += idx.tolist()
+    assert order == list(range(len(thetas)))
 
 
 class TestCellCounts:
@@ -60,15 +64,48 @@ class TestCellCounts:
         n = N_list[-1]
         # on the beginnings -k*alpha and 1/2 - k*alpha, and one unit either side
         on = [(-(k % n) * alpha + half * HALF + d) % MODULUS for k, half, d in beginnings]
-        assert_cells_match_level_counts(alpha, N_list, random + on)
+        assert cell_counts(alpha, N_list) is not None
+        with mock.patch.object(walk_module, "_CHUNK_ENTRIES", 1 << 6):  # several chunks
+            assert_theta_counts_match_level_counts(alpha, N_list, random + on)
 
     @pytest.mark.parametrize("k", [0, 1, 499, 500, 777])
     @pytest.mark.parametrize("half", [0, HALF])
     @pytest.mark.parametrize("offset", [-300, -1, 0, 1, 300])
     def test_beginnings_sharing_a_top_word(self, k, half, offset):
         assert block_length(TIE_ALPHA) == 1000
-        assert_cells_match_level_counts(TIE_ALPHA, [1, 500, 999],
-                                        [(-k * TIE_ALPHA + half + offset) % MODULUS])
+        assert cell_counts(TIE_ALPHA, [1, 500, 999]) is not None
+        assert_theta_counts_match_level_counts(TIE_ALPHA, [1, 500, 999],
+                                               [(-k * TIE_ALPHA + half + offset) % MODULUS])
+
+    # the cell table (N < q, N = 1 included); a direct walk (WIDE's cell
+    # table would not fit, and it has no block table); the block table (N >= q)
+    @pytest.mark.parametrize("alpha, N_list, path", [
+        (ALPHA_BITS["golden"], [1], "cells"),
+        (ALPHA_BITS["golden"], [1, 64, 10945], "cells"),
+        (ALPHA_BITS["cf8"], [7, 4288], "cells"),
+        (WIDE.bits, [64, 2048], "direct"),
+        (ALPHA_BITS["golden"], [100, 10946, 20000], "blocks"),
+        (ALPHA_BITS["cf8"], [4289, 10**5], "blocks"),
+    ])
+    def test_every_path(self, alpha, N_list, path, monkeypatch):
+        monkeypatch.setattr(walk_module, "_CHUNK_ENTRIES", 1 << 8)  # several chunks
+        thetas = [t.bits for t in sample_thetas(24, 3)] + [0, MODULUS - 1]
+        per_theta, one = [], walk_module.level_counts
+        with mock.patch.object(walk_module, "level_counts",
+                               lambda theta, *args: per_theta.append(theta) or one(theta, *args)):
+            chunks = list(theta_counts(FixedAngle(alpha), [FixedAngle(t) for t in thetas],
+                                       N_list))
+        # off the cell table, no theta goes through level_counts
+        assert per_theta == ([] if path == "cells" else thetas)
+        assert (len(chunks) < len(thetas)) == (path == "cells")
+        if path != "cells":
+            assert (block_table(alpha) is not None and N_list[-1] >= block_length(alpha)) == (
+                path == "blocks")
+        assert_theta_counts_match_level_counts(alpha, N_list, thetas)
+
+    def test_no_thetas_no_table(self, golden, monkeypatch):
+        monkeypatch.setattr(walk_module, "cell_counts", None)  # not called
+        assert list(theta_counts(golden, [], [64])) == []
 
     def test_fallbacks(self, golden):
         q = block_length(golden.bits)
@@ -92,7 +129,7 @@ class TestSampledRoutesMatchPerThetaLoop:
     @pytest.mark.parametrize("fault_inject", [False, True])
     def test_csv_bytes(self, golden, seed, filtered, fault_inject, sampled_reference,
                        monkeypatch):
-        monkeypatch.setattr(series_module, "_CHUNK_ENTRIES", 1 << 10)  # several chunks
+        monkeypatch.setattr(walk_module, "_CHUNK_ENTRIES", 1 << 10)  # several chunks
         _, e = make_desk_schedule(PAIRS)
         b_filter = QuantileFilter(q=0.1, horizon=1024) if filtered else None
         routes_match(e, golden, [1, 64, 331, 1024], 200, seed, b_filter, fault_inject,
