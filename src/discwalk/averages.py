@@ -26,7 +26,7 @@ from .errors import BudgetExceeded, ConfigError, InsufficientSamples, MissingEnt
 from .eset import ESet, Schedule
 from .rotation import HALF, MODULUS, FixedAngle, partition_cells
 from .series import AverageEntry, AverageSeries, _sampled_fractions, _sampled_series
-from .symbolic import CylinderSpec, default_window_radius, sample_omega
+from .symbolic import CylinderSpec, default_window_radius, omega_windows
 from .walk import check_n_list, sample_thetas, theta_band_counts, theta_counts
 
 EXACT_N_CAP = 1 << 20
@@ -336,12 +336,12 @@ class RatioTable:
 
 def ratio_check(
     alpha: FixedAngle,
-    theta_samples: Sequence[FixedAngle],
+    theta_samples: np.ndarray,
     v_list: Sequence[int],
     N_checkpoints: Sequence[int],
 ) -> RatioTable:
     """Per-level visit counts relative to returns to zero, per checkpoint."""
-    if not theta_samples:
+    if not len(theta_samples):
         raise InsufficientSamples("need at least 1 theta sample")
     v_list = list(v_list)
     if not v_list:
@@ -379,16 +379,11 @@ def ergodicity_correlation(
     # cylinder A is read at time 0 only, B around every level the walk visits
     W = max(reach_a, default_window_radius(N) + reach_b)
     thetas = sample_thetas(n_samples, seed)
-    # each sample's omega in sample order; a row of zeros where A fails, and
-    # then its theta is never walked
-    try:
-        windows = np.zeros((n_samples, 2 * W + 1), dtype=np.int8)
-    except MemoryError:
-        raise BudgetExceeded(f"{n_samples} symbol windows do not fit in memory") from None
-    for i in range(n_samples):
-        omega = sample_omega(W, np.random.SeedSequence(entropy=seed, spawn_key=(2, i)))
-        if cyl_a.holds(omega):
-            windows[i] = omega.values
+    # every omega, in sample order; a theta whose omega is not in A is never walked
+    windows = omega_windows(seed, 2, range(n_samples), W)
+    in_a = np.ones(n_samples, dtype=bool)
+    for j, s in cyl_a.constraints:
+        in_a &= windows[:, j + W] == s
 
     def level_table(idx: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         if (np.maximum(-lo, hi) + reach_b > W).any():
@@ -399,7 +394,7 @@ def ergodicity_correlation(
             table &= windows[idx, a + j + W:b + j + W + 1] == s
         return table
 
-    vals = _sampled_fractions(alpha, windows[:, 0] != 0, thetas, [N], level_table)[:, 0]
+    vals = _sampled_fractions(alpha, in_a, thetas, [N], level_table)[:, 0]
     lhs = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(n_samples))
     return lhs, cyl_a.measure * cyl_b.measure, stderr
@@ -418,11 +413,11 @@ class RangeDecayTable:
 
 def zero_entropy_proxy(
     alpha: FixedAngle,
-    theta_samples: Sequence[FixedAngle],
+    theta_samples: np.ndarray,
     N_list: Sequence[int],
 ) -> RangeDecayTable:
     """Fraction of distinct heights visited, per theta and horizon."""
-    if not theta_samples:
+    if not len(theta_samples):
         raise InsufficientSamples("need at least 1 theta sample")
     N_list = check_n_list(sorted(N_list))
     # the visited levels form an interval: steps are +/-1

@@ -235,7 +235,8 @@ def cmd_walk(alpha, seed, threads, out, theta, n, n_theta):
         points = [parse_theta(t) for t in theta]
     else:
         require(n_theta is not None, "give at least one --theta, or --n-theta with --seed")
-        points = sample_thetas(n_theta, require_seed(seed))
+        points = [FixedAngle((hi << 64) | lo)
+                  for hi, lo in sample_thetas(n_theta, require_seed(seed)).tolist()]
     from .walk import WalkSummary
 
     rows = [run_walk(t, a, n).csv_row() for t in points]

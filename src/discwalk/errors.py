@@ -5,6 +5,8 @@ or configuration cannot be used) and :class:`BudgetExceeded` (a resource
 budget ran out).  The CLI maps each family to one exit code.
 """
 
+from contextlib import contextmanager
+
 
 class DiscwalkError(Exception):
     """Base class for all errors raised by this package."""
@@ -16,6 +18,18 @@ class ConfigError(DiscwalkError, ValueError):
 
 class BudgetExceeded(DiscwalkError):
     """A resource budget (time, window, height range) was exceeded."""
+
+
+@contextmanager
+def allocating(what: str, size: int):
+    """numpy's refusal of an array (MemoryError, or its ValueError for too large
+    a size or dimension) as BudgetExceeded; a negative size keeps its error."""
+    try:
+        yield
+    except (MemoryError, ValueError):
+        if size < 0:
+            raise
+        raise BudgetExceeded(f"{what} do not fit in memory") from None
 
 
 class UnknownPreset(ConfigError):

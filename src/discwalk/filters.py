@@ -10,7 +10,6 @@ sample ranked by its scaled occupation statistic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -20,7 +19,7 @@ from .walk import occupation_scale, theta_band_counts
 
 
 class AcceptAll:
-    def select(self, thetas: Sequence[FixedAngle], alpha: FixedAngle) -> np.ndarray:
+    def select(self, thetas: np.ndarray, alpha: FixedAngle) -> np.ndarray:
         return np.ones(len(thetas), dtype=bool)
 
 
@@ -44,16 +43,17 @@ class QuantileFilter:
         if self.v_max < 0:
             raise ConfigError(f"quantile v_max must be >= 0: {self.v_max}")
 
-    def _statistics(self, thetas: Sequence[FixedAngle], alpha: FixedAngle) -> np.ndarray:
+    def _statistics(self, thetas: np.ndarray, alpha: FixedAngle) -> np.ndarray:
         h = self.horizon
         times = [16 << k for k in range(h.bit_length()) if 16 << k < h] + [h]
         counts = theta_band_counts(alpha, thetas, times, self.v_max)
         return (counts * occupation_scale(times)[:, None]).max(axis=(1, 2))
 
     def statistic(self, theta: FixedAngle, alpha: FixedAngle) -> float:
-        return float(self._statistics([theta], alpha)[0])
+        words = np.array([divmod(theta.bits, 1 << 64)], dtype=np.uint64)
+        return float(self._statistics(words, alpha)[0])
 
-    def select(self, thetas: Sequence[FixedAngle], alpha: FixedAngle) -> np.ndarray:
+    def select(self, thetas: np.ndarray, alpha: FixedAngle) -> np.ndarray:
         stats = self._statistics(thetas, alpha)
         cutoff = np.quantile(stats, 1.0 - self.q)
         return stats <= cutoff

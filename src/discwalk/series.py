@@ -73,7 +73,7 @@ class AverageSeries:
 def _sampled_fractions(
     alpha: FixedAngle,
     mask: np.ndarray,
-    thetas: Sequence[FixedAngle],
+    thetas: np.ndarray,
     N_list: List[int],
     level_table: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
 ) -> np.ndarray:
@@ -81,7 +81,7 @@ def _sampled_fractions(
     whose level the level table marks; 0.0 for rejected thetas."""
     fractions = np.zeros((len(thetas), len(N_list)))
     accepted = np.flatnonzero(mask)
-    for idx, v_min, counts in theta_counts(alpha, [thetas[i] for i in accepted], N_list):
+    for idx, v_min, counts in theta_counts(alpha, thetas[accepted], N_list):
         idx = accepted[idx]
         lo, hi = visited_band(v_min, counts)
         band = counts[:, :, lo.min() - v_min:hi.max() - v_min + 1]

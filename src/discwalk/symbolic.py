@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, WindowExceeded
+from .errors import ConfigError, WindowExceeded, allocating
 from .eset import ESet
 from .rotation import FixedAngle, advance, phi, walk_heights
 from .series import AverageSeries, _sampled_series
@@ -95,6 +95,16 @@ def sample_omega(radius: int, seed) -> SymbolWindow:
     rng = np.random.default_rng(seed)
     values = (rng.integers(0, 2, size=2 * radius + 1, dtype=np.int8) * 2 - 1)
     return SymbolWindow(values=values)
+
+
+def omega_windows(seed: int, tag: int, idx: Sequence[int], radius: int) -> np.ndarray:
+    """Row t: the window sample_omega(radius, ...) draws from spawn key (tag, idx[t])."""
+    with allocating(f"{len(idx)} windows of {2 * radius + 1} symbols", 2 * radius + 1):
+        windows = np.empty((len(idx), 2 * radius + 1), dtype=np.int8)
+    for t, i in enumerate(idx):
+        key = np.random.SeedSequence(entropy=seed, spawn_key=(tag, int(i)))
+        windows[t] = sample_omega(radius, key).values
+    return windows
 
 
 def apply_T(p: SymbolicPoint, alpha: FixedAngle) -> SymbolicPoint:
@@ -188,11 +198,7 @@ def mc_triple_average(
         in_e = e.lut(a, b)
         if fault_inject:
             in_e = ~in_e
-        rows = np.empty((len(idx), b - a + 1), dtype=bool)
-        for t, i in enumerate(idx.tolist()):
-            omega = sample_omega(W, np.random.SeedSequence(entropy=seed, spawn_key=(1, i)))
-            rows[t] = omega.values[a + W:b + W + 1] == 1
-        return rows & in_e
+        return in_e & (omega_windows(seed, 1, idx, W)[:, a + W:b + W + 1] == 1)
 
     # no 1/2 prefactor here: averaging over omega already supplies the
     # symbol-cylinder measure

@@ -9,13 +9,23 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from discwalk import AlphaSpec, WindowExceeded, resolve_alpha
+from discwalk import AlphaSpec, FixedAngle, WindowExceeded, resolve_alpha
 from discwalk.filters import AcceptAll
 from discwalk.series import AverageEntry, AverageSeries
 from discwalk.symbolic import default_window_radius, sample_omega
 from discwalk.walk import check_n_list, level_counts, sample_thetas
 
 PINNED_PATH = os.path.join(os.path.dirname(__file__), "pinned.json")
+
+
+def theta_words(points):
+    """FixedAngle points as sample_thetas rows: uint64 words (hi, lo)."""
+    return np.array([divmod(p.bits, 1 << 64) for p in points], dtype=np.uint64).reshape(-1, 2)
+
+
+def theta_points(words):
+    """sample_thetas rows as FixedAngle points."""
+    return [FixedAngle((hi << 64) | lo) for hi, lo in words.tolist()]
 
 
 @pytest.fixture(scope="session")
@@ -69,7 +79,7 @@ def sampled_series_reference(alpha, b_filter, N_list, n_theta, seed, indicator,
     mask = (b_filter or AcceptAll()).select(thetas, alpha)
     n_arr = np.asarray(N_list)
     rows = []
-    for i, theta in enumerate(thetas):
+    for i, theta in enumerate(theta_points(thetas)):
         if not mask[i]:
             rows.append(np.zeros(len(n_arr)))
             continue

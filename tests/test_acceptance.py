@@ -13,6 +13,8 @@ import mpmath
 import numpy as np
 import pytest
 
+from conftest import theta_points
+
 from discwalk import (
     AlphaSpec,
     CylinderSpec,
@@ -215,7 +217,7 @@ def test_criterion_9_structural_suites(golden, from_threads):
     # S-conjugacy: S^n = pi o T^n o pi, symbol-for-symbol, n <= 1e3, 1e3 points
     n_steps = 10**3
     thetas = sample_thetas(10**3, 31)
-    for i, theta in enumerate(thetas):
+    for i, theta in enumerate(theta_points(thetas)):
         omega = sample_omega(60, 10**6 + i)
         s_pt = SymbolicPoint(theta, omega)
         t_pt = SymbolicPoint(theta, apply_pi_E(omega, e))
@@ -236,7 +238,7 @@ def test_criterion_9_structural_suites(golden, from_threads):
         assert p.window.offset == heights[n]
 
     # conservation: per-level visit counts sum to N
-    for theta in sample_thetas(100, 37):
+    for theta in theta_points(sample_thetas(100, 37)):
         N = int(rng.integers(1, 5000))
         assert run_walk(theta, golden, N).histogram.total == N
 

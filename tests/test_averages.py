@@ -7,6 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import theta_points, theta_words
+
 from discwalk import (
     AverageEntry,
     AverageSeries,
@@ -173,7 +175,7 @@ class TestRatioCheck:
 
     def test_theta0_golden_n4_v1(self, golden):
         # heights (0,1,0,1): two visits each to 0 and 1
-        table = ratio_check(golden, [ZERO], [1], [4])
+        table = ratio_check(golden, theta_words([ZERO]), [1], [4])
         assert table.median(1, 4) == 1.0
 
     def test_median_abs_dev(self, golden):
@@ -189,7 +191,7 @@ def ergodicity_reference(alpha, cyl_a, cyl_b, N, n_samples, seed):
     reach_b = max((abs(j) for j, _ in cyl_b.constraints), default=0)
     W = max(reach_a, default_window_radius(N) + reach_b)
     vals = []
-    for i, theta in enumerate(sample_thetas(n_samples, seed)):
+    for i, theta in enumerate(theta_points(sample_thetas(n_samples, seed))):
         omega = sample_omega(W, np.random.SeedSequence(entropy=seed, spawn_key=(2, i)))
         if not cyl_a.holds(omega):
             vals.append(0.0)
@@ -274,7 +276,7 @@ class TestZeroEntropyProxy:
         assert np.all(table.per_theta == 1.0)
 
     def test_theta0_golden_n4(self, golden):
-        table = zero_entropy_proxy(golden, [ZERO], [4])
+        table = zero_entropy_proxy(golden, theta_words([ZERO]), [4])
         assert table.max_at(4) == 0.5
 
 
@@ -326,7 +328,7 @@ class TestFilters:
         filt = QuantileFilter(q=0.25, horizon=1 << 10)
         with small_chunks():
             mask = filt.select(thetas, golden)
-            stats = [filt.statistic(t, golden) for t in thetas]
+            stats = [filt.statistic(t, golden) for t in theta_points(thetas)]
         assert 0 < mask.sum() < len(thetas)
         kept = [s for s, m in zip(stats, mask) if m]
         dropped = [s for s, m in zip(stats, mask) if not m]
@@ -397,7 +399,7 @@ class TestSharedOccupationCounter:
     def test_ratio_check_matches_reference(self, thetas, alpha, v_list, checkpoints):
         checkpoints = sorted(checkpoints)
         with small_chunks():
-            table = ratio_check(alpha, thetas, v_list, checkpoints)
+            table = ratio_check(alpha, theta_words(thetas), v_list, checkpoints)
         expected = ratio_reference(alpha, thetas, v_list, checkpoints)
         assert table.ratios.shape == expected.shape
         assert table.ratios.tobytes() == expected.tobytes()
@@ -470,7 +472,7 @@ def sampled_rows_reference(alpha, N_list, n_theta, seed, indicator):
     n_arr = np.asarray(N_list)
     return np.array([
         np.cumsum(indicator(i, walk_heights(t.bits, alpha.bits, N_list[-1])))[n_arr - 1]
-        / n_arr for i, t in enumerate(sample_thetas(n_theta, seed))])
+        / n_arr for i, t in enumerate(theta_points(sample_thetas(n_theta, seed)))])
 
 
 def sampled_rows(run):
@@ -501,7 +503,7 @@ class TestLevelCountReducers:
     def test_range_matches_running_extremes(self, thetas, alpha, n_set):
         N_list = sorted(n_set)
         with small_chunks():
-            table = zero_entropy_proxy(alpha, thetas, N_list)
+            table = zero_entropy_proxy(alpha, theta_words(thetas), N_list)
         assert table.per_theta.tobytes() == range_reference(alpha, thetas, N_list).tobytes()
 
     @settings(max_examples=30, deadline=None)
@@ -545,13 +547,13 @@ class TestExactReference:
 class TestSampleCountChecks:
     def test_empty_theta_samples(self, golden):
         with pytest.raises(InsufficientSamples):
-            ratio_check(golden, [], [1], [10])
+            ratio_check(golden, theta_words([]), [1], [10])
         with pytest.raises(InsufficientSamples):
-            zero_entropy_proxy(golden, [], [10])
+            zero_entropy_proxy(golden, theta_words([]), [10])
 
     def test_empty_v_list(self, golden):
         with pytest.raises(ConfigError):
-            ratio_check(golden, [ZERO], [], [10])
+            ratio_check(golden, theta_words([ZERO]), [], [10])
 
     @pytest.mark.parametrize("N, n_samples, error", [
         (0, 4, ConfigError), (8, 1, InsufficientSamples), (8, 0, InsufficientSamples)])

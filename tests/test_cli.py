@@ -389,6 +389,20 @@ class TestBadInput:
         AVERAGE + ["--n-list", "64", "--n-theta", str(10**17)],
         ["ergodicity", "--alpha", "golden", "--n", "8", "--seed", "1",
          "--n-samples", str(10**17)],
+        # a band of 2 * v_max + 1 levels per theta and checkpoint
+        ["constants", "--alpha", "golden", "--n", "100", "--n-theta", "2", "--seed", "1",
+         "--v-max", str(10**15)],
+        ["constants", "--alpha", "golden", "--n", "100", "--n-theta", "2", "--seed", "1",
+         "--v-max", str(10**22)],
+        AVERAGE + ["--n-list", "64", "--n-theta", "16",
+                   "--filter", f"quantile:0.2:64:{10**15}"],
+        # a symbol window as wide as the farthest cylinder coordinate
+        ["ergodicity", "--alpha", "golden", "--n", "8", "--n-samples", "20", "--seed", "1",
+         "--cyl-a", f"{10**22}:1"],
+        ["ergodicity", "--alpha", "golden", "--n", "8", "--n-samples", "20", "--seed", "1",
+         "--cyl-b", f"{10**19}:1"],
+        ["ergodicity", "--alpha", "golden", "--n", "8", "--n-samples", "20", "--seed", "1",
+         "--cyl-a", f"{10**15}:1"],
     ])
     def test_unallocatable_sample_count_exit_4_with_one_line(self, capsys, argv):
         code, out, err = run(capsys, *argv)

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from discwalk import WindowExceeded, make_desk_schedule, mc_triple_average
+from conftest import theta_points, theta_words
+
+from discwalk import CylinderSpec, WindowExceeded, make_desk_schedule, mc_triple_average
 from discwalk import walk as walk_module
-from discwalk.averages import reduced_average_series
+from discwalk.averages import ergodicity_correlation, reduced_average_series
 from discwalk.filters import QuantileFilter
 from discwalk.rotation import HALF, MODULUS, AlphaSpec, FixedAngle, resolve_alpha
 from discwalk.walk import (block_length, block_table, cell_counts, level_counts, sample_thetas,
@@ -35,7 +37,7 @@ PAIRS = [(2, 6), (30, 300)]
 def assert_theta_counts_match_level_counts(alpha_bits, N_list, theta_bits):
     """Every theta once, in order; its visited band, and every visit inside
     it, as level_counts gives them."""
-    thetas = [FixedAngle(b) for b in theta_bits]
+    thetas = theta_words([FixedAngle(b) for b in theta_bits])
     order = []
     for idx, v_min, counts in theta_counts(FixedAngle(alpha_bits), thetas, N_list):
         assert counts.shape[:2] == (len(idx), len(N_list))
@@ -89,12 +91,12 @@ class TestCellCounts:
     ])
     def test_every_path(self, alpha, N_list, path, monkeypatch):
         monkeypatch.setattr(walk_module, "_CHUNK_ENTRIES", 1 << 8)  # several chunks
-        thetas = [t.bits for t in sample_thetas(24, 3)] + [0, MODULUS - 1]
+        thetas = [t.bits for t in theta_points(sample_thetas(24, 3))] + [0, MODULUS - 1]
         per_theta, one = [], walk_module.level_counts
         with mock.patch.object(walk_module, "level_counts",
                                lambda theta, *args: per_theta.append(theta) or one(theta, *args)):
-            chunks = list(theta_counts(FixedAngle(alpha), [FixedAngle(t) for t in thetas],
-                                       N_list))
+            chunks = list(theta_counts(FixedAngle(alpha),
+                                       theta_words([FixedAngle(t) for t in thetas]), N_list))
         # off the cell table, no theta goes through level_counts
         assert per_theta == ([] if path == "cells" else thetas)
         assert (len(chunks) < len(thetas)) == (path == "cells")
@@ -105,7 +107,7 @@ class TestCellCounts:
 
     def test_no_thetas_no_table(self, golden, monkeypatch):
         monkeypatch.setattr(walk_module, "cell_counts", None)  # not called
-        assert list(theta_counts(golden, [], [64])) == []
+        assert list(theta_counts(golden, theta_words([]), [64])) == []
 
     def test_fallbacks(self, golden):
         q = block_length(golden.bits)
@@ -158,7 +160,7 @@ class BandFilter:
 
     def select(self, thetas, alpha):
         return np.array([max(-lo, hi) <= self.W
-                         for lo, hi in (band_of(t, alpha, self.N) for t in thetas)])
+                         for lo, hi in (band_of(t, alpha, self.N) for t in theta_points(thetas))])
 
 
 class TestMcWindowPerTheta:
@@ -186,7 +188,7 @@ class TestMcWindowPerTheta:
         # accepted theta stays within W, so nothing raises
         N, W = 2048, 5
         cells = cell_counts(golden.bits, [64, N])
-        thetas = sample_thetas(64, 13)
+        thetas = theta_points(sample_thetas(64, 13))
         bands = [band_of(t, golden, N) for t in thetas]
         assert cells.reach > W
         assert any(max(-lo, hi) > W for lo, hi in bands)
@@ -196,3 +198,23 @@ class TestMcWindowPerTheta:
         got = mc_triple_average(*args, b_filter=BandFilter(N, W), window_radius=W)
         expected = sampled_reference.mc(*args, b_filter=BandFilter(N, W), window_radius=W)
         assert got.to_csv() == expected.to_csv()
+
+
+class TestNoPointPerTheta:
+    # a sampled route carries its thetas as one word array, so it builds no
+    # FixedAngle per theta
+    @pytest.mark.parametrize("route", ["reduced", "mc", "ergodicity"])
+    def test_sampled_routes_build_no_fixed_angle(self, golden, route, monkeypatch):
+        _, e = make_desk_schedule(PAIRS)
+        cyl = CylinderSpec(constraints=((0, 1),))
+        run = {
+            "reduced": lambda: reduced_average_series(golden, e, None, [64, 2048], 1000, 3),
+            "mc": lambda: mc_triple_average(golden, e, [64, 2048], 1000, 3),
+            "ergodicity": lambda: ergodicity_correlation(golden, cyl, cyl, 2048, 1000, 3),
+        }[route]
+        built = []
+        check = FixedAngle.__post_init__
+        monkeypatch.setattr(FixedAngle, "__post_init__",
+                            lambda self: built.append(self) or check(self))
+        run()
+        assert built == []

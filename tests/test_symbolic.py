@@ -19,7 +19,7 @@ from discwalk import (
     triple_indicator,
 )
 from discwalk.rotation import MODULUS, walk_heights
-from discwalk.symbolic import default_window_radius
+from discwalk.symbolic import default_window_radius, omega_windows
 
 ZERO = FixedAngle(0)
 
@@ -73,6 +73,25 @@ class TestSampleOmega:
         per_seed = [sample_omega(0, s).read(0) for s in range(2000)]
         assert abs(np.mean(vals)) <= 0.004
         assert abs(np.mean(per_seed)) <= 5 * (1 / np.sqrt(2000))
+
+
+class TestOmegaWindows:
+    # the reference a vectorised draw must keep: one generator per sample,
+    # seeded by the spawn key (tag, index), drawing 2r + 1 bits
+    @pytest.mark.parametrize("seed", [0, 1, 53, 2**64 + 3])
+    @pytest.mark.parametrize("tag", [1, 2])
+    @pytest.mark.parametrize("radius", [0, 3, 60])
+    def test_rows_match_one_generator_per_sample(self, seed, tag, radius):
+        idx = np.array([0, 1, 2, 7, 1000, 2**31, 2**32 - 1])
+        windows = omega_windows(seed, tag, idx, radius)
+        assert windows.dtype == np.int8 and windows.shape == (len(idx), 2 * radius + 1)
+        for row, i in zip(windows, idx.tolist()):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(tag, i)))
+            expected = rng.integers(0, 2, size=2 * radius + 1, dtype=np.int8) * 2 - 1
+            assert row.tobytes() == expected.tobytes()
+        # a row depends on its own index only
+        assert omega_windows(seed, tag, range(3), radius).tobytes() == windows[:3].tobytes()
+        assert omega_windows(seed, tag, [], radius).shape == (0, 2 * radius + 1)
 
 
 class TestApplyT:

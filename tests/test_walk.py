@@ -6,6 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import theta_points, theta_words
+
 from discwalk import (
     BudgetExceeded,
     ConfigError,
@@ -94,7 +96,7 @@ class TestOccupationInvariants:
         thetas = sample_thetas(1000, 21)
         N = 10**4
         plus, minus = [], []
-        for t in thetas:
+        for t in theta_points(thetas):
             h = run_walk(t, golden, N).histogram
             plus.append(h.count(1))
             minus.append(h.count(-1))
@@ -285,7 +287,7 @@ class TestOccupationBand:
 
     def test_empty_sample(self, golden):
         with pytest.raises(InsufficientSamples):
-            occupation_band(golden, [], [100])
+            occupation_band(golden, theta_words([]), [100])
 
 
 class TestEstimateConstants:
@@ -297,7 +299,7 @@ class TestEstimateConstants:
         table = estimate_constants(golden, thetas, N, 0)
         expected = max(
             run_walk(t, golden, N).histogram.count(0) * math.sqrt(math.log(N)) / N
-            for t in thetas
+            for t in theta_points(thetas)
         )
         assert table.m_v[0] == pytest.approx(expected, rel=1e-12)
 
@@ -353,11 +355,11 @@ class TestDefaultCheckpoints:
 
 class TestSampleThetas:
     def test_deterministic(self):
-        assert sample_thetas(5, 42) == sample_thetas(5, 42)
-        assert sample_thetas(5, 42) != sample_thetas(5, 43)
+        assert theta_points(sample_thetas(5, 42)) == theta_points(sample_thetas(5, 42))
+        assert theta_points(sample_thetas(5, 42)) != theta_points(sample_thetas(5, 43))
 
     def test_prefix_stable(self):
-        assert sample_thetas(10, 42)[:5] == sample_thetas(5, 42)
+        assert theta_points(sample_thetas(10, 42))[:5] == theta_points(sample_thetas(5, 42))
 
     @pytest.mark.parametrize("seed", [0, 1, 7, 1 << 40, 123456789])
     def test_matches_one_draw_per_theta(self, seed):
@@ -368,7 +370,7 @@ class TestSampleThetas:
             for _ in range(n):
                 hi, lo = rng.integers(0, 1 << 64, size=2, dtype=np.uint64)
                 expected.append(FixedAngle((int(hi) << 64) | int(lo)))
-            assert sample_thetas(n, seed) == expected
+            assert theta_points(sample_thetas(n, seed)) == expected
 
     def test_unallocatable_count_is_a_budget_error(self):
         # numpy refuses these before touching memory; a negative count stays
