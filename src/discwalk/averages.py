@@ -18,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -337,18 +337,27 @@ class RatioTable:
 def ratio_check(
     alpha: FixedAngle,
     theta_samples: np.ndarray,
-    v_list: Sequence[int],
+    v_list: Union[Sequence[int], int],
     N_checkpoints: Sequence[int],
 ) -> RatioTable:
-    """Per-level visit counts relative to returns to zero, per checkpoint."""
+    """Per-level visit counts relative to returns to zero, per checkpoint.
+    v_list names the levels; an int v_max stands for every level 0 < |v| <=
+    v_max."""
     if not len(theta_samples):
         raise InsufficientSamples("need at least 1 theta sample")
-    v_list = list(v_list)
-    if not v_list:
+    if isinstance(v_list, int):
+        v_max, v_list = v_list, None
+        empty = v_max < 1
+    else:
+        v_list = list(v_list)
+        v_max = max((abs(v) for v in v_list), default=0)
+        empty = not v_list
+    if empty:
         raise ConfigError("v_list must name at least one level")
     checkpoints = check_n_list(sorted(N_checkpoints))
-    v_max = max((abs(v) for v in v_list), default=0)
     counts = theta_band_counts(alpha, theta_samples, checkpoints, v_max).transpose(0, 2, 1)
+    if v_list is None:  # listed only once the band of its levels is allocated
+        v_list = [v for v in range(-v_max, v_max + 1) if v != 0]
     # row v_max counts returns to zero, which is >= 1 since h_0 = 0
     ratios = counts[:, [v + v_max for v in v_list]] / counts[:, [v_max]]
     return RatioTable(checkpoints=checkpoints, v_list=v_list, ratios=ratios)

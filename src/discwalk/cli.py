@@ -142,6 +142,8 @@ def make_filter(spec):
         return AcceptAll()
     if isinstance(spec, str) and spec.startswith("quantile:"):
         parts = spec.split(":")[1:]
+        if len(parts) > 3:
+            raise ConfigError(f"bad filter spec {spec!r}; at most 'quantile:q:horizon:v_max'")
         try:
             q = float(parts[0])
             horizon = int(parts[1]) if len(parts) > 1 else 1 << 14
@@ -389,11 +391,10 @@ def cmd_average(alpha, seed, threads, out, pairs, n_list, n_theta, routes, filte
 def cmd_ratio(alpha, seed, threads, out, n_theta, v_max, n_list):
     """Per-level visit ratios against returns to zero; emit summary medians."""
     a = parse_alpha(alpha)
-    v_list = [v for v in range(-v_max, v_max + 1) if v != 0]
     checkpoints = sorted(parse_list(n_list, "integer list", "n,n"))
-    table = ratio_check(a, sample_thetas(n_theta, require_seed(seed)), v_list, checkpoints)
+    table = ratio_check(a, sample_thetas(n_theta, require_seed(seed)), v_max, checkpoints)
     lines = [header_lines(settings()) + "v,N,median_ratio,median_abs_dev_from_one"]
-    for v in v_list:
+    for v in table.v_list:
         for n in checkpoints:
             lines.append(
                 f"{v},{n},{table.median(v, n)!r},{table.median_abs_dev_from_one(v, n)!r}")

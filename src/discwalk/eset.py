@@ -482,13 +482,16 @@ def _least_with_log_above(t: LogNum) -> LogNum:
 
 def _check_desk_pairs(pairs: Sequence[Tuple[int, int]]) -> None:
     """The desk rules, for built and parsed schedules alike: l >= 2, r >= 1,
-    intervals ascending and disjoint."""
+    l + r + 1 < 2**63 (ESet's int64 edge past the interval), intervals
+    ascending and disjoint."""
     prev_hi = None
     for l, r in pairs:
         if l < 2:
             raise BadOrder(f"interval lower bound {l} must be >= 2")
         if r < 1:
             raise BadOrder(f"interval length {r} must be >= 1")
+        if l + r + 1 >= 1 << 63:
+            raise ConfigError(f"interval [{l}, {l + r}] must end below 2**63 - 1")
         if prev_hi is not None and l <= prev_hi:
             raise OverlappingIntervals(
                 f"interval [{l}, {l + r}] must start strictly after {prev_hi}")

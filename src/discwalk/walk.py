@@ -7,8 +7,9 @@ per-level visit counts at checkpoint times (``level_counts`` for one theta,
 range statistic (number of distinct levels visited), and empirical
 estimates of the occupation constants, the C of the schedule's growth
 conditions.  A ``CellTable`` fixes every walk of at most n steps by its
-starting cell: the cached block table (n = q) carries long walks, and
-``cell_counts`` gives every walk shorter than q at once.
+starting cell; ``cell_table`` builds and caches one for any n: the block
+table (n = q) carries long walks, and a table of n < q gives every walk
+shorter than q at once.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -157,23 +158,16 @@ def check_n_list(N_list: Sequence[int]) -> List[int]:
 #
 # On each cell of rotation.partition_cells(alpha, n), phi_1 .. phi_n are all
 # constant, so the first n steps of a walk are fixed by the cell its start
-# lies in.  Two kinds of cell table are built:
-#
-# - The block table: n = q, the largest continued-fraction denominator of
-#   alpha at most 2**14, and lengths [q]; cached per alpha.  A q-step block
-#   has increment at most Var phi = 4 in size (the Denjoy-Koksma
-#   inequality), and level_counts reads every block off the table.  It is
-#   built only where it pays: for q >= _MIN_Q (a shorter block costs more to
-#   look up than to walk) and when max P - min P <= _MAX_SPAN (a large
-#   quotient near q makes the walk drift and the table grow with the drift:
-#   alpha = [0; 3000, 2, 2, ...] has max P - min P = 1502).
-# - The table of a sampled statistic: n = max N < q and lengths its
-#   checkpoints; built per call by theta_counts when it stays within
-#   _MAX_CELL_ENTRIES count entries.
+# lies in.  cell_table builds and caches the table of any n and lengths.
+# level_counts reads long walks off the block table: n = q, the largest
+# continued-fraction denominator of alpha at most 2**14, and lengths [q]; a
+# q-step block has increment at most Var phi = 4 in size (the Denjoy-Koksma
+# inequality), and a block shorter than _MIN_Q costs more to look up than to
+# walk.  theta_counts reads a sampled statistic off the table of n = max N < q
+# and lengths its checkpoints.
 
 _MAX_Q = 1 << 14
 _MIN_Q = 1 << 6
-_MAX_SPAN = 64
 _TABLE_CACHE = 8
 _MAX_CELL_ENTRIES = 1 << 22
 _CHUNK = 1 << 14  # blocks looked up at a time
@@ -188,19 +182,20 @@ class CellTable:
     """Per cell, in the order of the cells' beginnings: the top word ``hi``
     of its beginning; the walk from it, with heights sign * (P[start + t] -
     P[start]) at times t <= n; its increment ``inc`` over n steps; and
-    ``hist[c, i, r + reach]``, its visits to level r among its first
-    lengths[i] heights.  No count exceeds n <= 2**14, so int16 holds them.
-    A plain class: a dataclass would cost milliseconds at import."""
+    ``hist[c, i, r + span]``, its visits to level r among its first
+    lengths[i] heights, where span = max P - min P bounds every |r|.  No
+    count exceeds n <= 2**14, so int16 holds them.  A plain class: a
+    dataclass would cost milliseconds at import."""
 
     def __init__(self, alpha_bits: int, n: int, P: np.ndarray, hi: np.ndarray,
                  start: np.ndarray, sign: np.ndarray, inc: np.ndarray, hist: np.ndarray,
-                 reach: int):
+                 span: int):
         self.n = n
         self.step = n * alpha_bits % MODULUS  # from one block start to the next
         self.alpha_lo = np.uint64(alpha_bits % (1 << 64))
         self.P, self.hi = P, hi
         self.start, self.sign, self.inc = start, sign, inc
-        self.hist, self.reach = hist, reach
+        self.hist, self.span = hist, span
         for a in (P, hi, start, sign, inc, hist):
             a.flags.writeable = False
 
@@ -221,52 +216,43 @@ class CellTable:
 
 
 def _window_counts(P: np.ndarray, start: np.ndarray, sign: np.ndarray,
-                   lengths: Sequence[int]) -> Tuple[np.ndarray, int]:
-    """(counts, reach): counts[k, i, r + reach] = visits of the walk
-    sign[k] * (P[start[k] + t] - P[start[k]]), t < lengths[i], to level r,
-    where reach is the largest |r| any walk visits.  Per level of P, a walk's
-    visits are a difference of that level's running count.  A first pass
-    finds reach, so that counts is allocated once at its final size.  Walks
-    are at most 2**14 long, so the counts are int16."""
-    levels = range(int(P.min()), int(P.max()) + 1)
+                   lengths: Sequence[int], span: int) -> np.ndarray:
+    """counts[k, i, r + span] = visits of the walk sign[k] * (P[start[k] + t]
+    - P[start[k]]), t < lengths[i], to level r.  Every height of P lies in
+    [min P, max P], so |r| <= span = max P - min P.  Per level of P, a
+    walk's visits are a difference of that level's running count.  Walks are
+    at most 2**14 long, so the counts are int16."""
     base = P[start]
     running = np.zeros(len(P) + 1, dtype=np.int32)
-    reach = 0
-    for level in levels:  # the longest length visits every level a shorter one does
-        np.cumsum(P == level, dtype=np.int32, out=running[1:])
-        seen = running[start + max(lengths)] > running[start]
-        reach = max(reach, int(np.abs(level - base[seen]).max(initial=0)))
-    width = 2 * reach + 1
+    width = 2 * span + 1
     counts = np.zeros((len(start), len(lengths), width), dtype=np.int16)
     flat = counts.reshape(-1)
-    at_zero = np.arange(len(start), dtype=np.int32) * (len(lengths) * width) + reach
-    for level in levels:
+    at_zero = np.arange(len(start), dtype=np.int32) * (len(lengths) * width) + span
+    for level in range(int(P.min()), int(P.max()) + 1):
         np.cumsum(P == level, dtype=np.int32, out=running[1:])
         before = running[start]
-        # a walk has no visits to add at a level out of its reach
-        at = at_zero + np.clip(sign * (level - base), -reach, reach)
+        at = at_zero + sign * (level - base)
         for i, length in enumerate(lengths):
             flat[at + i * width] += running[start + length] - before
-    return counts, reach
+    return counts
 
 
-def _cell_table(alpha_bits: int, n: int, lengths: Sequence[int],
-                fits: Callable[[int], bool]) -> Optional[CellTable]:
-    """The cell table of alpha for walks of at most n steps; None unless
-    fits(max P - min P)."""
+def _cell_table(alpha_bits: int, n: int, lengths: Sequence[int]) -> Optional[CellTable]:
+    """The cell table of alpha for walks of at most n steps; None when its 2n
+    rows would hold more than _MAX_CELL_ENTRIES count entries."""
     P, order, hi, _ = partition_cells(alpha_bits, n)
     span = int(P.max()) - int(P.min())
-    if not fits(span):
+    if 2 * n * len(lengths) * (2 * span + 1) > _MAX_CELL_ENTRIES:
         return None
-    # P[0] = 0, so every height, and every difference of two, fits in +/-span
+    # P[0] = 0, so every height, and every difference of two, lies in +/-span
     P = P.astype(np.min_scalar_type(-span - 1))
     # cell k < n starts its walk at P[n - k]; cell n + k mirrors it
     start = (n - order % n).astype(np.int32)
     sign = np.where(order < n, 1, -1).astype(np.int8)
     del order  # freed before the histograms are allocated
-    hist, reach = _window_counts(P, start, sign, lengths)
+    hist = _window_counts(P, start, sign, lengths, span)
     inc = sign * (P[start + n] - P[start])
-    return CellTable(alpha_bits, n, P, hi, start, sign, inc, hist, reach)
+    return CellTable(alpha_bits, n, P, hi, start, sign, inc, hist, span)
 
 
 @functools.lru_cache(maxsize=64)
@@ -284,39 +270,23 @@ def block_length(alpha_bits: int) -> int:
     return q
 
 
-def _build_table(alpha_bits: int, q: int) -> Optional[CellTable]:
-    if q < _MIN_Q:
-        return None
-    return _cell_table(alpha_bits, q, [q], lambda span: span <= _MAX_SPAN)
-
-
-_tables: "OrderedDict[int, Optional[CellTable]]" = OrderedDict()
+_tables: "OrderedDict[Tuple[int, int, Tuple[int, ...]], Optional[CellTable]]" = OrderedDict()
 _tables_lock = threading.Lock()
 
 
-def block_table(alpha_bits: int) -> Optional[CellTable]:
-    """The block table of alpha, built once and cached; None where a table
-    would not pay."""
+def cell_table(alpha_bits: int, n: int, lengths: Sequence[int]) -> Optional[CellTable]:
+    """The cell table of alpha for walks of at most n steps, with counts at
+    the given lengths (ascending, at most n), built once and cached; None
+    when its 2n rows would hold more than _MAX_CELL_ENTRIES count entries."""
+    key = (alpha_bits, n, tuple(lengths))
     with _tables_lock:
-        if alpha_bits in _tables:
-            _tables.move_to_end(alpha_bits)
+        if key in _tables:
+            _tables.move_to_end(key)
         else:
-            _tables[alpha_bits] = _build_table(alpha_bits, block_length(alpha_bits))
+            _tables[key] = _cell_table(alpha_bits, n, lengths)
             if len(_tables) > _TABLE_CACHE:
                 _tables.popitem(last=False)
-        return _tables[alpha_bits]
-
-
-def cell_counts(alpha_bits: int, N_list: Sequence[int]) -> Optional[CellTable]:
-    """The cell table for walks of at most n = N_list[-1] steps, with
-    lengths N_list; None when n >= q or its 2n rows would hold more than
-    _MAX_CELL_ENTRIES count entries."""
-    n = N_list[-1]
-    if n >= block_length(alpha_bits):
-        return None
-    rows = 2 * n * len(N_list)
-    return _cell_table(alpha_bits, n, N_list,
-                       lambda span: rows * (2 * span + 1) <= _MAX_CELL_ENTRIES)
+        return _tables[key]
 
 
 def _merge(acc, lo: int, part: np.ndarray):
@@ -367,7 +337,8 @@ def level_counts(
     """
     ends = list(checkpoints)
     m, n = len(ends), ends[-1]
-    table = block_table(alpha_bits) if n >= block_length(alpha_bits) else None
+    q = block_length(alpha_bits)
+    table = cell_table(alpha_bits, q, [q]) if n >= q >= _MIN_Q else None
     acc = None
     height = 0  # at the start of the next block or piece of the stretch
     if table is None:
@@ -382,12 +353,11 @@ def level_counts(
             height = int(heights[-1])
             acc = _add_segments(acc, ends, t0, heights[:_STRETCH])
     else:
-        q = table.n
         if n // q >= MAX_BLOCKS:
             raise BudgetExceeded(f"a walk of {n} steps takes {n // q} blocks of {q}; "
                                  f"the budget is {MAX_BLOCKS}")
         ends_arr = np.array(ends, dtype=np.int64)
-        width_r = 2 * table.reach + 1
+        width_r = 2 * table.span + 1
         blocks = -(-n // q)  # the final partial block too
         for b0 in range(0, blocks, _CHUNK):
             b = np.arange(b0, min(b0 + _CHUNK, blocks), dtype=np.int64)
@@ -419,11 +389,11 @@ def level_counts(
             bins = (bins[:, None] + np.arange(width_r)).ravel()
             # every bin sums integers below 2**53, so the float sums are exact
             part = np.bincount(bins, weights=table.hist[cell].ravel(), minlength=m * width)
-            acc = _merge(acc, low - table.reach, part.astype(np.int64).reshape(m, width))
+            acc = _merge(acc, low - table.span, part.astype(np.int64).reshape(m, width))
 
     v_min, counts = acc
     np.cumsum(counts, axis=0, out=counts)
-    # block histograms span each block's whole reach: trim to the visited band
+    # block histograms cover each block's whole span: trim to the visited band
     seen = np.flatnonzero(counts[-1])
     return v_min + int(seen[0]), counts[:, seen[0]:seen[-1] + 1]
 
@@ -441,11 +411,13 @@ def theta_counts(alpha: FixedAngle, thetas: np.ndarray,
     its first checkpoints[i] heights (ascending, >= 1); unvisited levels read 0.
 
     The one rule of every sampled statistic: when max N < q and its cell
-    table fits (cell_counts), the table is built once and each theta's
-    counts are its row, looked up about _CHUNK_ENTRIES entries at a time;
-    otherwise each theta goes through level_counts alone.  Same counts.
+    table is within size (cell_table), each theta's counts are its row of it,
+    looked up about _CHUNK_ENTRIES entries at a time; otherwise each theta
+    goes through level_counts alone.  Same counts.
     """
-    cells = cell_counts(alpha.bits, checkpoints) if len(thetas) else None  # no table for no theta
+    cells = None
+    if len(thetas) and checkpoints[-1] < block_length(alpha.bits):  # no table for no theta
+        cells = cell_table(alpha.bits, checkpoints[-1], checkpoints)
     if cells is None:
         for i, (hi, lo) in enumerate(thetas.tolist()):  # Python ints: hi << 64 keeps hi
             v_min, counts = level_counts((hi << 64) | lo, alpha.bits, checkpoints)
@@ -454,7 +426,7 @@ def theta_counts(alpha: FixedAngle, thetas: np.ndarray,
     step = max(1, _CHUNK_ENTRIES // cells.hist[0].size)
     for c0 in range(0, len(thetas), step):
         w = thetas[c0:c0 + step]
-        yield np.arange(c0, c0 + len(w)), -cells.reach, cells.hist[cells.cells(w[:, 0], w[:, 1])]
+        yield np.arange(c0, c0 + len(w)), -cells.span, cells.hist[cells.cells(w[:, 0], w[:, 1])]
 
 
 def visited_band(v_min: int, counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -13,7 +13,7 @@ from discwalk import AlphaSpec, FixedAngle, WindowExceeded, resolve_alpha
 from discwalk.filters import AcceptAll
 from discwalk.series import AverageEntry, AverageSeries
 from discwalk.symbolic import default_window_radius, sample_omega
-from discwalk.walk import check_n_list, level_counts, sample_thetas
+from discwalk.walk import block_length, cell_table, check_n_list, level_counts, sample_thetas
 
 PINNED_PATH = os.path.join(os.path.dirname(__file__), "pinned.json")
 
@@ -26,6 +26,12 @@ def theta_words(points):
 def theta_points(words):
     """sample_thetas rows as FixedAngle points."""
     return [FixedAngle((hi << 64) | lo) for hi, lo in words.tolist()]
+
+
+def block_table(alpha_bits):
+    """The block table level_counts reads: the cell table of n = q, lengths [q]."""
+    q = block_length(alpha_bits)
+    return cell_table(alpha_bits, q, [q])
 
 
 @pytest.fixture(scope="session")

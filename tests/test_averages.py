@@ -552,8 +552,9 @@ class TestSampleCountChecks:
             zero_entropy_proxy(golden, theta_words([]), [10])
 
     def test_empty_v_list(self, golden):
-        with pytest.raises(ConfigError):
-            ratio_check(golden, theta_words([ZERO]), [], [10])
+        for v_list in ([], 0, -1):  # no level listed, or no level 0 < |v| <= v_max
+            with pytest.raises(ConfigError):
+                ratio_check(golden, theta_words([ZERO]), v_list, [10])
 
     @pytest.mark.parametrize("N, n_samples, error", [
         (0, 4, ConfigError), (8, 1, InsufficientSamples), (8, 0, InsufficientSamples)])

@@ -1,10 +1,14 @@
 import json
 import os
+import resource
 import shlex
+import subprocess
+import sys
 
 import mpmath
 import pytest
 
+import discwalk
 from discwalk import AverageSeries, Schedule, walk
 from discwalk.averages import EXACT_N_CAP
 from discwalk.cli import entrypoint
@@ -363,6 +367,13 @@ class TestBadInput:
         ["schedule", "--mode", "desk", "--pairs", "2:6:99"],
         ["ergodicity", "--alpha", "golden", "--n", "8", "--n-samples", "4", "--seed", "1",
          "--cyl-a", "0:1:7"],
+        # ESet keeps l + r + 1 as an int64 edge
+        ["average", "--alpha", "golden", "--pairs", "2:9223372036854775805", "--n-list", "64",
+         "--n-theta", "16", "--seed", "1"],
+        ["average", "--alpha", "golden", "--pairs", "2:9223372036854775807", "--n-list", "64",
+         "--n-theta", "16", "--seed", "1"],
+        ["schedule", "--mode", "desk", "--pairs", "9223372036854775808:1"],
+        AVERAGE + ["--n-list", "64", "--n-theta", "16", "--filter", "quantile:0.5:64:2:9"],
     ])
     def test_exit_2_with_one_line(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -410,6 +421,26 @@ class TestBadInput:
         assert out == ""
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
+    # the band of 2 * v_max + 1 levels is asked for before any level is
+    # listed; the run is capped at 2 GiB of address space, because without a
+    # cap the allocator may grant the band and the walk then fill it
+    @pytest.mark.parametrize("v_max", [10**9, 10**15])
+    def test_huge_ratio_band_exit_4_with_one_line(self, v_max):
+        limit = 2 << 30
+        src = os.path.dirname(os.path.dirname(discwalk.__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from discwalk.cli import entrypoint; sys.exit(entrypoint(sys.argv[1:]))",
+             "ratio", "--alpha", "golden", "--n-theta", "2", "--n-list", "100", "--seed", "1",
+             "--v-max", str(v_max)],
+            env=env, capture_output=True, text=True, timeout=300,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        assert len(proc.stderr.strip().splitlines()) == 1 and "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("argv", [
         ["walk", "--alpha", "golden", "--theta", "0", "--n", str(10**14)],
         # [0; 3000, 2, 2, ...] has no block table, so its walk is one stretch
@@ -440,6 +471,7 @@ class TestBadInput:
         b"mode: desk\nl[1]: \xff\nr[1]: 12\n",  # not UTF-8
         b"mode: desk\nl[1]: 50\nr[1]: 3\nl[2]: 10\nr[2]: 1\n",  # descending
         b"mode: desk\nl[1]: log:1:5:0\nr[1]: 3\n",  # not an exact integer
+        b"mode: desk\nl[1]: 2\nr[1]: 9223372036854775806\n",  # l + r + 1 = 2**63 + 1
     ])
     def test_bad_schedule_file_exit_2_with_one_line(self, capsys, tmp_path, body):
         path = tmp_path / "schedule.txt"

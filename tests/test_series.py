@@ -1,6 +1,7 @@
 """walk.theta_counts against walk.level_counts on every path, and the
 sampled routes' output bytes against the per-theta loop they replaced."""
 
+from collections import OrderedDict
 from unittest import mock
 
 import numpy as np
@@ -8,15 +9,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import theta_points, theta_words
+from conftest import block_table, theta_points, theta_words
 
 from discwalk import CylinderSpec, WindowExceeded, make_desk_schedule, mc_triple_average
 from discwalk import walk as walk_module
 from discwalk.averages import ergodicity_correlation, reduced_average_series
 from discwalk.filters import QuantileFilter
 from discwalk.rotation import HALF, MODULUS, AlphaSpec, FixedAngle, resolve_alpha
-from discwalk.walk import (block_length, block_table, cell_counts, level_counts, sample_thetas,
-                           theta_counts, visited_band)
+from discwalk.walk import (block_length, cell_table, level_counts, sample_thetas, theta_counts,
+                           visited_band)
 
 ALPHAS = {
     "golden": AlphaSpec(preset="golden"),
@@ -66,7 +67,7 @@ class TestCellCounts:
         n = N_list[-1]
         # on the beginnings -k*alpha and 1/2 - k*alpha, and one unit either side
         on = [(-(k % n) * alpha + half * HALF + d) % MODULUS for k, half, d in beginnings]
-        assert cell_counts(alpha, N_list) is not None
+        assert cell_table(alpha, n, N_list) is not None
         with mock.patch.object(walk_module, "_CHUNK_ENTRIES", 1 << 6):  # several chunks
             assert_theta_counts_match_level_counts(alpha, N_list, random + on)
 
@@ -75,7 +76,7 @@ class TestCellCounts:
     @pytest.mark.parametrize("offset", [-300, -1, 0, 1, 300])
     def test_beginnings_sharing_a_top_word(self, k, half, offset):
         assert block_length(TIE_ALPHA) == 1000
-        assert cell_counts(TIE_ALPHA, [1, 500, 999]) is not None
+        assert cell_table(TIE_ALPHA, 999, [1, 500, 999]) is not None
         assert_theta_counts_match_level_counts(TIE_ALPHA, [1, 500, 999],
                                                [(-k * TIE_ALPHA + half + offset) % MODULUS])
 
@@ -86,6 +87,7 @@ class TestCellCounts:
         (ALPHA_BITS["golden"], [1, 64, 10945], "cells"),
         (ALPHA_BITS["cf8"], [7, 4288], "cells"),
         (WIDE.bits, [64, 2048], "direct"),
+        (ALPHA_BITS["golden"], [10946], "blocks"),
         (ALPHA_BITS["golden"], [100, 10946, 20000], "blocks"),
         (ALPHA_BITS["cf8"], [4289, 10**5], "blocks"),
     ])
@@ -106,14 +108,25 @@ class TestCellCounts:
         assert_theta_counts_match_level_counts(alpha, N_list, thetas)
 
     def test_no_thetas_no_table(self, golden, monkeypatch):
-        monkeypatch.setattr(walk_module, "cell_counts", None)  # not called
+        monkeypatch.setattr(walk_module, "cell_table", None)  # not called
         assert list(theta_counts(golden, theta_words([]), [64])) == []
+
+    def test_routes_share_one_table(self, golden, monkeypatch):
+        # reduced and mc over one alpha and N list read one cached cell table
+        build, builds = walk_module._cell_table, []
+        monkeypatch.setattr(walk_module, "_cell_table",
+                            lambda *args: builds.append(args[:2]) or build(*args))
+        monkeypatch.setattr(walk_module, "_tables", OrderedDict())
+        _, e = make_desk_schedule(PAIRS)
+        N_list = [64, 128, 256, 331, 512, 1024, 2048]
+        reduced_average_series(golden, e, None, N_list, 1000, 1)
+        mc_triple_average(golden, e, N_list, 1000, 1)
+        assert builds == [(golden.bits, 2048)]
 
     def test_fallbacks(self, golden):
         q = block_length(golden.bits)
-        assert cell_counts(golden.bits, [q - 1]) is not None
-        assert cell_counts(golden.bits, [q]) is None
-        assert cell_counts(WIDE.bits, [64, 2048]) is None
+        assert cell_table(golden.bits, q - 1, [q - 1]) is not None
+        assert cell_table(WIDE.bits, 2048, [64, 2048]) is None
 
 
 def routes_match(e, alpha, N_list, n_theta, seed, b_filter, fault_inject, sampled_reference,
@@ -187,10 +200,10 @@ class TestMcWindowPerTheta:
         # rejected thetas reach past W, and so does the cell table; every
         # accepted theta stays within W, so nothing raises
         N, W = 2048, 5
-        cells = cell_counts(golden.bits, [64, N])
+        cells = cell_table(golden.bits, N, [64, N])
         thetas = theta_points(sample_thetas(64, 13))
         bands = [band_of(t, golden, N) for t in thetas]
-        assert cells.reach > W
+        assert cells.span > W
         assert any(max(-lo, hi) > W for lo, hi in bands)
         assert any(max(-lo, hi) <= W for lo, hi in bands)
         _, e = make_desk_schedule(PAIRS)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import theta_points, theta_words
+from conftest import block_table, theta_points, theta_words
 
 from discwalk import (
     BudgetExceeded,
@@ -22,8 +22,8 @@ from discwalk import (
 )
 from discwalk import walk as walk_module
 from discwalk.rotation import HALF, MODULUS, AlphaSpec, resolve_alpha, walk_heights
-from discwalk.walk import (WalkSummary, band_counts, block_length, block_table,
-                           default_checkpoints, level_counts)
+from discwalk.walk import (WalkSummary, band_counts, block_length, default_checkpoints,
+                           level_counts)
 
 BITS = st.integers(min_value=0, max_value=MODULUS - 1)
 ZERO = FixedAngle(0)
@@ -157,6 +157,21 @@ def reading_only_short_walks(monkeypatch, limit=1 << 20):
     monkeypatch.setattr(walk_module, "walk_heights", guarded)
 
 
+def slow_builds(monkeypatch):
+    """Patch walk._cell_table to record the (alpha_bits, n) of every table it
+    builds, and to take longer, which widens the window in which a second
+    thread would build the same table; returns the record."""
+    build, builds = walk_module._cell_table, []
+
+    def slow_build(alpha_bits, n, lengths):
+        builds.append((alpha_bits, n))
+        time.sleep(0.05)
+        return build(alpha_bits, n, lengths)
+
+    monkeypatch.setattr(walk_module, "_cell_table", slow_build)
+    return builds
+
+
 class TestBlockKernel:
     @settings(max_examples=60, deadline=None)
     @given(quotients=st.lists(st.integers(1, 8), min_size=200, max_size=200),
@@ -249,25 +264,36 @@ class TestBlockKernel:
 
     def test_table_built_once_across_threads(self, monkeypatch, from_threads):
         alpha = resolve_alpha(AlphaSpec(preset="sqrt3m1"))
-        build, builds = walk_module._build_table, []
-
-        def slow_build(alpha_bits, q):
-            builds.append((alpha_bits, q))
-            time.sleep(0.05)  # widen the window in which a second thread would build
-            return build(alpha_bits, q)
-
-        monkeypatch.setattr(walk_module, "_build_table", slow_build)
+        builds = slow_builds(monkeypatch)
         thetas = sample_thetas(8, 4)
 
         def call():
             return [b.tobytes() for b in occupation_band(alpha, thetas, [100, 10**5])]
 
-        walk_module._tables.pop(alpha.bits, None)
+        walk_module._tables.pop((alpha.bits, 10864, (10864,)), None)
         serial = call()
         assert builds.count((alpha.bits, 10864)) == 1
-        walk_module._tables.pop(alpha.bits, None)
+        walk_module._tables.pop((alpha.bits, 10864, (10864,)), None)
         assert all(r == serial for r in from_threads(call, switch_interval=1e-6))
         assert builds.count((alpha.bits, 10864)) == 2
+
+    def test_per_call_table_built_once_across_threads(self, monkeypatch, from_threads):
+        # max N = 1000 < q = 10864: every theta is read off the cell table of
+        # n = 1000 with lengths [100, 1000]
+        alpha = resolve_alpha(AlphaSpec(preset="sqrt3m1"))
+        builds = slow_builds(monkeypatch)
+        thetas = sample_thetas(8, 4)
+
+        def call():
+            return [b.tobytes() for b in occupation_band(alpha, thetas, [100, 1000])]
+
+        key = (alpha.bits, 1000, (100, 1000))
+        walk_module._tables.pop(key, None)
+        serial = call()
+        assert builds == [(alpha.bits, 1000)]
+        walk_module._tables.pop(key, None)
+        assert all(r == serial for r in from_threads(call, switch_interval=1e-6))
+        assert builds == [(alpha.bits, 1000)] * 2
 
     def test_table_cache_is_bounded(self):
         for first in range(1, 13):
