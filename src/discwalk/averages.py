@@ -3,9 +3,9 @@
 The average A_N reduces to (1/2) * integral over accepted thetas of the
 fraction of walk times n < N whose height lies in E.  Routes: ``reduced``
 (sampled thetas' visits per level, read through walk.theta_counts),
-``exact`` (integrate the height step function over the finest partition of
-the circle in fixed point, through prefix sums of one two-sided sign
-sequence; no sampling error), and the direct Monte Carlo orbit route in
+``exact`` (integrate the height step function in fixed point over the cells
+of rotation.partition_cells, which give each cell's walk and width; no
+sampling error), and the direct Monte Carlo orbit route in
 :mod:`discwalk.symbolic`.  The auxiliary checks cover the return-ratio
 convergence, the correlation form of ergodicity, and the decay of the
 visited-range fraction.
@@ -98,32 +98,15 @@ class PartitionStepFn:
 # ---------------------------------------------------------------------------
 # The exact route.
 #
-# phi_t for t <= n is constant on the cells of rotation.partition_cells(alpha,
-# n): the walk started on cell k has height P[n - k + t] - P[n - k] at time t,
-# exactly in fixed point, and started on cell n + k the negative.  E is
-# symmetric, so both cells share their hit counts.  Widths are 128-bit, so
-# sums of width times count run on 16-bit limbs in int64 and are combined in
-# Python integers.
+# phi_t for t <= n is constant on each cell of rotation.partition_cells(alpha,
+# n), which gives the cell's walk in P and its exact width.  Widths are
+# 128-bit, so sums of width times count run on 16-bit limbs in int64 and are
+# combined in Python integers.
 
 
 def _check_exact_budget(n: int) -> None:
     if n > EXACT_N_CAP:
         raise BudgetExceeded(f"exact route: N={n} exceeds cap {EXACT_N_CAP}")
-
-
-def _finest_partition(alpha: FixedAngle, n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(P, limbs) for the finest partition of phi_1..phi_n, n >= 1.
-
-    P is the int64 prefix sum of partition_cells, of length 2n + 1; limbs[c]
-    holds the width of cell c as eight 16-bit limbs, least significant first.
-    Coincident breakpoints give zero-width cells.
-    """
-    P, order, hi, lo = partition_cells(alpha.bits, n)
-    next_hi, next_lo = np.roll(hi, -1), np.roll(lo, -1)
-    widths = np.empty((2 * n, 2), dtype="<u8")
-    widths[order, 0] = next_lo - lo
-    widths[order, 1] = next_hi - hi - (next_lo < lo)
-    return P, widths.view("<u2")
 
 
 def _limb_total(limbs: np.ndarray) -> int:
@@ -138,9 +121,8 @@ def exact_level_measures(alpha: FixedAngle, n: int) -> Dict[int, Fraction]:
     if n == 0:
         return {0: Fraction(1)}
     _check_exact_budget(n)
-    P, limbs = _finest_partition(alpha, n)
-    h = P[2 * n:n:-1] - P[n:0:-1]  # height of cell k at time n
-    levels = np.concatenate([h, -h])
+    P, _, _, start, sign, limbs = partition_cells(alpha.bits, n)
+    levels = sign * (P[start + n] - P[start])  # each cell's height at time n
     order = np.argsort(levels, kind="stable")
     values, starts = np.unique(levels[order], return_index=True)
     # at most 2n * 2**16 < 2**63 per limb sum
@@ -166,28 +148,27 @@ def exact_average_series(
     N_list = check_n_list(N_list)
     n = N_list[-1]
     _check_exact_budget(n)
-    P, limbs = _finest_partition(alpha, n)
-    # group the cells k by the level P[n - k] their walk starts from
-    base = P[n:0:-1]
-    order = np.argsort(base, kind="stable")
+    P, _, _, start, _, limbs = partition_cells(alpha.bits, n)
+    # E is symmetric, so a cell's walk hits E whatever its sign: group the
+    # cells by the level P[start] their walk starts from
+    base = P[start]
+    order = np.argsort(base)
     levels, starts = np.unique(base[order], return_index=True)
-    ends = np.append(starts[1:], n)
-    start = n - order
-    # cells k and n + k hit E at the same times; each limb sum < 2**17
-    weights = limbs[order].astype(np.int64)
-    weights += limbs[n + order]
+    ends = np.append(starts[1:], 2 * n)
+    start, limbs = start[order], limbs[order]
     span = int(P.max()) - int(P.min())
     lut = e.lut(-span, span)
     hits_before = np.zeros(2 * n + 1, dtype=np.int64)
-    # sums[i] < n * 2**17 * N <= 2**57 per limb while n <= 2**20
+    N_col = np.array(N_list)[:, None]
+    # sums[i] < 2n * 2**16 * N <= 2**57 per limb while n <= 2**20
     sums = np.zeros((len(N_list), 8), dtype=np.int64)
     for b, lo, hi in zip(levels.tolist(), starts, ends):
         # hits_before[t]: times u < t with P[u] - b in E
         np.cumsum(lut[P[:-1] - (b - span)], out=hits_before[1:])
         a = start[lo:hi]
-        at_start = hits_before[a]
-        for i, N in enumerate(N_list):
-            sums[i] += (hits_before[a + N] - at_start) @ weights[lo:hi]
+        hits = hits_before[N_col + a]
+        hits -= hits_before[a]
+        sums += hits @ limbs[lo:hi].astype(np.int64)
     fractions = {
         N: Fraction(_limb_total(row), 2 * N * MODULUS) for N, row in zip(N_list, sums)
     }
@@ -323,15 +304,16 @@ class RatioTable:
     # ratios[i, j, k]: theta i, v_list[j], checkpoints[k]
     ratios: np.ndarray
 
+    def __post_init__(self):
+        # positions by value, so a lookup costs the same however many levels
+        self._j = {v: j for j, v in enumerate(self.v_list)}
+        self._k = {n: k for k, n in enumerate(self.checkpoints)}
+
     def median(self, v: int, n: int) -> float:
-        j = self.v_list.index(v)
-        k = self.checkpoints.index(n)
-        return float(np.median(self.ratios[:, j, k]))
+        return float(np.median(self.ratios[:, self._j[v], self._k[n]]))
 
     def median_abs_dev_from_one(self, v: int, n: int) -> float:
-        j = self.v_list.index(v)
-        k = self.checkpoints.index(n)
-        return float(np.median(np.abs(self.ratios[:, j, k] - 1.0)))
+        return float(np.median(np.abs(self.ratios[:, self._j[v], self._k[n]] - 1.0)))
 
 
 def ratio_check(

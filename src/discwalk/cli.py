@@ -437,7 +437,8 @@ def cmd_ergodicity(alpha, seed, threads, out, n, n_samples, cyl_a, cyl_b):
     a = parse_alpha(alpha)
     lhs, rhs, stderr = ergodicity_correlation(
         a, parse_cylinder(cyl_a), parse_cylinder(cyl_b), n, n_samples, require_seed(seed))
-    sigmas = abs(lhs - rhs) / stderr if stderr > 0 else 0.0
+    # with no spread among the samples, only exact agreement is 0 sigmas away
+    sigmas = abs(lhs - rhs) / stderr if stderr > 0 else 0.0 if lhs == rhs else math.inf
     emit(header_lines(settings())
          + f"cesaro_average: {lhs!r}\nproduct_of_measures: {rhs!r}\n"
          + f"stderr: {stderr!r}\nsigmas: {sigmas!r}\n", out)

@@ -217,21 +217,35 @@ def walk_heights(theta_bits: int, alpha_bits: int, n: int) -> np.ndarray:
 
 
 def partition_cells(alpha_bits: int, n: int):
-    """The finest partition of the circle for phi_1 .. phi_n, n >= 1.
+    """The finest partition of the circle for phi_1 .. phi_n, n >= 1: the one
+    definition of a cell.
 
-    Returns (P, order, hi, lo).  Cell k (k < n) begins at -k*alpha and cell
-    n + k at 1/2 - k*alpha; order lists the cells by where they begin (ties
-    in cell order), and hi, lo are those beginnings' exact 64-bit words, in
-    that order.  Each cell runs up to the next beginning, and the last wraps
-    round to the first, which is 0 (cell 0).  P = walk_heights(-n*alpha,
-    alpha, 2n + 1) is the prefix sum of the two-sided sign sequence
-    phi(j*alpha), j in [-n, n): from any point of cell k the walk has height
-    P[n - k + t] - P[n - k] at time t <= n, and from cell n + k the negative,
-    since phi(1/2 + x) = -phi(x).
+    Returns (P, hi, lo, start, sign, limbs).  All but P hold one entry per
+    cell, the 2n cells listed in the order of their beginnings:
+    - hi, lo: the exact 64-bit words of its beginning.  The beginnings are
+      -k*alpha and 1/2 - k*alpha, k < n (coincident ones in that order); the
+      first is 0, and a cell runs up to the next beginning, the last up to 1.
+    - start, sign: from any point of the cell the walk has height
+      sign * (P[start + t] - P[start]) at time t <= n.  P =
+      walk_heights(-n*alpha, alpha, 2n + 1) is the prefix sum of
+      phi(j*alpha), j in [-n, n); the cells beginning at -k*alpha and at
+      1/2 - k*alpha both start at n - k, with signs +1 and -1, since
+      phi(1/2 + x) = -phi(x).
+    - limbs: its exact width times 2**128 as eight 16-bit limbs, least
+      significant first; coincident beginnings give zero-width cells.
     """
     P = walk_heights(-n * alpha_bits % MODULUS, alpha_bits, 2 * n + 1)
     hi, lo = orbit_words(0, -alpha_bits % MODULUS, np.arange(n, dtype=np.uint64))
     hi = np.concatenate([hi, hi ^ np.uint64(HALF >> 64)])
     lo = np.concatenate([lo, lo])
-    order = np.lexsort((lo, hi))
-    return P, order, hi[order], lo[order]
+    order = np.argsort(hi)  # a lexsort takes several times as long
+    if (np.diff(hi[order]) == 0).any():  # a top-word tie: low words decide
+        order = np.lexsort((lo, hi))
+    hi, lo = hi[order], lo[order]
+    start = np.tile(np.arange(n, 0, -1, dtype=np.int32), 2)[order]
+    sign = np.repeat(np.array([1, -1], dtype=np.int8), n)[order]
+    next_hi, next_lo = np.roll(hi, -1), np.roll(lo, -1)
+    widths = np.empty((2 * n, 2), dtype="<u8")
+    widths[:, 0] = next_lo - lo
+    widths[:, 1] = next_hi - hi - (next_lo < lo)
+    return P, hi, lo, start, sign, widths.view("<u2")

@@ -97,13 +97,18 @@ def sample_omega(radius: int, seed) -> SymbolWindow:
     return SymbolWindow(values=values)
 
 
-def omega_windows(seed: int, tag: int, idx: Sequence[int], radius: int) -> np.ndarray:
-    """Row t: the window sample_omega(radius, ...) draws from spawn key (tag, idx[t])."""
-    with allocating(f"{len(idx)} windows of {2 * radius + 1} symbols", 2 * radius + 1):
-        windows = np.empty((len(idx), 2 * radius + 1), dtype=np.int8)
+def omega_windows(seed: int, tag: int, idx: Sequence[int], radius: int,
+                  band: Optional[Sequence[int]] = None) -> np.ndarray:
+    """Row t: the symbols at coordinates band[0] .. band[1] (all of -radius
+    .. radius by default) of the window sample_omega(radius, ...) draws from
+    spawn key (tag, idx[t]).  Each window is drawn whole, so its symbols do
+    not depend on band."""
+    lo, hi = band or (-radius, radius)
+    with allocating(f"{len(idx)} windows of {hi - lo + 1} symbols", hi - lo + 1):
+        windows = np.empty((len(idx), hi - lo + 1), dtype=np.int8)
     for t, i in enumerate(idx):
         key = np.random.SeedSequence(entropy=seed, spawn_key=(tag, int(i)))
-        windows[t] = sample_omega(radius, key).values
+        windows[t] = sample_omega(radius, key).values[lo + radius:hi + radius + 1]
     return windows
 
 
@@ -198,7 +203,7 @@ def mc_triple_average(
         in_e = e.lut(a, b)
         if fault_inject:
             in_e = ~in_e
-        return in_e & (omega_windows(seed, 1, idx, W)[:, a + W:b + W + 1] == 1)
+        return in_e & (omega_windows(seed, 1, idx, W, (a, b)) == 1)
 
     # no 1/2 prefactor here: averaging over omega already supplies the
     # symbol-cylinder measure

@@ -7,9 +7,9 @@ per-level visit counts at checkpoint times (``level_counts`` for one theta,
 range statistic (number of distinct levels visited), and empirical
 estimates of the occupation constants, the C of the schedule's growth
 conditions.  A ``CellTable`` fixes every walk of at most n steps by its
-starting cell; ``cell_table`` builds and caches one for any n: the block
-table (n = q) carries long walks, and a table of n < q gives every walk
-shorter than q at once.
+starting cell, one of rotation.partition_cells; ``cell_table`` builds and
+caches one for any n: the block table (n = q) carries long walks, and a
+table of n < q gives every walk shorter than q at once.
 """
 
 from __future__ import annotations
@@ -179,24 +179,23 @@ MAX_DIRECT_STEPS = 1 << 30
 
 
 class CellTable:
-    """Per cell, in the order of the cells' beginnings: the top word ``hi``
-    of its beginning; the walk from it, with heights sign * (P[start + t] -
-    P[start]) at times t <= n; its increment ``inc`` over n steps; and
-    ``hist[c, i, r + span]``, its visits to level r among its first
-    lengths[i] heights, where span = max P - min P bounds every |r|.  No
-    count exceeds n <= 2**14, so int16 holds them.  A plain class: a
-    dataclass would cost milliseconds at import."""
+    """Per cell of rotation.partition_cells, in the order of the cells'
+    beginnings: the words ``hi``, ``lo`` of its beginning; its walk, with
+    heights sign * (P[start + t] - P[start]) at times t <= n; its increment
+    ``inc`` over n steps; and ``hist[c, i, r + span]``, its visits to level
+    r among its first lengths[i] heights, where span = max P - min P bounds
+    every |r|.  No count exceeds n <= 2**14, so int16 holds them.  A plain
+    class: a dataclass would cost milliseconds at import."""
 
-    def __init__(self, alpha_bits: int, n: int, P: np.ndarray, hi: np.ndarray,
+    def __init__(self, alpha_bits: int, n: int, P: np.ndarray, hi: np.ndarray, lo: np.ndarray,
                  start: np.ndarray, sign: np.ndarray, inc: np.ndarray, hist: np.ndarray,
                  span: int):
         self.n = n
         self.step = n * alpha_bits % MODULUS  # from one block start to the next
-        self.alpha_lo = np.uint64(alpha_bits % (1 << 64))
-        self.P, self.hi = P, hi
+        self.P, self.hi, self.lo = P, hi, lo
         self.start, self.sign, self.inc = start, sign, inc
         self.hist, self.span = hist, span
-        for a in (P, hi, start, sign, inc, hist):
+        for a in (P, hi, lo, start, sign, inc, hist):
             a.flags.writeable = False
 
     def cells(self, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
@@ -205,13 +204,10 @@ class CellTable:
         has one."""
         right = np.searchsorted(self.hi, hi, "right")
         cell = right - 1
-        # where the point's top word equals a beginning's, compare low words:
-        # those of -k * alpha and 1/2 - k * alpha are both -k * alpha mod 2**64
+        # where the point's top word equals a beginning's, compare low words
         for i in np.flatnonzero(self.hi[cell] == hi):
             left = int(np.searchsorted(self.hi, hi[i], "left"))
-            k = (self.n - self.start[left:right[i]]).astype(np.uint64)
-            low = np.uint64(0) - k * self.alpha_lo
-            cell[i] = left + int(np.searchsorted(low, lo[i], "right")) - 1
+            cell[i] = left + int(np.searchsorted(self.lo[left:right[i]], lo[i], "right")) - 1
         return cell
 
 
@@ -240,19 +236,15 @@ def _window_counts(P: np.ndarray, start: np.ndarray, sign: np.ndarray,
 def _cell_table(alpha_bits: int, n: int, lengths: Sequence[int]) -> Optional[CellTable]:
     """The cell table of alpha for walks of at most n steps; None when its 2n
     rows would hold more than _MAX_CELL_ENTRIES count entries."""
-    P, order, hi, _ = partition_cells(alpha_bits, n)
+    P, hi, lo, start, sign = partition_cells(alpha_bits, n)[:5]
     span = int(P.max()) - int(P.min())
     if 2 * n * len(lengths) * (2 * span + 1) > _MAX_CELL_ENTRIES:
         return None
     # P[0] = 0, so every height, and every difference of two, lies in +/-span
     P = P.astype(np.min_scalar_type(-span - 1))
-    # cell k < n starts its walk at P[n - k]; cell n + k mirrors it
-    start = (n - order % n).astype(np.int32)
-    sign = np.where(order < n, 1, -1).astype(np.int8)
-    del order  # freed before the histograms are allocated
     hist = _window_counts(P, start, sign, lengths, span)
     inc = sign * (P[start + n] - P[start])
-    return CellTable(alpha_bits, n, P, hi, start, sign, inc, hist, span)
+    return CellTable(alpha_bits, n, P, hi, lo, start, sign, inc, hist, span)
 
 
 @functools.lru_cache(maxsize=64)

@@ -4,6 +4,7 @@ import resource
 import shlex
 import subprocess
 import sys
+import time
 
 import mpmath
 import pytest
@@ -202,6 +203,14 @@ class TestOtherCommands:
         assert code == 0
         assert "v,N,median_ratio,median_abs_dev_from_one" in out
 
+    def test_ratio_lines_cost_the_same_at_every_level(self, capsys):
+        # a scan of all 32000 levels for each line's level took about 27 s
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "ratio", "--alpha", "golden", "--n-theta", "2",
+                           "--v-max", "16000", "--n-list", "100,1000", "--seed", "2")
+        assert code == 0 and len(out.splitlines()) == 7 + 4 * 16000
+        assert time.perf_counter() - start < 10
+
     def test_entropy_proxy(self, capsys):
         code, out, _ = run(capsys, "entropy-proxy", "--alpha", "golden",
                            "--n-theta", "16", "--n-list", "1,100", "--seed", "2")
@@ -223,6 +232,19 @@ class TestOtherCommands:
                              "--cyl-a", "100:1", "--cyl-b", "0:1")
         assert code == 0, err
         assert "product_of_measures: 0.25" in out
+
+    @pytest.mark.parametrize("cyl_a, cyl_b, lhs, sigmas", [
+        # no sample lands in A, so every sample is 0 against a product of 2**-9
+        ("0:1,1:1,2:1,3:1,4:1,5:1,6:1,7:1", "0:1", "0.0", "inf"),
+        ("", "", "1.0", "0.0"),  # every sample is 1, and so is the product
+    ])
+    def test_ergodicity_without_spread(self, capsys, cyl_a, cyl_b, lhs, sigmas):
+        code, out, _ = run(capsys, "ergodicity", "--alpha", "golden", "--n", "64",
+                           "--n-samples", "20", "--seed", "1",
+                           "--cyl-a", cyl_a, "--cyl-b", cyl_b)
+        assert code == 0
+        assert f"cesaro_average: {lhs}\n" in out and "stderr: 0.0\n" in out
+        assert out.endswith(f"sigmas: {sigmas}\n")
 
 
 AVERAGE = ["average", "--alpha", "golden", "--pairs", "2:6", "--seed", "1"]

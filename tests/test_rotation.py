@@ -16,7 +16,8 @@ from discwalk import (
     phi,
     resolve_alpha,
 )
-from discwalk.rotation import _BLOCK, HALF, MODULUS, orbit_hi64, orbit_words, walk_heights
+from discwalk.rotation import (_BLOCK, HALF, MODULUS, orbit_hi64, orbit_words, partition_cells,
+                               walk_heights)
 
 BITS = st.integers(min_value=0, max_value=MODULUS - 1)
 WORD = 1 << 64
@@ -266,3 +267,40 @@ class TestOrbitWords:
         hi = orbit_hi64(theta, alpha, n)
         for k in list(range(20)) + list(range(_BLOCK - 20, n)):
             assert int(hi[k]) == (theta + k * alpha) % MODULUS >> 64
+
+
+# 500 * TIE_ALPHA is within 500 units of 1/2, so the beginnings -k*alpha and
+# 1/2 - (k + 500)*alpha share their top word; 8 * (3/16) = 1/2 + 1, so with
+# alpha = 3/16 beginnings coincide
+TIE_ALPHA = (501 * MODULUS + 500) // 1000
+COINCIDENT_ALPHA = 3 << 124
+
+
+class TestPartitionCells:
+    @settings(max_examples=40, deadline=None)
+    @given(alpha=st.one_of(BITS, st.sampled_from([TIE_ALPHA, COINCIDENT_ALPHA])),
+           n=st.integers(1, 1200), picks=st.lists(st.integers(0, 1 << 20), max_size=6))
+    @example(alpha=TIE_ALPHA, n=1000, picks=[])
+    @example(alpha=COINCIDENT_ALPHA, n=20, picks=list(range(40)))
+    def test_contract(self, alpha, n, picks):
+        P, hi, lo, start, sign, limbs = partition_cells(alpha, n)
+        assert len(P) == 2 * n + 1 and all(len(a) == 2 * n for a in (hi, lo, start, sign, limbs))
+        words = [(int(h), int(low)) for h, low in zip(hi, lo)]
+        begins = [h << 64 | low for h, low in words]
+        widths = [sum(int(x) << 16 * i for i, x in enumerate(row)) for row in limbs]
+        # lexicographic in (hi, lo), from 0, over the beginnings -k*alpha and 1/2 - k*alpha
+        assert words == sorted(words) and begins[0] == 0
+        assert begins == sorted([-k * alpha % MODULUS for k in range(n)]
+                                + [(HALF - k * alpha) % MODULUS for k in range(n)])
+        # each cell runs up to the next beginning: coincident ones give zero
+        # widths, and the widths cover the circle exactly
+        assert widths == [b - a for a, b in zip(begins, begins[1:] + [MODULUS])]
+        assert sum(widths) == MODULUS
+        if alpha == COINCIDENT_ALPHA and n > 8:
+            assert widths.count(0) > 0
+        # from the first, last and a middle point of a cell of positive width
+        for c in {0, 2 * n - 1} | {p % (2 * n) for p in picks}:
+            if widths[c]:
+                expected = sign[c] * (P[start[c]:start[c] + n + 1] - P[start[c]])
+                for theta in {begins[c], begins[c] + widths[c] // 2, begins[c] + widths[c] - 1}:
+                    assert walk_heights(theta, alpha, n + 1).tolist() == expected.tolist()

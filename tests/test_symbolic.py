@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,12 @@ class TestOmegaWindows:
         # a row depends on its own index only
         assert omega_windows(seed, tag, range(3), radius).tobytes() == windows[:3].tobytes()
         assert omega_windows(seed, tag, [], radius).shape == (0, 2 * radius + 1)
+
+    @pytest.mark.parametrize("band", [(-60, -60), (-5, 5), (60, 60), (0, -1)])
+    def test_band_is_columns_of_the_whole_window(self, band):
+        idx = [0, 5, 2**32 - 1]
+        assert (omega_windows(9, 1, idx, 60, band).tobytes()
+                == omega_windows(9, 1, idx, 60)[:, band[0] + 60:band[1] + 61].tobytes())
 
 
 class TestApplyT:
@@ -271,6 +279,26 @@ class TestMcTripleAverage:
 
         with pytest.raises(EmptyAfterFilter):
             mc_triple_average(golden, e_small, [64], 32, seed=8, b_filter=RejectAll())
+
+    def test_wide_window_keeps_only_the_band(self, golden):
+        # each chunk keeps the visited band of every window, not all 2W + 1
+        # symbols: the peak was 22 MB traced when whole windows were kept
+        _, e = make_desk_schedule([(2, 6), (30, 300)])
+
+        def run(n_theta):
+            return mc_triple_average(golden, e, [64, 2048], n_theta, seed=5,
+                                     window_radius=10**4)
+
+        run(16)  # the cell table is built and cached outside the trace
+        tracemalloc.start()
+        try:
+            series = run(2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 10**6
+        assert [(x.value, x.stderr) for x in series.entries] == [
+            (0.127671875, 0.0034429522218574296), (0.189655029296875, 0.003703925540272342)]
 
     def test_tight_window_reports_height(self, golden, e_small, sampled_reference):
         with pytest.raises(WindowExceeded) as info:
