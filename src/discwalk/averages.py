@@ -315,6 +315,12 @@ class RatioTable:
     def median_abs_dev_from_one(self, v: int, n: int) -> float:
         return float(np.median(np.abs(self.ratios[:, self._j[v], self._k[n]] - 1.0)))
 
+    def medians(self) -> Tuple[list, list]:
+        """median and median_abs_dev_from_one at every level and checkpoint,
+        as nested lists [j][k] over v_list and checkpoints, in two calls."""
+        return (np.median(self.ratios, axis=0).tolist(),
+                np.median(np.abs(self.ratios - 1.0), axis=0).tolist())
+
 
 def ratio_check(
     alpha: FixedAngle,

@@ -394,10 +394,10 @@ def cmd_ratio(alpha, seed, threads, out, n_theta, v_max, n_list):
     checkpoints = sorted(parse_list(n_list, "integer list", "n,n"))
     table = ratio_check(a, sample_thetas(n_theta, require_seed(seed)), v_max, checkpoints)
     lines = [header_lines(settings()) + "v,N,median_ratio,median_abs_dev_from_one"]
-    for v in table.v_list:
-        for n in checkpoints:
-            lines.append(
-                f"{v},{n},{table.median(v, n)!r},{table.median_abs_dev_from_one(v, n)!r}")
+    medians, devs = table.medians()
+    for v, med, dev in zip(table.v_list, medians, devs):
+        for n, m, d in zip(checkpoints, med, dev):
+            lines.append(f"{v},{n},{m!r},{d!r}")
     emit("\n".join(lines) + "\n", out)
 
 

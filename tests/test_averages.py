@@ -182,6 +182,14 @@ class TestRatioCheck:
         table = ratio_check(golden, sample_thetas(16, 3), [1], [1000])
         assert table.median_abs_dev_from_one(1, 1000) >= 0.0
 
+    @pytest.mark.parametrize("n_theta", [1, 2, 7])  # odd and even medians
+    def test_medians_are_every_cell_of_the_lookups(self, golden, n_theta):
+        table = ratio_check(golden, sample_thetas(n_theta, 5), 3, [10, 100, 1000])
+        medians, devs = table.medians()
+        assert medians == [[table.median(v, n) for n in table.checkpoints] for v in table.v_list]
+        assert devs == [[table.median_abs_dev_from_one(v, n) for n in table.checkpoints]
+                        for v in table.v_list]
+
 
 def ergodicity_reference(alpha, cyl_a, cyl_b, N, n_samples, seed):
     """ergodicity_correlation as the per-step loop it ran before it moved onto

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from discwalk import (
+    ConfigError,
     CylinderSpec,
     ESet,
     EmptyAfterFilter,
@@ -80,7 +81,8 @@ class TestSampleOmega:
 class TestOmegaWindows:
     # the reference a vectorised draw must keep: one generator per sample,
     # seeded by the spawn key (tag, index), drawing 2r + 1 bits
-    @pytest.mark.parametrize("seed", [0, 1, 53, 2**64 + 3])
+    # 2**128 + 5 has five entropy words, one more than the pool holds
+    @pytest.mark.parametrize("seed", [0, 1, 53, 2**64 + 3, 2**128 + 5])
     @pytest.mark.parametrize("tag", [1, 2])
     @pytest.mark.parametrize("radius", [0, 3, 60])
     def test_rows_match_one_generator_per_sample(self, seed, tag, radius):
@@ -100,6 +102,23 @@ class TestOmegaWindows:
         idx = [0, 5, 2**32 - 1]
         assert (omega_windows(9, 1, idx, 60, band).tobytes()
                 == omega_windows(9, 1, idx, 60)[:, band[0] + 60:band[1] + 61].tobytes())
+
+    # both ends and the middle of a wide window: the draw skips to the band,
+    # which may begin or end inside a 64-bit output
+    @pytest.mark.parametrize("band", [(-10000, -9990), (4990, 5010), (9993, 10000),
+                                      (-3, 12)])
+    def test_band_of_a_wide_window_matches_one_generator_per_sample(self, band):
+        idx = [0, 5, 2**32 - 1]
+        windows = omega_windows(4, 1, idx, 10**4, band)
+        for row, i in zip(windows, idx):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=4, spawn_key=(1, i)))
+            whole = rng.integers(0, 2, size=2 * 10**4 + 1, dtype=np.int8) * 2 - 1
+            assert row.tobytes() == whole[band[0] + 10**4:band[1] + 10**4 + 1].tobytes()
+
+    @pytest.mark.parametrize("idx", [[-1], [0, 2**32], np.array([2**32 + 7], dtype=np.uint64)])
+    def test_spawn_index_outside_one_word_is_refused(self, idx):
+        with pytest.raises(ConfigError, match=r"^spawn index -?\d+ outside 0 \.\. 2\*\*32 - 1$"):
+            omega_windows(1, 1, idx, 3)
 
 
 class TestApplyT:
