@@ -8,7 +8,6 @@ from .errors import (
     DiscwalkError,
     EmptyAfterFilter,
     FiniteCF,
-    HeightOverflow,
     InsufficientSamples,
     MissingEntries,
     OverlappingIntervals,
@@ -20,12 +19,9 @@ from .errors import (
 from .rotation import AlphaSpec, FixedAngle, advance, phi, resolve_alpha
 from .walk import (
     ConstantsTable,
-    OccupationHistogram,
     WalkSummary,
     estimate_constants,
     occupation_band,
-    psi,
-    range_stat,
     run_walk,
     sample_thetas,
 )
@@ -47,7 +43,6 @@ from .symbolic import (
     apply_pi_E,
     mc_triple_average,
     sample_omega,
-    triple_indicator,
 )
 from .series import AverageEntry, AverageSeries
 from .filters import AcceptAll, QuantileFilter

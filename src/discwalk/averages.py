@@ -304,20 +304,10 @@ class RatioTable:
     # ratios[i, j, k]: theta i, v_list[j], checkpoints[k]
     ratios: np.ndarray
 
-    def __post_init__(self):
-        # positions by value, so a lookup costs the same however many levels
-        self._j = {v: j for j, v in enumerate(self.v_list)}
-        self._k = {n: k for k, n in enumerate(self.checkpoints)}
-
-    def median(self, v: int, n: int) -> float:
-        return float(np.median(self.ratios[:, self._j[v], self._k[n]]))
-
-    def median_abs_dev_from_one(self, v: int, n: int) -> float:
-        return float(np.median(np.abs(self.ratios[:, self._j[v], self._k[n]] - 1.0)))
-
     def medians(self) -> Tuple[list, list]:
-        """median and median_abs_dev_from_one at every level and checkpoint,
-        as nested lists [j][k] over v_list and checkpoints, in two calls."""
+        """The median over thetas of the ratio, and of its distance from 1, at
+        every level and checkpoint: nested lists [j][k] over v_list and
+        checkpoints."""
         return (np.median(self.ratios, axis=0).tolist(),
                 np.median(np.abs(self.ratios - 1.0), axis=0).tolist())
 

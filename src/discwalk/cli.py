@@ -234,6 +234,7 @@ def cmd_walk(alpha, seed, threads, out, theta, n, n_theta):
     require(n >= 1, "walk length N must be >= 1")
     a = parse_alpha(alpha)
     if theta:
+        require(n_theta is None, "give --theta or --n-theta, not both")
         points = [parse_theta(t) for t in theta]
     else:
         require(n_theta is not None, "give at least one --theta, or --n-theta with --seed")
@@ -335,12 +336,7 @@ def cmd_average(alpha, seed, threads, out, pairs, n_list, n_theta, routes, filte
     # filtered sampled routes integrate over the accepted thetas only
     require("exact" not in route_set or isinstance(b_filter, AcceptAll),
             f"the exact route covers the whole circle; it cannot run with --filter {filter}")
-    if pair_list:
-        schedule, e = make_desk_schedule(pair_list)
-    else:
-        from .eset import ESet
-
-        schedule, e = Schedule(mode="desk", intervals=[]), ESet.empty()
+    schedule, e = make_desk_schedule(pair_list)
 
     series_by_route = {}
     if "reduced" in route_set:

@@ -17,7 +17,7 @@ class ConfigError(DiscwalkError, ValueError):
 
 
 class BudgetExceeded(DiscwalkError):
-    """A resource budget (time, window, height range) was exceeded."""
+    """A resource budget (steps, blocks, symbol window, memory) was exceeded."""
 
 
 @contextmanager
@@ -46,10 +46,6 @@ class FiniteCF(ConfigError):
 
 class UnboundedQuotients(ConfigError):
     """A custom CF contains a partial quotient above its declared bound."""
-
-
-class HeightOverflow(BudgetExceeded):
-    """Walk height left the 64-bit range (unreachable at supported horizons)."""
 
 
 class InsufficientSamples(ConfigError):

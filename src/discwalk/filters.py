@@ -43,17 +43,14 @@ class QuantileFilter:
         if self.v_max < 0:
             raise ConfigError(f"quantile v_max must be >= 0: {self.v_max}")
 
-    def _statistics(self, thetas: np.ndarray, alpha: FixedAngle) -> np.ndarray:
+    def statistics(self, thetas: np.ndarray, alpha: FixedAngle) -> np.ndarray:
+        """The statistic of each sample_thetas row."""
         h = self.horizon
         times = [16 << k for k in range(h.bit_length()) if 16 << k < h] + [h]
         counts = theta_band_counts(alpha, thetas, times, self.v_max)
         return (counts * occupation_scale(times)[:, None]).max(axis=(1, 2))
 
-    def statistic(self, theta: FixedAngle, alpha: FixedAngle) -> float:
-        words = np.array([divmod(theta.bits, 1 << 64)], dtype=np.uint64)
-        return float(self._statistics(words, alpha)[0])
-
     def select(self, thetas: np.ndarray, alpha: FixedAngle) -> np.ndarray:
-        stats = self._statistics(thetas, alpha)
+        stats = self.statistics(thetas, alpha)
         cutoff = np.quantile(stats, 1.0 - self.q)
         return stats <= cutoff

@@ -24,53 +24,40 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import BudgetExceeded, ConfigError, HeightOverflow, InsufficientSamples, allocating
+from .errors import BudgetExceeded, ConfigError, InsufficientSamples, allocating
 from .rotation import MODULUS, FixedAngle, orbit_words, partition_cells, walk_heights
-
-_HEIGHT_LIMIT = 1 << 62
-
-
-@dataclass
-class OccupationHistogram:
-    """Visit counts per height level, dense over the visited range."""
-
-    min_level: int
-    counts_dense: np.ndarray  # counts_dense[i] = visits to level min_level + i
-
-    def count(self, v: int) -> int:
-        i = v - self.min_level
-        if 0 <= i < len(self.counts_dense):
-            return int(self.counts_dense[i])
-        return 0
-
-    def as_dict(self) -> Dict[int, int]:
-        return {
-            self.min_level + i: int(c)
-            for i, c in enumerate(self.counts_dense)
-            if c > 0
-        }
-
-    @property
-    def total(self) -> int:
-        return int(self.counts_dense.sum())
 
 
 @dataclass
 class WalkSummary:
+    """The first N heights of the walk at theta0 as visit counts per level:
+    counts[i] = visits to level min_height + i, over the visited band."""
+
     theta0: FixedAngle
     alpha: FixedAngle
     N: int
-    histogram: OccupationHistogram
     min_height: int
-    max_height: int
+    counts: np.ndarray
+
+    def count(self, v: int) -> int:
+        """Visits to level v; v = 0 is the return count."""
+        i = v - self.min_height
+        return int(self.counts[i]) if 0 <= i < len(self.counts) else 0
+
+    def as_dict(self) -> Dict[int, int]:
+        return {self.min_height + i: int(c) for i, c in enumerate(self.counts) if c > 0}
+
+    @property
+    def max_height(self) -> int:
+        return self.min_height + len(self.counts) - 1
 
     @property
     def range_count(self) -> int:
         # heights form a contiguous interval: steps are +/-1 and h_0 = 0
-        return self.max_height - self.min_height + 1
+        return len(self.counts)
 
     def csv_row(self) -> str:
-        pairs = ";".join(f"{v}:{c}" for v, c in sorted(self.histogram.as_dict().items()))
+        pairs = ";".join(f"{v}:{c}" for v, c in sorted(self.as_dict().items()))
         return (
             f"{self.theta0.to_hex()},{self.N},{self.min_height},"
             f"{self.max_height},{self.range_count},{pairs}"
@@ -84,21 +71,7 @@ def run_walk(theta0: FixedAngle, alpha: FixedAngle, N: int) -> WalkSummary:
     if N < 1:
         raise ConfigError("N must be >= 1")
     min_h, counts = level_counts(theta0.bits, alpha.bits, [N])
-    max_h = min_h + counts.shape[1] - 1
-    if max(abs(min_h), abs(max_h)) >= _HEIGHT_LIMIT:
-        raise HeightOverflow("walk height exceeds 64-bit budget")
-    return WalkSummary(theta0=theta0, alpha=alpha, N=N,
-                       histogram=OccupationHistogram(min_h, counts[0]),
-                       min_height=min_h, max_height=max_h)
-
-
-def psi(summary: WalkSummary, v: int) -> int:
-    """Visits to level v among the first N heights; v=0 is the return count."""
-    return summary.histogram.count(v)
-
-
-def range_stat(summary: WalkSummary) -> int:
-    return summary.range_count
+    return WalkSummary(theta0=theta0, alpha=alpha, N=N, min_height=min_h, counts=counts[0])
 
 
 def default_checkpoints(N: int) -> List[int]:

@@ -176,19 +176,20 @@ class TestRatioCheck:
     def test_theta0_golden_n4_v1(self, golden):
         # heights (0,1,0,1): two visits each to 0 and 1
         table = ratio_check(golden, theta_words([ZERO]), [1], [4])
-        assert table.median(1, 4) == 1.0
+        assert table.medians() == ([[1.0]], [[0.0]])
 
     def test_median_abs_dev(self, golden):
         table = ratio_check(golden, sample_thetas(16, 3), [1], [1000])
-        assert table.median_abs_dev_from_one(1, 1000) >= 0.0
+        assert table.medians()[1][0][0] >= 0.0
 
     @pytest.mark.parametrize("n_theta", [1, 2, 7])  # odd and even medians
     def test_medians_are_every_cell_of_the_lookups(self, golden, n_theta):
         table = ratio_check(golden, sample_thetas(n_theta, 5), 3, [10, 100, 1000])
         medians, devs = table.medians()
-        assert medians == [[table.median(v, n) for n in table.checkpoints] for v in table.v_list]
-        assert devs == [[table.median_abs_dev_from_one(v, n) for n in table.checkpoints]
-                        for v in table.v_list]
+        cells = [[table.ratios[:, j, k] for k in range(len(table.checkpoints))]
+                 for j in range(len(table.v_list))]
+        assert medians == [[float(np.median(c)) for c in row] for row in cells]
+        assert devs == [[float(np.median(np.abs(c - 1.0))) for c in row] for row in cells]
 
 
 def ergodicity_reference(alpha, cyl_a, cyl_b, N, n_samples, seed):
@@ -336,7 +337,8 @@ class TestFilters:
         filt = QuantileFilter(q=0.25, horizon=1 << 10)
         with small_chunks():
             mask = filt.select(thetas, golden)
-            stats = [filt.statistic(t, golden) for t in theta_points(thetas)]
+            stats = [filt.statistics(theta_words([t]), golden)[0]
+                     for t in theta_points(thetas)]
         assert 0 < mask.sum() < len(thetas)
         kept = [s for s, m in zip(stats, mask) if m]
         dropped = [s for s, m in zip(stats, mask) if not m]
@@ -351,7 +353,7 @@ class TestFilters:
 
 
 # ---------------------------------------------------------------------------
-# The per-level loops that QuantileFilter.statistic and ratio_check ran before
+# The per-level loops that QuantileFilter.statistics and ratio_check ran before
 # both moved onto one occupation counter (now walk.level_counts), kept as
 # references.
 
@@ -398,7 +400,8 @@ class TestSharedOccupationCounter:
     def test_quantile_statistic_matches_reference(self, theta, alpha, horizon, v_max):
         filt = QuantileFilter(q=0.5, horizon=horizon, v_max=v_max)
         with small_chunks():
-            assert filt.statistic(theta, alpha) == statistic_reference(filt, theta, alpha)
+            stat = filt.statistics(theta_words([theta]), alpha)[0]
+        assert stat == statistic_reference(filt, theta, alpha)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(angles, min_size=1, max_size=3), angles,

@@ -306,6 +306,7 @@ class TestConfigFile:
         (AVERAGE + ["--n-theta", "32"], "n_list: [.inf]"),
         (["average", "--alpha", "golden", "--n-list", "64", "--n-theta", "32", "--seed", "1"],
          "pairs: [[2, 6, 1]]"),
+        (WALK + ["--seed", "1"], "n_theta: 3"),
     ])
     def test_bad_config_exit_2_with_one_line(self, capsys, tmp_path, argv, text):
         cfg = self.write(tmp_path, "schema: discwalk-config-v1\n" + text + "\n")
@@ -396,6 +397,8 @@ class TestBadInput:
          "--n-theta", "16", "--seed", "1"],
         ["schedule", "--mode", "desk", "--pairs", "9223372036854775808:1"],
         AVERAGE + ["--n-list", "64", "--n-theta", "16", "--filter", "quantile:0.5:64:2:9"],
+        # the header would echo a sample of n_theta points that never ran
+        WALK + ["--n-theta", "3", "--seed", "1"],
     ])
     def test_exit_2_with_one_line(self, capsys, argv):
         code, out, err = run(capsys, *argv)

@@ -19,10 +19,10 @@ from discwalk import (
     make_desk_schedule,
     mc_triple_average,
     sample_omega,
-    triple_indicator,
 )
 from discwalk.rotation import MODULUS, walk_heights
 from discwalk.symbolic import default_window_radius, omega_windows
+from reference import triple_indicator
 
 ZERO = FixedAngle(0)
 

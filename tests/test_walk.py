@@ -15,8 +15,6 @@ from discwalk import (
     InsufficientSamples,
     estimate_constants,
     occupation_band,
-    psi,
-    range_stat,
     run_walk,
     sample_thetas,
 )
@@ -32,10 +30,10 @@ ZERO = FixedAngle(0)
 class TestRunWalk:
     def test_golden_first_four_heights(self, golden):
         summary = run_walk(ZERO, golden, 4)
-        assert psi(summary, 0) == 2
-        assert psi(summary, 1) == 2
-        assert psi(summary, -1) == 0
-        assert range_stat(summary) == 2
+        assert summary.count(0) == 2
+        assert summary.count(1) == 2
+        assert summary.count(-1) == 0
+        assert summary.range_count == 2
 
     def test_golden_n8_height_two_first_at_six(self, golden):
         heights = walk_heights(0, golden.bits, 8)
@@ -45,8 +43,8 @@ class TestRunWalk:
 
     def test_n1(self, golden):
         summary = run_walk(FixedAngle.from_float(0.123), golden, 1)
-        assert summary.histogram.as_dict() == {0: 1}
-        assert range_stat(summary) == 1
+        assert summary.as_dict() == {0: 1}
+        assert summary.range_count == 1
 
     def test_n0_rejected(self, golden):
         with pytest.raises(ValueError):
@@ -54,8 +52,8 @@ class TestRunWalk:
 
     def test_psi_at_unreached_level_is_zero(self, golden):
         summary = run_walk(ZERO, golden, 16)
-        assert psi(summary, 16) == 0
-        assert psi(summary, -16) == 0
+        assert summary.count(16) == 0
+        assert summary.count(-16) == 0
 
     def test_csv_row(self, golden):
         summary = run_walk(ZERO, golden, 4)
@@ -68,12 +66,12 @@ class TestOccupationInvariants:
     @given(theta=BITS, n=st.integers(1, 2000))
     def test_conservation(self, golden, theta, n):
         summary = run_walk(FixedAngle(theta), golden, n)
-        assert summary.histogram.total == n
+        assert summary.counts.sum() == n
 
     @settings(max_examples=25, deadline=None)
     @given(theta=BITS, n=st.integers(1, 2000))
     def test_contiguity(self, golden, theta, n):
-        counts = run_walk(FixedAngle(theta), golden, n).histogram.as_dict()
+        counts = run_walk(FixedAngle(theta), golden, n).as_dict()
         levels = sorted(counts)
         assert levels == list(range(levels[0], levels[-1] + 1))
 
@@ -81,14 +79,14 @@ class TestOccupationInvariants:
     @given(theta=BITS)
     def test_skip_free(self, golden, theta):
         n = 300
-        lo = run_walk(FixedAngle(theta), golden, n).histogram.as_dict()
-        hi = run_walk(FixedAngle(theta), golden, n + 1).histogram.as_dict()
+        lo = run_walk(FixedAngle(theta), golden, n).as_dict()
+        hi = run_walk(FixedAngle(theta), golden, n + 1).as_dict()
         diffs = {v: hi.get(v, 0) - lo.get(v, 0) for v in hi}
         assert sorted(diffs.values()) == [0] * (len(diffs) - 1) + [1]
 
     def test_range_at_most_n(self, golden):
         for n in (1, 2, 17, 400):
-            assert range_stat(run_walk(ZERO, golden, n)) <= n
+            assert run_walk(ZERO, golden, n).range_count <= n
 
     def test_height_band_symmetry_distributional(self, golden):
         # the rotation by 1/2 exchanges the half-circles; level +1 and -1
@@ -97,9 +95,9 @@ class TestOccupationInvariants:
         N = 10**4
         plus, minus = [], []
         for t in theta_points(thetas):
-            h = run_walk(t, golden, N).histogram
-            plus.append(h.count(1))
-            minus.append(h.count(-1))
+            summary = run_walk(t, golden, N)
+            plus.append(summary.count(1))
+            minus.append(summary.count(-1))
         plus, minus = np.array(plus, float), np.array(minus, float)
         se = math.hypot(plus.std(ddof=1), minus.std(ddof=1)) / math.sqrt(len(thetas))
         assert abs(plus.mean() - minus.mean()) <= 5 * se
@@ -262,6 +260,12 @@ class TestBlockKernel:
         # below both budgets the golden walk reads its blocks off the table
         level_counts(0, golden.bits, [10**9])
 
+    def test_budgets_keep_heights_in_int64(self):
+        # |h_N| <= N, and no walk longer than either budget allows is walked
+        # or read off a table, so the int64 height arithmetic cannot overflow
+        assert max(walk_module.MAX_DIRECT_STEPS,
+                   walk_module._MAX_Q * walk_module.MAX_BLOCKS) < 2**62
+
     def test_table_built_once_across_threads(self, monkeypatch, from_threads):
         alpha = resolve_alpha(AlphaSpec(preset="sqrt3m1"))
         builds = slow_builds(monkeypatch)
@@ -324,7 +328,7 @@ class TestEstimateConstants:
         N = 64
         table = estimate_constants(golden, thetas, N, 0)
         expected = max(
-            run_walk(t, golden, N).histogram.count(0) * math.sqrt(math.log(N)) / N
+            run_walk(t, golden, N).count(0) * math.sqrt(math.log(N)) / N
             for t in theta_points(thetas)
         )
         assert table.m_v[0] == pytest.approx(expected, rel=1e-12)
