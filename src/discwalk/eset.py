@@ -12,23 +12,41 @@ condition checks, not pointwise membership.
 from __future__ import annotations
 
 import functools
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
-import mpmath
 import numpy as np
 
 from .errors import BadOrder, ConfigError, OverlappingIntervals, PaperModeNotQueryable
 
-# a private context, so results do not depend on the global mpmath precision
-_mp = mpmath.MPContext()
-_mp.dps = 50
 
+class _Mpmath:
+    """Stands in for the module's mpmath context ``_mp`` until its first
+    use, which imports mpmath and puts the context in its place: a desk
+    schedule's exact integers never need mpmath, whose import takes about
+    30 ms and 4 MB.  The context has 50 digits, so results do not depend on
+    the global mpmath precision, and carries the canonical component range
+    [lift_ln, lift) of lifted representations and the relative nudge
+    ``bump`` of bumped_up and bumped_down."""
+
+    _lock = threading.Lock()
+
+    def __getattr__(self, name):
+        global _mp
+        with self._lock:
+            if _mp is self:
+                import mpmath
+
+                ctx = mpmath.MPContext()
+                ctx.dps = 50
+                ctx.lift, ctx.lift_ln, ctx.bump = ctx.exp(92), ctx.mpf(92), ctx.mpf("1e-13")
+                _mp = ctx
+        return getattr(_mp, name)
+
+
+_mp = _Mpmath()
 _EXACT_LIMIT = 1 << 63
-# canonical component range for lifted representations: x in [_LIFT_LN, _LIFT)
-_LIFT = _mp.exp(92)
-_LIFT_LN = _mp.mpf(92)
-_BUMP = _mp.mpf("1e-13")
 
 
 @functools.total_ordering
@@ -56,10 +74,10 @@ class LogNum:
         if x <= 0:
             raise ValueError("LogNum is positive")
         # normalize: keep the top component inside the canonical band
-        while x >= _LIFT:
+        while x >= _mp.lift:
             x = _mp.log(x)
             depth += 1
-        while depth > 0 and x < _LIFT_LN:
+        while depth > 0 and x < _mp.lift_ln:
             x = _mp.exp(x)
             depth -= 1
         self.depth = depth
@@ -124,7 +142,7 @@ class LogNum:
         return LogNum(x=_mp.log(v))
 
     def exp(self) -> "LogNum":
-        if self.depth > 0 or (self.exact is None and self.x >= _LIFT_LN):
+        if self.depth > 0 or (self.exact is None and self.x >= _mp.lift_ln):
             return LogNum(depth=self.depth + 1, x=self.x)
         return LogNum(x=_mp.exp(self._mpf()))
 
@@ -195,12 +213,12 @@ class LogNum:
         """
         if self.exact is not None:
             return LogNum(exact=self.exact + 1)
-        return LogNum(depth=self.depth, x=self.x * (1 + _BUMP))
+        return LogNum(depth=self.depth, x=self.x * (1 + _mp.bump))
 
     def bumped_down(self) -> "LogNum":
         if self.exact is not None:
             return LogNum(exact=self.exact - 1)
-        return LogNum(depth=self.depth, x=self.x * (1 - _BUMP))
+        return LogNum(depth=self.depth, x=self.x * (1 - _mp.bump))
 
     # -- serialization ------------------------------------------------------
     def serialize(self) -> str:

@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import _pcg
 from .errors import ConfigError, WindowExceeded, allocating
 from .eset import ESet
 from .rotation import FixedAngle, advance, phi
@@ -97,141 +98,36 @@ def sample_omega(radius: int, seed) -> SymbolWindow:
     return SymbolWindow(values=values)
 
 
-# numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier
-_M32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _words(n: int) -> list:
-    """SeedSequence's 32-bit words of a non-negative int, low word first."""
-    if n < 0:
-        raise ConfigError(f"seed and spawn tag must be non-negative, got {n}")
-    words = [n & _M32]
-    while n > _M32:
-        n >>= 32
-        words.append(n & _M32)
-    return words
-
-
-# The helpers below take 32-bit words, or 128-bit numbers as four 32-bit
-# limbs (low first), each a Python int or a uint64 array: a scalar stays
-# exact, and an array wraps mod 2**64, which keeps every word mod 2**32.
-
-def _hash(value, h: int, mult: int):
-    """One SeedSequence hash round of value under hash constant h: (the
-    hashed word, the next h)."""
-    value = value ^ h
-    h = h * mult & _M32
-    value = value * h & _M32
-    return value ^ value >> 16, h
-
-
-def _mix(x, y):
-    """SeedSequence's mix of pool word x with a hashed word y."""
-    x = (_MIX_L * x + ((1 << 32) - _MIX_R) * y) & _M32
-    return x ^ x >> 16
-
-
-def _carry(cols: list) -> list:
-    limbs, c = [], 0
-    for col in cols:
-        col = col + c
-        limbs.append(col & _M32)
-        c = col >> 32
-    return limbs
-
-
-def _add(x: list, y: list) -> list:
-    return _carry([a + b for a, b in zip(x, y)])
-
-
-def _mul(x: list, c: int) -> list:
-    """x * c mod 2**128, for a Python int c."""
-    c = [c >> 32 * j & _M32 for j in range(4)]
-    cols = [0, 0, 0, 0]
-    for i in range(4):
-        for j in range(4 - i):
-            p = x[i] * c[j]
-            cols[i + j] = cols[i + j] + (p & _M32)
-            if i + j < 3:
-                cols[i + j + 1] = cols[i + j + 1] + (p >> 32)
-    return _carry(cols)
-
-
-def _generate_state(seed: int, tag: int, keys: np.ndarray) -> list:
-    """SeedSequence(entropy=seed, spawn_key=(tag, i)).generate_state(8) for
-    every i of keys at once: eight 32-bit words, each a uint64 array.  The
-    key i is the last entropy word, so the pool is mixed as scalars up to
-    it."""
-    entropy = _words(seed)
-    entropy += [0] * (4 - len(entropy)) + _words(tag) + [keys.astype(np.uint64)]
-    h = _INIT_A
-    pool = []
-    for word in entropy[:4]:
-        word, h = _hash(word, h, _MULT_A)
-        pool.append(word)
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                word, h = _hash(pool[src], h, _MULT_A)
-                pool[dst] = _mix(pool[dst], word)
-    for word in entropy[4:]:
-        for dst in range(4):
-            mixed, h = _hash(word, h, _MULT_A)
-            pool[dst] = _mix(pool[dst], mixed)
-    h = _INIT_B
-    state = []
-    for k in range(8):
-        word, h = _hash(pool[k % 4], h, _MULT_B)
-        state.append(word)
-    return state
-
-
 def omega_windows(seed: int, tag: int, idx: Sequence[int], radius: int,
                   band: Optional[Sequence[int]] = None) -> np.ndarray:
     """Row t: the symbols at coordinates band[0] .. band[1] (all of -radius
     .. radius by default) of the window sample_omega(radius, ...) draws from
     spawn key (tag, idx[t]), for 0 <= idx[t] < 2**32.
 
-    The draw is numpy's, reproduced in integer array ops over the rows:
-    the spawned SeedSequence's generate_state(4, uint64) seeds PCG64 (O'Neill
-    2014), whose XSL-RR outputs give the little-endian byte stream that
-    integers(0, 2, int8) reads; Lemire's method never rejects at range 2 and
-    makes bit 7 of byte j symbol j.  Each LCG jumps straight to the first
-    output the band reads (Brown 1994), so a row costs O(band).
+    The draw is numpy's, reproduced in integer array ops over the rows
+    (discwalk._pcg): the spawned SeedSequence seeds PCG64, whose XSL-RR
+    outputs give the little-endian byte stream that integers(0, 2, int8)
+    reads; Lemire's method never rejects at range 2 and makes bit 7 of byte
+    j symbol j.  Each stream jumps straight to the first output the band
+    reads (Brown 1994), so a row costs O(band).  Rows go _pcg.BLOCK at a
+    time, which bounds the word arrays, so that one call serves any number
+    of rows.
     """
     lo, hi = band or (-radius, radius)
     keys = np.asarray(idx)
-    bad = (keys < 0) | (keys > _M32)
+    bad = (keys < 0) | (keys >= 1 << 32)
     if bad.any():
         raise ConfigError(f"spawn index {keys[bad][0]} outside 0 .. 2**32 - 1")
     first, last = lo + radius, hi + radius  # byte positions in each stream
     skip = first // 8
     with allocating(f"{len(keys)} windows of {hi - lo + 1} symbols", hi - lo + 1):
-        outputs = np.empty((len(keys), max(last // 8 - skip + 1, 0)), dtype="<u8")
         symbols = np.empty((len(keys), hi - lo + 1), dtype=np.uint8)
-    w = _generate_state(seed, tag, keys)
-    # the uint64 words are (s_hi, s_lo, seq_hi, seq_lo); inc = 2 seq + 1
-    s = [w[2], w[3], w[0], w[1]]
-    inc = _carry([w[6] << 1 | 1, w[7] << 1, w[4] << 1, w[5] << 1])
-    # Seeding sets the state to s + inc and steps once, and output k steps
-    # k + 1 times more, so n = skip + 2 steps from s + inc reach output skip.
-    # n steps take x to M**n x + (1 + M + ... + M**(n-1)) inc.
-    n = skip + 2
-    mult = pow(_PCG_MULT, n, 1 << 128)
-    addend = (pow(_PCG_MULT, n, (_PCG_MULT - 1) << 128) - 1) // (_PCG_MULT - 1)
-    x = _add(_mul(s, mult), _mul(inc, mult + addend))
-    for col in range(outputs.shape[1]):
-        if col:
-            x = _add(_mul(x, _PCG_MULT), inc)
-        v = (x[3] << 32 | x[2]) ^ (x[1] << 32 | x[0])
-        rot = x[3] >> 26
-        outputs[:, col] = v >> rot | v << (64 - rot & 63)
-    stream = outputs.view(np.uint8)[:, first - 8 * skip:last - 8 * skip + 1]
-    np.right_shift(stream, 7, out=symbols)
+    for r0 in range(0, len(keys), _pcg.BLOCK):
+        rows = keys[r0:r0 + _pcg.BLOCK].astype(np.uint64)
+        outputs = _pcg.spawned(_pcg.entropy(seed, (tag, rows)), skip,
+                               max(last // 8 - skip + 1, 0))
+        stream = outputs.view(np.uint8)[:, first - 8 * skip:last - 8 * skip + 1]
+        np.right_shift(stream, 7, out=symbols[r0:r0 + _pcg.BLOCK])
     symbols <<= 1
     symbols -= 1
     return symbols.view(np.int8)
@@ -292,7 +188,11 @@ def mc_triple_average(
         in_e = e.lut(a, b)
         if fault_inject:
             in_e = ~in_e
-        return in_e & (omega_windows(seed, 1, idx, W, (a, b)) == 1)
+        # the table takes the omega symbols' bytes: one byte per theta and level
+        omega = omega_windows(seed, 1, idx, W, (a, b))
+        table = np.equal(omega, 1, out=omega.view(np.bool_))
+        table &= in_e
+        return table
 
     # no 1/2 prefactor here: averaging over omega already supplies the
     # symbol-cylinder measure

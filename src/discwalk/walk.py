@@ -1,15 +1,19 @@
 """The deterministic walk driven by the rotation, and its occupation statistics.
 
 The walk height after k steps is h_k = sum_{i<k} phi(theta + i*alpha), a
-+/-1-step path on the integers.  This module computes prefixes of the walk,
-per-level visit counts at checkpoint times (``level_counts`` for one theta,
-``theta_counts`` for the many every sampled statistic is computed from), the
-range statistic (number of distinct levels visited), and empirical
-estimates of the occupation constants, the C of the schedule's growth
-conditions.  A ``CellTable`` fixes every walk of at most n steps by its
-starting cell, one of rotation.partition_cells; ``cell_table`` builds and
-caches one for any n: the block table (n = q) carries long walks, and a
-table of n < q gives every walk shorter than q at once.
++/-1-step path on the integers.  This module draws the theta sample
+(``sample_thetas``, numpy's draw recomputed by discwalk._pcg), and computes
+prefixes of the walk, per-level visit counts at checkpoint times
+(``level_counts`` for one theta, ``theta_counts`` for many), the range
+statistic (number of distinct levels visited), and empirical estimates of
+the occupation constants, the C of the schedule's growth conditions.  A
+``CellTable`` fixes every walk of at most n steps by its starting cell, one
+of rotation.partition_cells, with each cell's visits per level and visited
+band; ``cell_table`` builds and caches one for any n: the block table
+(n = q) carries long walks, and a table of n < q gives every walk shorter
+than q at once.  ``theta_cells`` is the one rule by which every sampled
+statistic reads its thetas: each theta's cell in such a table, looked up
+once, or, without one, its own walk through level_counts.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import _pcg
 from .errors import BudgetExceeded, ConfigError, InsufficientSamples, allocating
 from .rotation import MODULUS, FixedAngle, orbit_words, partition_cells, walk_heights
 
@@ -155,10 +160,12 @@ class CellTable:
     """Per cell of rotation.partition_cells, in the order of the cells'
     beginnings: the words ``hi``, ``lo`` of its beginning; its walk, with
     heights sign * (P[start + t] - P[start]) at times t <= n; its increment
-    ``inc`` over n steps; and ``hist[c, i, r + span]``, its visits to level
-    r among its first lengths[i] heights, where span = max P - min P bounds
-    every |r|.  No count exceeds n <= 2**14, so int16 holds them.  A plain
-    class: a dataclass would cost milliseconds at import."""
+    ``inc`` over n steps; ``hist[c, i, r + span]``, its visits to level r
+    among its first lengths[i] heights, where span = max P - min P bounds
+    every |r|; and ``bottom``, ``top``, the lowest and highest level among
+    its first lengths[-1] heights.  No count exceeds n <= 2**14, so int16
+    holds them.  A plain class: a dataclass would cost milliseconds at
+    import."""
 
     def __init__(self, alpha_bits: int, n: int, P: np.ndarray, hi: np.ndarray, lo: np.ndarray,
                  start: np.ndarray, sign: np.ndarray, inc: np.ndarray, hist: np.ndarray,
@@ -168,14 +175,23 @@ class CellTable:
         self.P, self.hi, self.lo = P, hi, lo
         self.start, self.sign, self.inc = start, sign, inc
         self.hist, self.span = hist, span
-        for a in (P, hi, lo, start, sign, inc, hist):
+        self.bottom, self.top = visited_band(-span, hist)
+        for a in (P, hi, lo, start, sign, inc, hist, self.bottom, self.top):
             a.flags.writeable = False
+
+    @property
+    def chunk(self) -> int:
+        """Cells' hist rows read at a time: about _CHUNK_ENTRIES entries."""
+        return max(1, _CHUNK_ENTRIES // self.hist[0].size)
 
     def cells(self, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
         """The cell of each point (hi, lo): the last beginning at or below it,
         in lexicographic order.  The first beginning is 0, so every point
-        has one."""
-        right = np.searchsorted(self.hi, hi, "right")
+        has one.  The points are searched in sorted order, which takes a
+        fraction of the time of searching them as they come."""
+        order = np.argsort(hi)
+        right = np.empty(len(hi), dtype=np.intp)
+        right[order] = np.searchsorted(self.hi, hi[order], "right")
         cell = right - 1
         # where the point's top word equals a beginning's, compare low words
         for i in np.flatnonzero(self.hi[cell] == hi):
@@ -369,29 +385,44 @@ def level_counts(
 _CHUNK_ENTRIES = 1 << 15
 
 
+def theta_cells(alpha: FixedAngle, thetas: np.ndarray,
+                checkpoints: Sequence[int]) -> Optional[Tuple[CellTable, np.ndarray]]:
+    """(table, cell): the cell table of a sampled statistic at these
+    checkpoints (ascending, >= 1) and the cell of each sample_thetas row,
+    each looked up once; None when there is no theta, when max N >= q, or
+    when the table is over size (cell_table).
+
+    The one rule of every sampled statistic: with a table, each theta's
+    counts are its cell's hist row; without, each theta goes through
+    level_counts alone.  Same counts.
+    """
+    if not len(thetas) or checkpoints[-1] >= block_length(alpha.bits):
+        return None
+    table = cell_table(alpha.bits, checkpoints[-1], checkpoints)
+    if table is None:
+        return None
+    return table, table.cells(thetas[:, 0], thetas[:, 1])
+
+
 def theta_counts(alpha: FixedAngle, thetas: np.ndarray,
                  checkpoints: Sequence[int]) -> Iterator[Tuple[np.ndarray, int, np.ndarray]]:
     """Chunks (idx, v_min, counts), idx ascending: counts[t, i, j] = visits of
     the walk from the sample_thetas row thetas[idx[t]] to level v_min + j among
     its first checkpoints[i] heights (ascending, >= 1); unvisited levels read 0.
 
-    The one rule of every sampled statistic: when max N < q and its cell
-    table is within size (cell_table), each theta's counts are its row of it,
-    looked up about _CHUNK_ENTRIES entries at a time; otherwise each theta
-    goes through level_counts alone.  Same counts.
+    By theta_cells' rule: the hist rows of the thetas' cells, table.chunk
+    at a time, or one theta a chunk through level_counts.
     """
-    cells = None
-    if len(thetas) and checkpoints[-1] < block_length(alpha.bits):  # no table for no theta
-        cells = cell_table(alpha.bits, checkpoints[-1], checkpoints)
-    if cells is None:
+    found = theta_cells(alpha, thetas, checkpoints)
+    if found is None:
         for i, (hi, lo) in enumerate(thetas.tolist()):  # Python ints: hi << 64 keeps hi
             v_min, counts = level_counts((hi << 64) | lo, alpha.bits, checkpoints)
             yield np.array([i]), v_min, counts[None]
         return
-    step = max(1, _CHUNK_ENTRIES // cells.hist[0].size)
-    for c0 in range(0, len(thetas), step):
-        w = thetas[c0:c0 + step]
-        yield np.arange(c0, c0 + len(w)), -cells.span, cells.hist[cells.cells(w[:, 0], w[:, 1])]
+    table, cell = found
+    for c0 in range(0, len(cell), table.chunk):
+        rows = cell[c0:c0 + table.chunk]
+        yield np.arange(c0, c0 + len(rows)), -table.span, table.hist[rows]
 
 
 def visited_band(v_min: int, counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -479,7 +510,15 @@ def occupation_band(
 
 
 def sample_thetas(n: int, seed: int) -> np.ndarray:
-    """n uniform circle points as uint64 word rows (hi, lo), deterministic in seed and order."""
-    rng = np.random.default_rng(seed)
+    """n uniform circle points as uint64 word rows (hi, lo), deterministic in
+    seed and order: ``np.random.default_rng(seed).integers(0, 2**64,
+    size=(n, 2), dtype=np.uint64)``, bit for bit, so that every sample
+    drawn before stays the same.  Those are the raw outputs of numpy's
+    PCG64 stream; discwalk._pcg recomputes them in integer array ops,
+    _pcg.BLOCK words at a time, so that no route imports numpy.random
+    (numpy 2 loads it on first use only), whose import costs more than
+    most routes' draws."""
     with allocating(f"{n} theta samples", n):
-        return rng.integers(0, 1 << 64, size=(n, 2), dtype=np.uint64)
+        out = np.empty((n, 2), dtype=np.uint64)
+    _pcg.stream(_pcg.entropy(seed), out.reshape(-1))
+    return out

@@ -255,6 +255,10 @@ class TestErgodicityCorrelation:
     @example(alpha=SLOW_ALPHA, cyl_a=CylinderSpec(constraints=()),
              cyl_b=CylinderSpec(constraints=((8, 1),)), N=48, n_samples=2, seed=1,
              threaded=False)
+    # neither sample's omega is in A: no theta is walked or given a level table
+    @example(alpha=resolve_alpha(AlphaSpec(preset="golden")),
+             cyl_a=CylinderSpec(constraints=((0, -1), (1, 1))),
+             cyl_b=CylinderSpec(constraints=()), N=1, n_samples=2, seed=0, threaded=False)
     def test_matches_per_step_reference(self, from_threads, alpha, cyl_a, cyl_b, N,
                                         n_samples, seed, threaded):
         def call():

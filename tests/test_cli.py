@@ -541,6 +541,32 @@ def readme_commands():
     return commands
 
 
+def test_readme_sampled_examples_import_neither_numpy_random_nor_mpmath():
+    # in a fresh process: numpy.random's import alone costs more than the
+    # sampled routes' draws, and only paper schedules need mpmath's.  numpy
+    # before 2.0 imports numpy.random itself, so only modules that the
+    # examples load beyond numpy's own count.
+    commands = [shlex.split(line)[1:] for line in readme_commands()
+                if line.split()[1] in ("average", "ergodicity")]
+    assert [argv[0] for argv in commands] == ["average", "ergodicity"]
+    assert "reduced,exact,mc" in commands[0]
+    src = os.path.dirname(os.path.dirname(discwalk.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys\n"
+         "import numpy\n"
+         "loaded = set(sys.modules)\n"
+         "from discwalk.cli import entrypoint\n"
+         "codes = [entrypoint(argv) for argv in json.loads(sys.argv[1])]\n"
+         "print(codes, sorted({'numpy.random', 'mpmath'} & (set(sys.modules) - loaded)))",
+         json.dumps(commands)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0] []"
+
+
 def test_readme_examples_exit_zero(capsys):
     commands = readme_commands()
     assert len(commands) == 4

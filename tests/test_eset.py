@@ -1,5 +1,8 @@
 import math
+import os
+import subprocess
 import sys
+import textwrap
 from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import discwalk
 from discwalk import (
     AverageEntry,
     AverageSeries,
@@ -290,6 +294,42 @@ class TestGeneratePaperSchedule:
 
         schedule = generate_paper_schedule(c_of, 10)
         assert verify_schedule(schedule, c_of).passed
+
+
+class TestMpmathOnFirstUse:
+    # in a fresh process, where mpmath is not imported yet: a desk schedule
+    # never imports it, and four threads that first need it at once build one
+    # context between them, and the paper schedule one thread builds alone
+    def test_desk_never_and_threads_build_one_context(self):
+        code = textwrap.dedent("""
+            import sys, threading
+            from concurrent.futures import ThreadPoolExecutor
+            from discwalk.eset import LogNum, generate_paper_schedule, make_desk_schedule
+            make_desk_schedule([(3, 12), (40, 100)])
+            assert "mpmath" not in sys.modules
+            import mpmath
+            built, context = [], mpmath.MPContext
+            mpmath.MPContext = lambda: built.append(1) or context()
+            start = threading.Barrier(4)
+
+            def paper():
+                return generate_paper_schedule(lambda v: LogNum(exact=2), 10).serialize()
+
+            def go(_):
+                start.wait(timeout=60)
+                return paper()
+
+            sys.setswitchinterval(1e-6)
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                texts = list(pool.map(go, range(4), timeout=120))
+            print(len(built), texts == [paper()] * 4)
+        """)
+        src = os.path.dirname(os.path.dirname(discwalk.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["1", "True"]
 
 
 class TestScheduleSerialization:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import block_table, theta_points, theta_words
 
 from discwalk import CylinderSpec, WindowExceeded, make_desk_schedule, mc_triple_average
+from discwalk import symbolic as symbolic_module
 from discwalk import walk as walk_module
 from discwalk.averages import ergodicity_correlation, reduced_average_series
 from discwalk.filters import QuantileFilter
@@ -122,6 +123,22 @@ class TestCellCounts:
         reduced_average_series(golden, e, None, N_list, 1000, 1)
         mc_triple_average(golden, e, N_list, 1000, 1)
         assert builds == [(golden.bits, 2048)]
+
+    def test_one_lookup_and_one_draw_per_route_call(self, golden, monkeypatch):
+        # the benchmark's routes_short shape: each route call looks every
+        # theta's cell up once, and mc draws every omega in one call
+        lookups, draws = [], []
+        cells, windows = walk_module.CellTable.cells, symbolic_module.omega_windows
+        monkeypatch.setattr(walk_module.CellTable, "cells",
+                            lambda self, hi, lo: lookups.append(len(hi)) or cells(self, hi, lo))
+        monkeypatch.setattr(symbolic_module, "omega_windows",
+                            lambda *args: draws.append(len(args[2])) or windows(*args))
+        _, e = make_desk_schedule(PAIRS)
+        N_list = [64, 128, 256, 331, 512, 1024, 2048]
+        reduced_average_series(golden, e, None, N_list, 10**4, 1)
+        assert lookups == [10**4] and draws == []
+        mc_triple_average(golden, e, N_list, 10**4, 1)
+        assert lookups == [10**4, 10**4] and draws == [10**4]
 
     def test_fallbacks(self, golden):
         q = block_length(golden.bits)

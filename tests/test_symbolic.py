@@ -20,6 +20,7 @@ from discwalk import (
     mc_triple_average,
     sample_omega,
 )
+from discwalk import _pcg
 from discwalk.rotation import MODULUS, walk_heights
 from discwalk.symbolic import default_window_radius, omega_windows
 from reference import triple_indicator
@@ -85,7 +86,10 @@ class TestOmegaWindows:
     @pytest.mark.parametrize("seed", [0, 1, 53, 2**64 + 3, 2**128 + 5])
     @pytest.mark.parametrize("tag", [1, 2])
     @pytest.mark.parametrize("radius", [0, 3, 60])
-    def test_rows_match_one_generator_per_sample(self, seed, tag, radius):
+    @pytest.mark.parametrize("rows", [None, 3])  # a block of 3 rows: 7 rows take 3 blocks
+    def test_rows_match_one_generator_per_sample(self, seed, tag, radius, rows, monkeypatch):
+        if rows:
+            monkeypatch.setattr(_pcg, "BLOCK", rows)
         idx = np.array([0, 1, 2, 7, 1000, 2**31, 2**32 - 1])
         windows = omega_windows(seed, tag, idx, radius)
         assert windows.dtype == np.int8 and windows.shape == (len(idx), 2 * radius + 1)

@@ -18,6 +18,7 @@ from discwalk import (
     run_walk,
     sample_thetas,
 )
+from discwalk import _pcg
 from discwalk import walk as walk_module
 from discwalk.rotation import HALF, MODULUS, AlphaSpec, resolve_alpha, walk_heights
 from discwalk.walk import (WalkSummary, band_counts, block_length, default_checkpoints,
@@ -401,6 +402,22 @@ class TestSampleThetas:
                 hi, lo = rng.integers(0, 1 << 64, size=2, dtype=np.uint64)
                 expected.append(FixedAngle((int(hi) << 64) | int(lo)))
             assert theta_points(sample_thetas(n, seed)) == expected
+
+    # numpy's own draw, bit for bit; 2**128 + 7 has five entropy words, one
+    # more than SeedSequence's pool.  The counts sit either side of the draw's
+    # first two block boundaries, at its own block size and at a small one.
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 7])
+    @pytest.mark.parametrize("words", [None, 16])
+    def test_matches_numpy_integers(self, seed, words, monkeypatch):
+        if words:
+            monkeypatch.setattr(_pcg, "BLOCK", words)
+        block = _pcg.BLOCK // 2  # thetas: two words each
+        for n in sorted({0, 1, 2} | {k * block + d for k in (1, 2) for d in (-1, 0, 1)}):
+            expected = np.random.default_rng(seed).integers(0, 2**64, size=(n, 2),
+                                                            dtype=np.uint64)
+            got = sample_thetas(n, seed)
+            assert got.dtype == np.uint64 and got.shape == (n, 2)
+            assert got.tobytes() == expected.tobytes()
 
     def test_unallocatable_count_is_a_budget_error(self):
         # numpy refuses these before touching memory; a negative count stays
