@@ -205,11 +205,16 @@ def stream(entropy: list, out: np.ndarray) -> None:
     BLOCK at a time: ``default_rng(seed).integers(0, 2**64, size, uint64)``
     returns exactly these outputs, in order.
 
-    A block starts at the state x, stepped in Python ints from block to
-    block, and its output k is read off M**k x + (1 + M + ... + M**(k-1))
-    inc: one array multiply-add against the jump table of block strides.
+    The one stream is seeded in Python ints, as seed() seeds many: x, the
+    state output 0 is read off, is 2 steps on from s + inc.  A block starts
+    at the state x, stepped in Python ints from block to block, and its
+    output k is read off M**k x + (1 + M + ... + M**(k-1)) inc: one array
+    multiply-add against the jump table of block strides.
     """
-    x, inc = (int(hi[0]) << 64 | int(lo[0]) for hi, lo in seed(entropy))
+    s_hi, s_lo, seq_hi, seq_lo = _seed_words(entropy)
+    inc = (seq_hi << 65 | seq_lo << 1 | 1) % _MOD
+    mult, addend = _stride(2)
+    x = (mult * ((s_hi << 64 | s_lo) + inc) + addend * inc) % _MOD
     block_mult, block_addend = _stride(BLOCK)
     block_addend = block_addend * inc % _MOD
     (m_hi, m_lo), (a_hi, a_lo) = _jump_table(BLOCK)

@@ -408,8 +408,6 @@ def zero_entropy_proxy(
         raise InsufficientSamples("need at least 1 theta sample")
     N_list = check_n_list(sorted(N_list))
     # the visited levels form an interval: steps are +/-1
-    visited = np.empty((len(theta_samples), len(N_list)), dtype=np.int64)
-    for idx, _, counts in theta_counts(alpha, theta_samples, N_list):
-        visited[idx] = np.count_nonzero(counts, axis=2)
-    table = visited / np.asarray(N_list)
+    _, rows, row = theta_counts(alpha, theta_samples, N_list)
+    table = np.count_nonzero(rows, axis=2)[row] / np.asarray(N_list)
     return RangeDecayTable(N_list=list(N_list), per_theta=table)

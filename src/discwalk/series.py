@@ -1,12 +1,11 @@
 """Average-series container shared by the three evaluation routes, and the
 driver shared by the two sampled routes.
 
-The driver reads each accepted theta's visits per level by walk.theta_cells'
-rule.  On a cell table it looks every theta's cell up once, takes each
-theta's visited band from its cell's, asks the route for its level table
-once, and reduces per cell (one table for all thetas) or in chunks of
-gathered hist rows (one row per theta).  Without one, each theta is walked
-through level_counts and reduced alone."""
+The driver reads each accepted theta's visits per level through
+walk.theta_counts, once per call: rows of counts and each theta's row among
+them.  It takes each theta's visited band from its row, asks the route for
+its level table once, and reduces per row of counts (one table for all
+thetas) or in chunks of gathered rows (one table row per theta)."""
 
 from __future__ import annotations
 
@@ -20,7 +19,7 @@ import numpy as np
 from .errors import ConfigError, EmptyAfterFilter
 from .filters import AcceptAll
 from .rotation import FixedAngle
-from .walk import check_n_list, sample_thetas, theta_cells, theta_counts, visited_band
+from .walk import check_n_list, chunks, sample_thetas, theta_counts, visited_band
 
 CSV_HEADER = "N,A,stderr,method,n_theta,seed"
 
@@ -85,34 +84,26 @@ def _sampled_fractions(
     level_table: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
 ) -> np.ndarray:
     """fractions[t, i]: the fraction of theta t's first N_list[i] walk times
-    whose level the level table marks; 0.0 for rejected thetas.  Counts
-    times table sums stay below 2**15, so int16 holds them exactly."""
+    whose level the level table marks; 0.0 for rejected thetas.  The hits
+    are integer products of counts with the table, in the dtype of the rows
+    of counts: on a cell table int16, where counts times table sums stay
+    below 2**15, and int64 for rows walked one theta at a time."""
     fractions = np.zeros((len(thetas), len(N_list)))
     accepted = np.flatnonzero(mask)
+    if not accepted.size:  # no theta to walk, nor a band to ask a table for
+        return fractions
     N = np.asarray(N_list)
-    sample = thetas[accepted]
-    found = theta_cells(alpha, sample, N_list)
-    if found is None:
-        for idx, v_min, counts in theta_counts(alpha, sample, N_list):
-            idx = accepted[idx]
-            lo, hi = visited_band(v_min, counts)
-            band = counts[:, :, lo.min() - v_min:hi.max() - v_min + 1]
-            table = level_table(idx, lo, hi)
-            fractions[idx] = (band @ table[..., None])[..., 0] / N
-        return fractions
-    cells, cell = found
-    lo, hi = cells.bottom[cell], cells.top[cell]
+    v_min, rows, row = theta_counts(alpha, thetas[accepted], N_list)
+    lo, hi = (v[row] for v in visited_band(v_min, rows))
     table = level_table(accepted, lo, hi)
-    band = slice(int(lo.min()) + cells.span, int(hi.max()) + cells.span + 1)
-    if table.ndim == 1:  # one row for every theta: fractions per cell
-        fractions[accepted] = (cells.hist[:, :, band] @ table / N)[cell]
+    band = slice(int(lo.min()) - v_min, int(hi.max()) - v_min + 1)
+    if table.ndim == 1:  # one row for every theta: fractions per row of counts
+        fractions[accepted] = (rows[:, :, band] @ table / N)[row]
         return fractions
-    # one row per theta: hits per theta, off gathered hist rows
-    hits = np.empty((len(cell), len(N_list)), dtype=cells.hist.dtype)
-    for c0 in range(0, len(cell), cells.chunk):
-        rows = slice(c0, c0 + cells.chunk)
-        np.matmul(cells.hist[cell[rows]][:, :, band], table[rows, :, None],
-                  out=hits[rows, :, None])
+    # one row per theta: hits per theta, off gathered rows of counts
+    hits = np.empty((len(row), len(N_list)), dtype=rows.dtype)
+    for part in chunks(rows, len(row)):
+        np.matmul(rows[row[part]][:, :, band], table[part, :, None], out=hits[part, :, None])
     fractions[accepted] = hits / N
     return fractions
 
@@ -133,9 +124,9 @@ def _sampled_series(
     ``level_table(idx, lo, hi)`` gets accepted theta indices (ascending,
     never none) and the visited band [lo[t], hi[t]] of each, and returns a
     boolean table over their common band [lo.min(), hi.max()]: one row
-    shared by all, or one row per theta.  On a cell table it is called once,
-    with every accepted theta; otherwise once per theta.  It may raise for
-    the first theta whose band it cannot serve.
+    shared by all, or one row per theta.  It is called once per call, with
+    every accepted theta, and may raise for the first theta whose band it
+    cannot serve.
 
     Thetas rejected by the filter contribute zero, folding the accepted
     fraction into the estimate so it targets the integral over the accepted

@@ -8,12 +8,13 @@ prefixes of the walk, per-level visit counts at checkpoint times
 statistic (number of distinct levels visited), and empirical estimates of
 the occupation constants, the C of the schedule's growth conditions.  A
 ``CellTable`` fixes every walk of at most n steps by its starting cell, one
-of rotation.partition_cells, with each cell's visits per level and visited
-band; ``cell_table`` builds and caches one for any n: the block table
+of rotation.partition_cells, with each cell's visits per level;
+``cell_table`` builds and caches one for any n: the block table
 (n = q) carries long walks, and a table of n < q gives every walk shorter
-than q at once.  ``theta_cells`` is the one rule by which every sampled
-statistic reads its thetas: each theta's cell in such a table, looked up
-once, or, without one, its own walk through level_counts.
+than q at once.  ``theta_counts`` is the one reader of every sampled
+statistic: rows of counts and each theta's row among them, the hist rows
+of such a table with each theta's cell looked up once, or, without one,
+each theta's own walk through level_counts.
 """
 
 from __future__ import annotations
@@ -162,10 +163,8 @@ class CellTable:
     heights sign * (P[start + t] - P[start]) at times t <= n; its increment
     ``inc`` over n steps; ``hist[c, i, r + span]``, its visits to level r
     among its first lengths[i] heights, where span = max P - min P bounds
-    every |r|; and ``bottom``, ``top``, the lowest and highest level among
-    its first lengths[-1] heights.  No count exceeds n <= 2**14, so int16
-    holds them.  A plain class: a dataclass would cost milliseconds at
-    import."""
+    every |r|.  No count exceeds n <= 2**14, so int16 holds them.  A plain
+    class: a dataclass would cost milliseconds at import."""
 
     def __init__(self, alpha_bits: int, n: int, P: np.ndarray, hi: np.ndarray, lo: np.ndarray,
                  start: np.ndarray, sign: np.ndarray, inc: np.ndarray, hist: np.ndarray,
@@ -175,14 +174,8 @@ class CellTable:
         self.P, self.hi, self.lo = P, hi, lo
         self.start, self.sign, self.inc = start, sign, inc
         self.hist, self.span = hist, span
-        self.bottom, self.top = visited_band(-span, hist)
-        for a in (P, hi, lo, start, sign, inc, hist, self.bottom, self.top):
+        for a in (P, hi, lo, start, sign, inc, hist):
             a.flags.writeable = False
-
-    @property
-    def chunk(self) -> int:
-        """Cells' hist rows read at a time: about _CHUNK_ENTRIES entries."""
-        return max(1, _CHUNK_ENTRIES // self.hist[0].size)
 
     def cells(self, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
         """The cell of each point (hi, lo): the last beginning at or below it,
@@ -379,55 +372,50 @@ def level_counts(
     return v_min + int(seen[0]), counts[:, seen[0]:seen[-1] + 1]
 
 
-# Count entries read off a cell table at a time: per-chunk overhead vanishes,
-# and a chunk's int16 counts (64 KiB) stay small beside the table they are
-# read from (golden, n = 2048, 7 lengths: 745 KB of histograms).
+# Count entries gathered from rows of counts at a time: per-chunk overhead
+# vanishes, and a chunk's int16 counts (64 KiB) stay small beside the table
+# they are read from (golden, n = 2048, 7 lengths: 745 KB of histograms).
 _CHUNK_ENTRIES = 1 << 15
 
 
-def theta_cells(alpha: FixedAngle, thetas: np.ndarray,
-                checkpoints: Sequence[int]) -> Optional[Tuple[CellTable, np.ndarray]]:
-    """(table, cell): the cell table of a sampled statistic at these
-    checkpoints (ascending, >= 1) and the cell of each sample_thetas row,
-    each looked up once; None when there is no theta, when max N >= q, or
-    when the table is over size (cell_table).
-
-    The one rule of every sampled statistic: with a table, each theta's
-    counts are its cell's hist row; without, each theta goes through
-    level_counts alone.  Same counts.
-    """
-    if not len(thetas) or checkpoints[-1] >= block_length(alpha.bits):
-        return None
-    table = cell_table(alpha.bits, checkpoints[-1], checkpoints)
-    if table is None:
-        return None
-    return table, table.cells(thetas[:, 0], thetas[:, 1])
+def chunks(rows: np.ndarray, n: int) -> Iterator[slice]:
+    """Slices of range(n), each of as many thetas as gather about
+    _CHUNK_ENTRIES count entries of theta_counts' rows."""
+    step = max(1, _CHUNK_ENTRIES // math.prod(rows.shape[1:]))
+    return (slice(c0, c0 + step) for c0 in range(0, n, step))
 
 
 def theta_counts(alpha: FixedAngle, thetas: np.ndarray,
-                 checkpoints: Sequence[int]) -> Iterator[Tuple[np.ndarray, int, np.ndarray]]:
-    """Chunks (idx, v_min, counts), idx ascending: counts[t, i, j] = visits of
-    the walk from the sample_thetas row thetas[idx[t]] to level v_min + j among
-    its first checkpoints[i] heights (ascending, >= 1); unvisited levels read 0.
+                 checkpoints: Sequence[int]) -> Tuple[int, np.ndarray, np.ndarray]:
+    """(v_min, rows, row): rows[row[t], i, j] = visits of the walk from the
+    sample_thetas row thetas[t] to level v_min + j among its first
+    checkpoints[i] heights (ascending, >= 1); unvisited levels read 0.
 
-    By theta_cells' rule: the hist rows of the thetas' cells, table.chunk
-    at a time, or one theta a chunk through level_counts.
+    The one rule of every sampled statistic.  When max N is below q and
+    there is a cell table of walks of max N steps (cell_table), rows is its
+    hist and row each theta's cell, looked up once.  Otherwise each theta
+    goes through level_counts, rows stacks their counts over their common
+    band, n_theta x checkpoints x band int64 counts at once, and row is
+    arange(n_theta).  Same counts.  No theta builds no table.
     """
-    found = theta_cells(alpha, thetas, checkpoints)
-    if found is None:
-        for i, (hi, lo) in enumerate(thetas.tolist()):  # Python ints: hi << 64 keeps hi
-            v_min, counts = level_counts((hi << 64) | lo, alpha.bits, checkpoints)
-            yield np.array([i]), v_min, counts[None]
-        return
-    table, cell = found
-    for c0 in range(0, len(cell), table.chunk):
-        rows = cell[c0:c0 + table.chunk]
-        yield np.arange(c0, c0 + len(rows)), -table.span, table.hist[rows]
+    if len(thetas) and checkpoints[-1] < block_length(alpha.bits):
+        table = cell_table(alpha.bits, checkpoints[-1], checkpoints)
+        if table is not None:
+            return -table.span, table.hist, table.cells(thetas[:, 0], thetas[:, 1])
+    # Python ints: hi << 64 keeps hi
+    walks = [level_counts((hi << 64) | lo, alpha.bits, checkpoints) for hi, lo in thetas.tolist()]
+    v_min = min((v for v, _ in walks), default=0)
+    width = max((v + counts.shape[1] for v, counts in walks), default=1) - v_min
+    with allocating(f"level counts of {len(walks)} thetas over {width} levels", width):
+        rows = np.zeros((len(walks), len(checkpoints), width), dtype=np.int64)
+    for t, (v, counts) in enumerate(walks):
+        rows[t, :, v - v_min:v - v_min + counts.shape[1]] = counts
+    return v_min, rows, np.arange(len(walks))
 
 
 def visited_band(v_min: int, counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(lo, hi): the lowest and highest level each theta of a theta_counts
-    chunk visits, from the nonzero columns at its last checkpoint."""
+    """(lo, hi): the lowest and highest level of each row of theta_counts'
+    rows, from the nonzero columns at its last checkpoint."""
     seen = counts[:, -1] != 0
     lo = v_min + seen.argmax(axis=1)
     hi = v_min + counts.shape[2] - 1 - seen[:, ::-1].argmax(axis=1)
@@ -449,8 +437,8 @@ def theta_band_counts(alpha: FixedAngle, theta_samples: np.ndarray,
     heights."""
     with allocating(f"band counts over {2 * v_max + 1} levels", 2 * v_max + 1):
         out = np.empty((len(theta_samples), len(checkpoints), 2 * v_max + 1), dtype=np.int64)
-    for idx, v_min, counts in theta_counts(alpha, theta_samples, checkpoints):
-        out[idx] = band_counts(v_min, counts, v_max)
+    v_min, rows, row = theta_counts(alpha, theta_samples, checkpoints)
+    out[...] = band_counts(v_min, rows[row], v_max)
     return out
 
 

@@ -43,8 +43,8 @@ ZERO = FixedAngle(0)
 
 
 def small_chunks():
-    """Read a few thetas a chunk off the cell table, so that calls on a
-    handful of thetas still cross chunk boundaries."""
+    """Gather a few rows of counts a chunk, so that a per-theta level table
+    over a handful of thetas still crosses chunk boundaries."""
     return mock.patch.object(walk_module, "_CHUNK_ENTRIES", 1 << 6)
 
 
@@ -339,10 +339,8 @@ class TestFilters:
 
         thetas = sample_thetas(40, 2)
         filt = QuantileFilter(q=0.25, horizon=1 << 10)
-        with small_chunks():
-            mask = filt.select(thetas, golden)
-            stats = [filt.statistics(theta_words([t]), golden)[0]
-                     for t in theta_points(thetas)]
+        mask = filt.select(thetas, golden)
+        stats = [filt.statistics(theta_words([t]), golden)[0] for t in theta_points(thetas)]
         assert 0 < mask.sum() < len(thetas)
         kept = [s for s, m in zip(stats, mask) if m]
         dropped = [s for s, m in zip(stats, mask) if not m]
@@ -403,8 +401,7 @@ class TestSharedOccupationCounter:
     @given(angles, angles, st.integers(1, 5000), st.integers(0, 4))
     def test_quantile_statistic_matches_reference(self, theta, alpha, horizon, v_max):
         filt = QuantileFilter(q=0.5, horizon=horizon, v_max=v_max)
-        with small_chunks():
-            stat = filt.statistics(theta_words([theta]), alpha)[0]
+        stat = filt.statistics(theta_words([theta]), alpha)[0]
         assert stat == statistic_reference(filt, theta, alpha)
 
     @settings(max_examples=60, deadline=None)
@@ -413,8 +410,7 @@ class TestSharedOccupationCounter:
            st.sets(st.integers(1, 3000), min_size=1, max_size=4))
     def test_ratio_check_matches_reference(self, thetas, alpha, v_list, checkpoints):
         checkpoints = sorted(checkpoints)
-        with small_chunks():
-            table = ratio_check(alpha, theta_words(thetas), v_list, checkpoints)
+        table = ratio_check(alpha, theta_words(thetas), v_list, checkpoints)
         expected = ratio_reference(alpha, thetas, v_list, checkpoints)
         assert table.ratios.shape == expected.shape
         assert table.ratios.tobytes() == expected.tobytes()
@@ -517,8 +513,7 @@ class TestLevelCountReducers:
            st.sets(st.integers(1, 3000), min_size=1, max_size=4))
     def test_range_matches_running_extremes(self, thetas, alpha, n_set):
         N_list = sorted(n_set)
-        with small_chunks():
-            table = zero_entropy_proxy(alpha, theta_words(thetas), N_list)
+        table = zero_entropy_proxy(alpha, theta_words(thetas), N_list)
         assert table.per_theta.tobytes() == range_reference(alpha, thetas, N_list).tobytes()
 
     @settings(max_examples=30, deadline=None)

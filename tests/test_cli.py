@@ -573,3 +573,17 @@ def test_readme_examples_exit_zero(capsys):
     for line in commands:
         code, _, err = run(capsys, *shlex.split(line)[1:])
         assert code == 0, (line, err)
+
+
+def test_readme_ergodicity_example_output(capsys):
+    # N = 10**5 is past golden's q = 10946, so every theta is walked through
+    # level_counts: these bytes pin that path of the sampled statistics
+    [line] = [line for line in readme_commands() if line.split()[1] == "ergodicity"]
+    code, out, _ = run(capsys, *shlex.split(line)[1:])
+    assert code == 0
+    assert out.splitlines()[-4:] == [
+        "cesaro_average: 0.2959811",
+        "product_of_measures: 0.25",
+        "stderr: 0.0170388665582088",
+        "sigmas: 2.6986008630866194",
+    ]

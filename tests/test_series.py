@@ -37,19 +37,19 @@ PAIRS = [(2, 6), (30, 300)]
 
 
 def assert_theta_counts_match_level_counts(alpha_bits, N_list, theta_bits):
-    """Every theta once, in order; its visited band, and every visit inside
-    it, as level_counts gives them."""
+    """Every theta's row; its visited band, read as the routes read it, and
+    every visit inside it, as level_counts gives them.  Returns theta_counts'
+    (v_min, rows, row)."""
     thetas = theta_words([FixedAngle(b) for b in theta_bits])
-    order = []
-    for idx, v_min, counts in theta_counts(FixedAngle(alpha_bits), thetas, N_list):
-        assert counts.shape[:2] == (len(idx), len(N_list))
-        for i, row, lo, hi in zip(idx.tolist(), counts, *visited_band(v_min, counts)):
-            ref_min, ref = level_counts(theta_bits[i], alpha_bits, N_list)
-            assert (lo, hi) == (ref_min, ref_min + ref.shape[1] - 1)
-            assert row.sum(axis=1).tolist() == N_list
-            assert row[:, lo - v_min:hi - v_min + 1].tolist() == ref.tolist()
-        order += idx.tolist()
-    assert order == list(range(len(thetas)))
+    v_min, rows, row = theta_counts(FixedAngle(alpha_bits), thetas, N_list)
+    assert rows.shape[1] == len(N_list) and row.shape == (len(thetas),)
+    bottoms, tops = (v[row].tolist() for v in visited_band(v_min, rows))
+    for bits, counts, lo, hi in zip(theta_bits, rows[row], bottoms, tops):
+        ref_min, ref = level_counts(bits, alpha_bits, N_list)
+        assert (lo, hi) == (ref_min, ref_min + ref.shape[1] - 1)
+        assert counts.sum(axis=1).tolist() == N_list
+        assert counts[:, lo - v_min:hi - v_min + 1].tolist() == ref.tolist()
+    return v_min, rows, row
 
 
 class TestCellCounts:
@@ -69,8 +69,7 @@ class TestCellCounts:
         # on the beginnings -k*alpha and 1/2 - k*alpha, and one unit either side
         on = [(-(k % n) * alpha + half * HALF + d) % MODULUS for k, half, d in beginnings]
         assert cell_table(alpha, n, N_list) is not None
-        with mock.patch.object(walk_module, "_CHUNK_ENTRIES", 1 << 6):  # several chunks
-            assert_theta_counts_match_level_counts(alpha, N_list, random + on)
+        assert_theta_counts_match_level_counts(alpha, N_list, random + on)
 
     @pytest.mark.parametrize("k", [0, 1, 499, 500, 777])
     @pytest.mark.parametrize("half", [0, HALF])
@@ -92,25 +91,26 @@ class TestCellCounts:
         (ALPHA_BITS["golden"], [100, 10946, 20000], "blocks"),
         (ALPHA_BITS["cf8"], [4289, 10**5], "blocks"),
     ])
-    def test_every_path(self, alpha, N_list, path, monkeypatch):
-        monkeypatch.setattr(walk_module, "_CHUNK_ENTRIES", 1 << 8)  # several chunks
+    def test_every_path(self, alpha, N_list, path):
         thetas = [t.bits for t in theta_points(sample_thetas(24, 3))] + [0, MODULUS - 1]
         per_theta, one = [], walk_module.level_counts
         with mock.patch.object(walk_module, "level_counts",
                                lambda theta, *args: per_theta.append(theta) or one(theta, *args)):
-            chunks = list(theta_counts(FixedAngle(alpha),
-                                       theta_words([FixedAngle(t) for t in thetas]), N_list))
-        # off the cell table, no theta goes through level_counts
+            _, rows, row = assert_theta_counts_match_level_counts(alpha, N_list, thetas)
+        # on the cell table, no theta goes through level_counts: the rows
+        # are the table's hist; off it, every theta has its own row
         assert per_theta == ([] if path == "cells" else thetas)
-        assert (len(chunks) < len(thetas)) == (path == "cells")
-        if path != "cells":
+        if path == "cells":
+            assert rows is cell_table(alpha, N_list[-1], N_list).hist
+        else:
+            assert row.tolist() == list(range(len(thetas)))
             assert (block_table(alpha) is not None and N_list[-1] >= block_length(alpha)) == (
                 path == "blocks")
-        assert_theta_counts_match_level_counts(alpha, N_list, thetas)
 
     def test_no_thetas_no_table(self, golden, monkeypatch):
         monkeypatch.setattr(walk_module, "cell_table", None)  # not called
-        assert list(theta_counts(golden, theta_words([]), [64])) == []
+        _, rows, row = theta_counts(golden, theta_words([]), [64])
+        assert len(rows) == len(row) == 0
 
     def test_routes_share_one_table(self, golden, monkeypatch):
         # reduced and mc over one alpha and N list read one cached cell table
@@ -139,6 +139,17 @@ class TestCellCounts:
         assert lookups == [10**4] and draws == []
         mc_triple_average(golden, e, N_list, 10**4, 1)
         assert lookups == [10**4, 10**4] and draws == [10**4]
+
+    def test_one_draw_per_route_call_off_the_table(self, golden, monkeypatch):
+        # at max N >= q each theta is walked alone, and mc still asks for
+        # its level table, and so draws every omega, in one call
+        draws, windows = [], symbolic_module.omega_windows
+        monkeypatch.setattr(symbolic_module, "omega_windows",
+                            lambda *args: draws.append(len(args[2])) or windows(*args))
+        _, e = make_desk_schedule(PAIRS)
+        assert 20000 >= block_length(golden.bits)
+        mc_triple_average(golden, e, [64, 256, 20000], 500, 1)
+        assert draws == [500]
 
     def test_fallbacks(self, golden):
         q = block_length(golden.bits)
