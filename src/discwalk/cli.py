@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Dict, Optional, Sequence
 
 import click
-import yaml
+import numpy as np
 
 from .averages import (
     exact_average_series,
@@ -35,7 +35,7 @@ from .eset import LogNum, Schedule, generate_paper_schedule, make_desk_schedule,
 from .filters import AcceptAll, QuantileFilter
 from .rotation import AlphaSpec, FixedAngle, resolve_alpha
 from .symbolic import CylinderSpec, mc_triple_average
-from .walk import estimate_constants, run_walk, sample_thetas
+from .walk import WalkSummary, estimate_constants, sample_thetas, theta_counts, visited_band
 
 EXIT_CONFIG = 2
 EXIT_GATE = 3
@@ -54,6 +54,8 @@ def load_config(ctx: click.Context, param, path: Optional[str]) -> None:
     """Eager ``--config`` callback: the file's values become option defaults."""
     if path is None:
         return
+    import yaml  # only a config file needs it, and its import takes about 11 ms
+
     try:
         with open(path) as f:
             doc = yaml.safe_load(f) or {}
@@ -235,15 +237,18 @@ def cmd_walk(alpha, seed, threads, out, theta, n, n_theta):
     a = parse_alpha(alpha)
     if theta:
         require(n_theta is None, "give --theta or --n-theta, not both")
-        points = [parse_theta(t) for t in theta]
+        words = np.array([divmod(parse_theta(t).bits, 1 << 64) for t in theta], dtype=np.uint64)
     else:
         require(n_theta is not None, "give at least one --theta, or --n-theta with --seed")
-        points = [FixedAngle((hi << 64) | lo)
-                  for hi, lo in sample_thetas(n_theta, require_seed(seed)).tolist()]
-    from .walk import WalkSummary
-
-    rows = [run_walk(t, a, n).csv_row() for t in points]
-    emit(header_lines(settings()) + WalkSummary.CSV_HEADER + "\n" + "\n".join(rows) + "\n", out)
+        words = sample_thetas(n_theta, require_seed(seed))
+    # every start point's counts at N, over its visited band [lo, hi]
+    v_min, rows, row = theta_counts(a, words, [n])
+    counts = rows[row, 0]
+    lo, hi = (v.tolist() for v in visited_band(v_min, counts[:, None]))
+    lines = [WalkSummary(theta0=FixedAngle((w_hi << 64) | w_lo), alpha=a, N=n, min_height=v,
+                         counts=c[v - v_min:top - v_min + 1]).csv_row()
+             for (w_hi, w_lo), c, v, top in zip(words.tolist(), counts, lo, hi)]
+    emit(header_lines(settings()) + WalkSummary.CSV_HEADER + "\n" + "\n".join(lines) + "\n", out)
 
 
 @main.command("constants")

@@ -13,7 +13,8 @@ of rotation.partition_cells, with each cell's visits per level;
 (n = q) carries long walks, and a table of n < q gives every walk shorter
 than q at once.  ``theta_counts`` is the one reader of every sampled
 statistic: rows of counts and each theta's row among them, the hist rows
-of such a table with each theta's cell looked up once, or, without one,
+of such a table with each theta's cell looked up once, one row per theta
+read off the block table for every theta at once, or, without a table,
 each theta's own walk through level_counts.
 """
 
@@ -138,7 +139,7 @@ def check_n_list(N_list: Sequence[int]) -> List[int]:
 # On each cell of rotation.partition_cells(alpha, n), phi_1 .. phi_n are all
 # constant, so the first n steps of a walk are fixed by the cell its start
 # lies in.  cell_table builds and caches the table of any n and lengths.
-# level_counts reads long walks off the block table: n = q, the largest
+# _block_counts reads long walks off the block table: n = q, the largest
 # continued-fraction denominator of alpha at most 2**14, and lengths [q]; a
 # q-step block has increment at most Var phi = 4 in size (the Denjoy-Koksma
 # inequality), and a block shorter than _MIN_Q costs more to look up than to
@@ -163,8 +164,9 @@ class CellTable:
     heights sign * (P[start + t] - P[start]) at times t <= n; its increment
     ``inc`` over n steps; ``hist[c, i, r + span]``, its visits to level r
     among its first lengths[i] heights, where span = max P - min P bounds
-    every |r|.  No count exceeds n <= 2**14, so int16 holds them.  A plain
-    class: a dataclass would cost milliseconds at import."""
+    every |r|; ``bottom``, ``top``, the lowest and highest of those levels
+    at lengths[-1].  No count exceeds n <= 2**14, so int16 holds them.  A
+    plain class: a dataclass would cost milliseconds at import."""
 
     def __init__(self, alpha_bits: int, n: int, P: np.ndarray, hi: np.ndarray, lo: np.ndarray,
                  start: np.ndarray, sign: np.ndarray, inc: np.ndarray, hist: np.ndarray,
@@ -174,7 +176,8 @@ class CellTable:
         self.P, self.hi, self.lo = P, hi, lo
         self.start, self.sign, self.inc = start, sign, inc
         self.hist, self.span = hist, span
-        for a in (P, hi, lo, start, sign, inc, hist):
+        self.bottom, self.top = (v.astype(P.dtype) for v in visited_band(-span, hist))
+        for a in (P, hi, lo, start, sign, inc, hist, self.bottom, self.top):
             a.flags.writeable = False
 
     def cells(self, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
@@ -293,89 +296,176 @@ def _add_segments(acc, ends: List[int], t0: int, heights: np.ndarray):
     return _merge(acc, v_lo, counts)
 
 
+def _block_table(alpha_bits: int, n: int) -> Optional[CellTable]:
+    """The block table that walks of n steps are read off, or None: a walk
+    shorter than q, or q below _MIN_Q, is walked directly."""
+    q = block_length(alpha_bits)
+    return cell_table(alpha_bits, q, [q]) if n >= q >= _MIN_Q else None
+
+
 def level_counts(
     theta_bits: int, alpha_bits: int, checkpoints: Sequence[int]
 ) -> Tuple[int, np.ndarray]:
     """(v_min, counts): counts[i, j] = visits to level v_min + j among the
     first checkpoints[i] heights (ascending, >= 1), over the whole visited band.
 
-    The one per-theta walk reducer.  With a block table and at least q
-    steps, the walk is cut into q-step blocks and every block is read off
-    the table (see the cell table above): nothing is walked.  Otherwise the
-    walk is walked directly as one stretch, _STRETCH steps at a time, each
-    carrying on from the height the last ended at.  The counts of the
-    heights between checkpoints i - 1 and i go to row i, and a cumsum over
-    rows adds them up.  Time O(N/q + q * number of checkpoints) with a
-    table, O(N) without; memory O(q + width * number of checkpoints), and
-    O(_STRETCH) more without a table.
+    With a block table and at least q steps, the walk is read off the table
+    by _block_counts, as one theta of theta_counts is: nothing is walked.
+    Otherwise it is walked directly as one stretch, _STRETCH steps at a
+    time, each carrying on from the height the last ended at; the counts of
+    the heights between checkpoints i - 1 and i go to row i, and a cumsum
+    over rows adds them up.  Time O(N) and memory O(_STRETCH + width *
+    number of checkpoints) without a table.
     """
     ends = list(checkpoints)
-    m, n = len(ends), ends[-1]
-    q = block_length(alpha_bits)
-    table = cell_table(alpha_bits, q, [q]) if n >= q >= _MIN_Q else None
+    n = ends[-1]
+    table = _block_table(alpha_bits, n)
+    if table is not None:
+        theta = np.array([divmod(theta_bits, 1 << 64)], dtype=np.uint64)
+        v_min, rows = _block_counts(table, theta, ends)
+        return v_min, rows[0]
+    if n > MAX_DIRECT_STEPS:
+        raise BudgetExceeded(f"a directly walked stretch of {n} "
+                             f"steps exceeds the budget {MAX_DIRECT_STEPS}")
     acc = None
-    height = 0  # at the start of the next block or piece of the stretch
-    if table is None:
-        if n > MAX_DIRECT_STEPS:
-            raise BudgetExceeded(f"a directly walked stretch of {n} "
-                                 f"steps exceeds the budget {MAX_DIRECT_STEPS}")
-        for t0 in range(0, n, _STRETCH):
-            # each piece but the last walks one height more: where the next starts
-            heights = walk_heights((theta_bits + t0 * alpha_bits) % MODULUS, alpha_bits,
-                                   min(_STRETCH + 1, n - t0))
-            heights += height
-            height = int(heights[-1])
-            acc = _add_segments(acc, ends, t0, heights[:_STRETCH])
-    else:
-        if n // q >= MAX_BLOCKS:
-            raise BudgetExceeded(f"a walk of {n} steps takes {n // q} blocks of {q}; "
-                                 f"the budget is {MAX_BLOCKS}")
-        ends_arr = np.array(ends, dtype=np.int64)
-        width_r = 2 * table.span + 1
-        blocks = -(-n // q)  # the final partial block too
-        for b0 in range(0, blocks, _CHUNK):
-            b = np.arange(b0, min(b0 + _CHUNK, blocks), dtype=np.int64)
-            hi, lo = orbit_words((theta_bits + b0 * table.step) % MODULUS, table.step,
-                                 (b - b0).astype(np.uint64))
-            cell = table.cells(hi, lo)
-            inc = table.inc[cell]
-            starts = np.cumsum(inc, dtype=np.int64)
-            starts += height
-            height = int(starts[-1])
-            starts -= inc
-            # a block is whole when the first checkpoint after its start
-            # is at or past its end; the checkpoint n comes after every start
-            seg = np.searchsorted(ends_arr, b * q, "right")
-            whole = ends_arr[seg] >= (b + 1) * q
-            for j in np.flatnonzero(~whole).tolist():
-                s, t0 = int(table.start[cell[j]]), int(b[j]) * q
-                heights = table.P[s:s + min(q, n - t0)].astype(np.int64)
-                heights -= table.P[s]
-                heights *= table.sign[cell[j]]
-                heights += starts[j]
-                acc = _add_segments(acc, ends, t0, heights)
-            if not whole.any():
-                continue
-            cell, starts = cell[whole], starts[whole]
-            low = int(starts.min())
-            width = int(starts.max()) - low + width_r
-            bins = seg[whole] * width + starts - low
-            bins = (bins[:, None] + np.arange(width_r)).ravel()
-            # every bin sums integers below 2**53, so the float sums are exact
-            part = np.bincount(bins, weights=table.hist[cell].ravel(), minlength=m * width)
-            acc = _merge(acc, low - table.span, part.astype(np.int64).reshape(m, width))
-
+    height = 0  # at the start of the next piece of the stretch
+    for t0 in range(0, n, _STRETCH):
+        # each piece but the last walks one height more: where the next starts
+        heights = walk_heights((theta_bits + t0 * alpha_bits) % MODULUS, alpha_bits,
+                               min(_STRETCH + 1, n - t0))
+        heights += height
+        height = int(heights[-1])
+        acc = _add_segments(acc, ends, t0, heights[:_STRETCH])
     v_min, counts = acc
     np.cumsum(counts, axis=0, out=counts)
-    # block histograms cover each block's whole span: trim to the visited band
-    seen = np.flatnonzero(counts[-1])
-    return v_min + int(seen[0]), counts[:, seen[0]:seen[-1] + 1]
+    return v_min, counts
 
 
-# Count entries gathered from rows of counts at a time: per-chunk overhead
-# vanishes, and a chunk's int16 counts (64 KiB) stay small beside the table
-# they are read from (golden, n = 2048, 7 lengths: 745 KB of histograms).
+# Count entries handled at a time: gathered from rows of counts (chunks), or
+# the whole-block histograms of a chunk of thetas (_block_counts).
+# Per-chunk overhead vanishes, and a chunk's int16 counts (64 KiB) stay
+# small beside the table they are read from (golden, n = 2048, 7 lengths:
+# 745 KB of histograms).
 _CHUNK_ENTRIES = 1 << 15
+
+
+def _block_counts(table: CellTable, thetas: np.ndarray,
+                  ends: List[int]) -> Tuple[int, np.ndarray]:
+    """(v_min, rows): rows[t, i, j] = visits of the walk from the
+    sample_thetas row thetas[t] to level v_min + j among its first ends[i]
+    heights (ascending, ends[-1] >= q = table.n), over the thetas' common
+    visited band.
+
+    The walks are cut into q-step blocks and every block is read off the
+    block table: a block's start is theta + b * q * alpha, its cell gives
+    its walk, and a cumsum of the cells' increments the height it starts
+    at.  A whole block, one no checkpoint cuts, adds its cell's histogram,
+    shifted to that height, to the checkpoint after it: one weighted
+    bincount per chunk of _CHUNK_ENTRIES histogram entries, of thetas, and
+    of _CHUNK blocks past that.  A partial block, one a checkpoint cuts or
+    the final one, is a slice of P per theta.  A first pass over the chunks
+    finds the common band, from each block's start and its cell's bottom
+    and top, and rows is allocated once over it; a second fills it, and a
+    cumsum over checkpoints adds the rows up.  With one chunk, the second
+    pass reuses the first's cells.  Time O(n_theta * (N/q + q * number of
+    checkpoints)); memory rows, O(q), and one chunk's cells and counts.
+    """
+    q, n, m = table.n, ends[-1], len(ends)
+    if n // q >= MAX_BLOCKS:
+        raise BudgetExceeded(f"a walk of {n} steps takes {n // q} blocks of {q}; "
+                             f"the budget is {MAX_BLOCKS}")
+    blocks = -(-n // q)  # the final partial block too
+    partial = sorted({end // q for end in ends if end % q})
+    width_r = 2 * table.span + 1
+    step = max(1, _CHUNK_ENTRIES // (max(1, blocks - len(partial)) * width_r))
+    signed = {1: table.P, -1: -table.P}  # |P| <= span, so -P fits P's dtype
+
+    def walks():
+        """(t0, b0, cell, starts): per chunk of thetas from t0 and of blocks
+        from b0, each block's cell and the height it starts at."""
+        for t0 in range(0, len(thetas), step):
+            hi0, lo0 = thetas[t0:t0 + step, :1], thetas[t0:t0 + step, 1:]
+            height = np.zeros((len(hi0), 1), dtype=np.int64)
+            for b0 in range(0, blocks, _CHUNK):
+                b = np.arange(b0, min(b0 + _CHUNK, blocks), dtype=np.uint64)
+                hi, lo = orbit_words(0, table.step, b)
+                lo = lo + lo0
+                hi = hi + hi0 + (lo < lo0)  # the carry of adding theta's low word
+                cell = table.cells(hi.ravel(), lo.ravel()).reshape(hi.shape)
+                inc = table.inc[cell]
+                starts = np.cumsum(inc, axis=1, dtype=np.int64)
+                starts += height
+                height = starts[:, -1:].copy()
+                starts -= inc
+                yield t0, b0, cell, starts
+
+    def heights_at(cell, starts, length, v_min):
+        """Per theta, the first length heights of its block, less v_min."""
+        at, sign = table.start[cell], table.sign[cell]
+        shifts = starts - v_min - sign * table.P[at]
+        for s, g, shift in zip(at.tolist(), sign.tolist(), shifts.tolist()):
+            yield np.add(signed[g][s:s + length], shift, dtype=np.int64)
+
+    single = len(thetas) <= step and blocks <= _CHUNK
+    kept = list(walks()) if single else None
+    # every walk visits 0, its first height
+    v_min = v_top = 0
+    final = n - (blocks - 1) * q  # heights of the final block
+    walked = blocks - (final < q)  # blocks walked to their end
+    for _, b0, cell, starts in kept or walks():
+        inner = min(cell.shape[1], walked - b0)
+        if inner > 0:
+            v_min = min(v_min, int((starts[:, :inner] + table.bottom[cell[:, :inner]]).min()))
+            v_top = max(v_top, int((starts[:, :inner] + table.top[cell[:, :inner]]).max()))
+        if inner < cell.shape[1]:
+            # a final block's band is its cell's over q heights, or within it:
+            # read its heights only where that would widen the common band
+            cell, starts = cell[:, -1], starts[:, -1]
+            wider = ((starts + table.bottom[cell] < v_min)
+                     | (starts + table.top[cell] > v_top))
+            for heights in heights_at(cell[wider], starts[wider], final, 0):
+                v_min, v_top = min(v_min, int(heights.min())), max(v_top, int(heights.max()))
+
+    width = v_top - v_min + 1
+    with allocating(f"level counts of {len(thetas)} thetas over {width} levels", width):
+        rows = np.zeros((len(thetas), m, width), dtype=np.int64)
+    ends_arr = np.array(ends, dtype=np.int64)
+    for t0, b0, cell, starts in kept or walks():
+        part_rows = rows[t0:t0 + len(cell)]
+        here = [p for p in partial if b0 <= p < b0 + cell.shape[1]]
+        whole = np.ones(cell.shape[1], dtype=bool)
+        whole[[p - b0 for p in here]] = False
+        if whole.any():
+            # a whole block's visits go to the segment up to the first
+            # checkpoint after its start
+            seg = np.searchsorted(ends_arr, (np.flatnonzero(whole) + b0) * q, "right")
+            hist_cells, starts_w = cell[:, whole], starts[:, whole]
+            # column c of the counts is level low + c
+            low = int(starts_w.min()) - table.span
+            wide = int(starts_w.max()) + table.span - low + 1
+            bins = (np.arange(len(cell))[:, None] * m + seg) * wide + starts_w - table.span - low
+            bins = (bins[:, :, None] + np.arange(width_r)).ravel()
+            # every bin sums integers below 2**53, so the float sums are exact
+            counts = np.bincount(bins, weights=table.hist[hist_cells, -1].ravel(),
+                                 minlength=len(cell) * m * wide).reshape(len(cell), m, wide)
+            # outside the common band every bin is empty
+            a, z = max(low, v_min), min(low + wide, v_min + width)
+            into = part_rows[:, :, a - v_min:z - v_min]
+            np.add(into, counts[:, :, a - low:z - low], out=into, casting="unsafe")
+        for p in here:
+            # each height's column, offset by the row of its checkpoint segment
+            s0, s1 = p * q, min(p * q + q, n)
+            first = bisect.bisect_right(ends, s0)
+            cuts = [s0] + [end for end in ends[first:] if end < s1] + [s1]
+            offset = np.repeat(np.arange(len(cuts) - 1, dtype=np.int32) * width,
+                               [c1 - c0 for c0, c1 in zip(cuts, cuts[1:])])
+            rows_p = part_rows[:, first:first + len(cuts) - 1].reshape(len(cell), -1)
+            for into, heights in zip(rows_p, heights_at(cell[:, p - b0], starts[:, p - b0],
+                                                         s1 - s0, v_min)):
+                heights += offset
+                into += np.bincount(heights, minlength=len(into))
+    np.cumsum(rows, axis=1, out=rows)
+    return v_min, rows
 
 
 def chunks(rows: np.ndarray, n: int) -> Iterator[slice]:
@@ -393,21 +483,30 @@ def theta_counts(alpha: FixedAngle, thetas: np.ndarray,
 
     The one rule of every sampled statistic.  When max N is below q and
     there is a cell table of walks of max N steps (cell_table), rows is its
-    hist and row each theta's cell, looked up once.  Otherwise each theta
-    goes through level_counts, rows stacks their counts over their common
-    band, n_theta x checkpoints x band int64 counts at once, and row is
-    arange(n_theta).  Same counts.  No theta builds no table.
+    hist and row each theta's cell, looked up once.  When max N is at least
+    q and there is a block table, _block_counts reads every theta's blocks
+    off it at once, into n_theta x checkpoints x band int64 counts over the
+    thetas' common band, and row is arange(n_theta).  Otherwise each theta
+    goes through level_counts, and rows stacks their counts over their
+    common band.  Same counts.  No theta builds no table.
     """
-    if len(thetas) and checkpoints[-1] < block_length(alpha.bits):
-        table = cell_table(alpha.bits, checkpoints[-1], checkpoints)
-        if table is not None:
-            return -table.span, table.hist, table.cells(thetas[:, 0], thetas[:, 1])
+    ends = list(checkpoints)
+    if len(thetas):
+        if ends[-1] < block_length(alpha.bits):
+            table = cell_table(alpha.bits, ends[-1], ends)
+            if table is not None:
+                return -table.span, table.hist, table.cells(thetas[:, 0], thetas[:, 1])
+        else:
+            table = _block_table(alpha.bits, ends[-1])
+            if table is not None:
+                v_min, rows = _block_counts(table, thetas, ends)
+                return v_min, rows, np.arange(len(thetas))
     # Python ints: hi << 64 keeps hi
-    walks = [level_counts((hi << 64) | lo, alpha.bits, checkpoints) for hi, lo in thetas.tolist()]
+    walks = [level_counts((hi << 64) | lo, alpha.bits, ends) for hi, lo in thetas.tolist()]
     v_min = min((v for v, _ in walks), default=0)
     width = max((v + counts.shape[1] for v, counts in walks), default=1) - v_min
     with allocating(f"level counts of {len(walks)} thetas over {width} levels", width):
-        rows = np.zeros((len(walks), len(checkpoints), width), dtype=np.int64)
+        rows = np.zeros((len(walks), len(ends), width), dtype=np.int64)
     for t, (v, counts) in enumerate(walks):
         rows[t, :, v - v_min:v - v_min + counts.shape[1]] = counts
     return v_min, rows, np.arange(len(walks))

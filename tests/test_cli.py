@@ -543,9 +543,9 @@ def readme_commands():
 
 def test_readme_sampled_examples_import_neither_numpy_random_nor_mpmath():
     # in a fresh process: numpy.random's import alone costs more than the
-    # sampled routes' draws, and only paper schedules need mpmath's.  numpy
-    # before 2.0 imports numpy.random itself, so only modules that the
-    # examples load beyond numpy's own count.
+    # sampled routes' draws, only paper schedules need mpmath's, and only a
+    # config file needs yaml's.  numpy before 2.0 imports numpy.random
+    # itself, so only modules that the examples load beyond numpy's own count.
     commands = [shlex.split(line)[1:] for line in readme_commands()
                 if line.split()[1] in ("average", "ergodicity")]
     assert [argv[0] for argv in commands] == ["average", "ergodicity"]
@@ -560,7 +560,7 @@ def test_readme_sampled_examples_import_neither_numpy_random_nor_mpmath():
          "loaded = set(sys.modules)\n"
          "from discwalk.cli import entrypoint\n"
          "codes = [entrypoint(argv) for argv in json.loads(sys.argv[1])]\n"
-         "print(codes, sorted({'numpy.random', 'mpmath'} & (set(sys.modules) - loaded)))",
+         "print(codes, sorted({'numpy.random', 'mpmath', 'yaml'} & (set(sys.modules) - loaded)))",
          json.dumps(commands)],
         env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -576,8 +576,9 @@ def test_readme_examples_exit_zero(capsys):
 
 
 def test_readme_ergodicity_example_output(capsys):
-    # N = 10**5 is past golden's q = 10946, so every theta is walked through
-    # level_counts: these bytes pin that path of the sampled statistics
+    # N = 10**5 is past golden's q = 10946, so every theta's blocks are read
+    # off the block table at once: these bytes pin that path of the sampled
+    # statistics
     [line] = [line for line in readme_commands() if line.split()[1] == "ergodicity"]
     code, out, _ = run(capsys, *shlex.split(line)[1:])
     assert code == 0

@@ -1,6 +1,8 @@
-"""walk.theta_counts against walk.level_counts on every path, and the
-sampled routes' output bytes against the per-theta loop they replaced."""
+"""walk.theta_counts against walk.level_counts on every path and against
+the walk's heights on the block table, and the sampled routes' output bytes
+against the per-theta loop they replaced."""
 
+import tracemalloc
 from collections import OrderedDict
 from unittest import mock
 
@@ -16,7 +18,7 @@ from discwalk import symbolic as symbolic_module
 from discwalk import walk as walk_module
 from discwalk.averages import ergodicity_correlation, reduced_average_series
 from discwalk.filters import QuantileFilter
-from discwalk.rotation import HALF, MODULUS, AlphaSpec, FixedAngle, resolve_alpha
+from discwalk.rotation import HALF, MODULUS, AlphaSpec, FixedAngle, resolve_alpha, walk_heights
 from discwalk.walk import (block_length, cell_table, level_counts, sample_thetas, theta_counts,
                            visited_band)
 
@@ -94,18 +96,27 @@ class TestCellCounts:
     def test_every_path(self, alpha, N_list, path):
         thetas = [t.bits for t in theta_points(sample_thetas(24, 3))] + [0, MODULUS - 1]
         per_theta, one = [], walk_module.level_counts
+        lookups, cells = [], walk_module.CellTable.cells
         with mock.patch.object(walk_module, "level_counts",
-                               lambda theta, *args: per_theta.append(theta) or one(theta, *args)):
-            _, rows, row = assert_theta_counts_match_level_counts(alpha, N_list, thetas)
-        # on the cell table, no theta goes through level_counts: the rows
-        # are the table's hist; off it, every theta has its own row
-        assert per_theta == ([] if path == "cells" else thetas)
+                               lambda theta, *args: per_theta.append(theta) or one(theta, *args)), \
+                mock.patch.object(walk_module.CellTable, "cells",
+                                  lambda self, hi, lo: lookups.append(len(hi)) or cells(self, hi, lo)):
+            theta_counts(FixedAngle(alpha), theta_words([FixedAngle(b) for b in thetas]), N_list)
+        _, rows, row = assert_theta_counts_match_level_counts(alpha, N_list, thetas)
+        # only off both tables does a theta go through level_counts; on the
+        # cell table the rows are the table's hist, with every theta looked
+        # up at once; on the block table every block of every theta is, in
+        # one chunk here; off it every theta is walked alone
+        assert per_theta == (thetas if path == "direct" else [])
         if path == "cells":
             assert rows is cell_table(alpha, N_list[-1], N_list).hist
+            assert lookups == [len(thetas)]
         else:
             assert row.tolist() == list(range(len(thetas)))
             assert (block_table(alpha) is not None and N_list[-1] >= block_length(alpha)) == (
                 path == "blocks")
+            blocks = -(-N_list[-1] // block_length(alpha))
+            assert lookups == ([len(thetas) * blocks] if path == "blocks" else [])
 
     def test_no_thetas_no_table(self, golden, monkeypatch):
         monkeypatch.setattr(walk_module, "cell_table", None)  # not called
@@ -155,6 +166,116 @@ class TestCellCounts:
         q = block_length(golden.bits)
         assert cell_table(golden.bits, q - 1, [q - 1]) is not None
         assert cell_table(WIDE.bits, 2048, [64, 2048]) is None
+
+
+def assert_rows_match_heights(alpha_bits, N_list, theta_bits):
+    """theta_counts' rows against a bincount of each theta's heights, over
+    the union of the thetas' visited bands."""
+    thetas = theta_words([FixedAngle(b) for b in theta_bits])
+    v_min, rows, row = theta_counts(FixedAngle(alpha_bits), thetas, N_list)
+    heights = [walk_heights(b, alpha_bits, N_list[-1]) for b in theta_bits]
+    assert v_min == min(int(h.min()) for h in heights)
+    width = max(int(h.max()) for h in heights) - v_min + 1
+    assert rows.shape == (len(thetas), len(N_list), width) and rows.dtype == np.int64
+    assert row.tolist() == list(range(len(thetas)))
+    for h, counts in zip(heights, rows):
+        for n, got in zip(N_list, counts):
+            assert np.array_equal(got, np.bincount(h[:n] - v_min, minlength=width))
+
+
+BLOCK_ALPHAS = {name: ALPHA_BITS[name] for name in ("golden", "cf8", "sqrt3m1")}
+BLOCK_ALPHAS["tie"] = TIE_ALPHA
+
+
+class TestBlockCounts:
+    """Every theta's blocks read off the block table at once (N >= q)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(sorted(BLOCK_ALPHAS)),
+           random=st.lists(st.integers(0, MODULUS - 1), max_size=3),
+           beginnings=st.lists(st.tuples(st.integers(0, 1 << 14), st.booleans(),
+                                         st.integers(-1, 1), st.integers(0, 4)), max_size=4),
+           near=st.sets(st.tuples(st.integers(1, 5), st.integers(-1, 1)), min_size=1,
+                        max_size=4),
+           inside=st.sets(st.integers(1, 1 << 14), max_size=3))
+    @example(name="tie", random=[], beginnings=[(0, False, 0, 0), (500, True, 0, 2)],
+             near={(1, -1), (1, 0), (1, 1), (3, 0)}, inside=set())
+    @example(name="golden", random=[2**127], beginnings=[], near={(1, 0)}, inside={1, 64})
+    def test_matches_bincount_of_heights(self, name, random, beginnings, near, inside):
+        alpha = BLOCK_ALPHAS[name]
+        q = block_length(alpha)
+        assert block_table(alpha) is not None
+        # the start of block b on a beginning -k*alpha or 1/2 - k*alpha of
+        # the table's cells, or one unit either side
+        on = [(-(k % q) * alpha + half * HALF + d - b * q * alpha) % MODULUS
+              for k, half, d, b in beginnings]
+        # at, just before and just after multiples of q, and inside block 0
+        N_list = sorted({k * q + d for k, d in near} | {n for n in inside if n < q})
+        if N_list[-1] < q:
+            N_list.append(q)
+        assert_rows_match_heights(alpha, N_list, [0, MODULUS - 1] + random + on)
+
+    @pytest.mark.parametrize("name", sorted(BLOCK_ALPHAS))
+    def test_one_theta(self, name):
+        alpha = BLOCK_ALPHAS[name]
+        q = block_length(alpha)
+        assert_rows_match_heights(alpha, [q - 1, q, q + 1], [2**127 + 12345])
+
+    @pytest.mark.parametrize("N_list", [
+        lambda q: [1, 5, q // 2, q],  # the one block, whole
+        lambda q: [1, q // 3, q - 1, 3 * q + 5],  # all but the last in block 0
+    ])
+    def test_checkpoints_in_block_zero(self, golden, N_list):
+        q = block_length(golden.bits)
+        thetas = [t.bits for t in theta_points(sample_thetas(6, 8))] + [0, MODULUS - 1]
+        assert_rows_match_heights(golden.bits, N_list(q), thetas)
+
+    @pytest.mark.parametrize("per_chunk", [1, 3])
+    @pytest.mark.parametrize("block_chunk", [3, None])
+    def test_chunks(self, golden, monkeypatch, per_chunk, block_chunk):
+        q = block_length(golden.bits)
+        N_list = [5, 2 * q + 1, 5 * q, 11 * q + 7]
+        # 12 blocks; the checkpoints cut blocks 0, 2 and 11, the other 9 are whole
+        blocks, partial = 12, {0, 2, 11}
+        entries = (blocks - len(partial)) * (2 * block_table(golden.bits).span + 1)
+        monkeypatch.setattr(walk_module, "_CHUNK_ENTRIES", per_chunk * entries)
+        if block_chunk:
+            monkeypatch.setattr(walk_module, "_CHUNK", block_chunk)
+        lookups, cells = [], walk_module.CellTable.cells
+        monkeypatch.setattr(walk_module.CellTable, "cells",
+                            lambda self, hi, lo: lookups.append(len(hi)) or cells(self, hi, lo))
+        thetas = [t.bits for t in theta_points(sample_thetas(5, 9))] + [0, MODULUS - 1]
+        assert_rows_match_heights(golden.bits, N_list, thetas)
+        # one pass for the common band, one to count: each looks every
+        # chunk of thetas and of blocks up once
+        theta_chunks = -(-len(thetas) // per_chunk)
+        block_chunks = -(-blocks // (block_chunk or blocks))
+        assert len(lookups) == 2 * theta_chunks * block_chunks
+        assert sum(lookups) == 2 * len(thetas) * blocks
+
+    def test_rows_built_in_place(self, golden):
+        # rows is the one array of the thetas' size: nothing stacks per-theta
+        # counts beside it
+        thetas = sample_thetas(2000, 1)
+        N_list = [64, 256, 331, 512, 20000]
+        theta_counts(golden, thetas[:2], N_list)  # builds the block table
+        tracemalloc.start()
+        try:
+            _, rows, _ = theta_counts(golden, thetas, N_list)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * rows.nbytes
+
+    def test_ergodicity_looks_every_block_up_at_once(self, golden, monkeypatch):
+        # the README example: N = 10**5 takes 10 of golden's blocks, and 194
+        # of the 400 samples lie in cylinder A
+        lookups, cells = [], walk_module.CellTable.cells
+        monkeypatch.setattr(walk_module.CellTable, "cells",
+                            lambda self, hi, lo: lookups.append(len(hi)) or cells(self, hi, lo))
+        cylinder = CylinderSpec(constraints=((0, 1),))
+        ergodicity_correlation(golden, cylinder, cylinder, 10**5, 400, 13)
+        assert lookups == [194 * 10]
 
 
 def routes_match(e, alpha, N_list, n_theta, seed, b_filter, fault_inject, sampled_reference,
