@@ -35,7 +35,7 @@ from .eset import LogNum, Schedule, generate_paper_schedule, make_desk_schedule,
 from .filters import AcceptAll, QuantileFilter
 from .rotation import AlphaSpec, FixedAngle, resolve_alpha
 from .symbolic import CylinderSpec, mc_triple_average
-from .walk import WalkSummary, estimate_constants, sample_thetas, theta_counts, visited_band
+from .walk import WalkSummary, estimate_constants, sample_thetas, walk_summaries
 
 EXIT_CONFIG = 2
 EXIT_GATE = 3
@@ -241,13 +241,7 @@ def cmd_walk(alpha, seed, threads, out, theta, n, n_theta):
     else:
         require(n_theta is not None, "give at least one --theta, or --n-theta with --seed")
         words = sample_thetas(n_theta, require_seed(seed))
-    # every start point's counts at N, over its visited band [lo, hi]
-    v_min, rows, row = theta_counts(a, words, [n])
-    counts = rows[row, 0]
-    lo, hi = (v.tolist() for v in visited_band(v_min, counts[:, None]))
-    lines = [WalkSummary(theta0=FixedAngle((w_hi << 64) | w_lo), alpha=a, N=n, min_height=v,
-                         counts=c[v - v_min:top - v_min + 1]).csv_row()
-             for (w_hi, w_lo), c, v, top in zip(words.tolist(), counts, lo, hi)]
+    lines = [summary.csv_row() for summary in walk_summaries(a, words, n)]
     emit(header_lines(settings()) + WalkSummary.CSV_HEADER + "\n" + "\n".join(lines) + "\n", out)
 
 
@@ -335,7 +329,7 @@ def cmd_average(alpha, seed, threads, out, pairs, n_list, n_theta, routes, filte
     a = parse_alpha(alpha)
     pair_list = parse_list(pairs, "interval pairs", "l:r,l:r") if pairs else []
     N_list = sorted(parse_list(n_list, "integer list", "n,n"))
-    route_set = set((routes or "reduced").split(","))
+    route_set = {"reduced"} if routes is None else set(routes.split(","))
     require(route_set <= {"reduced", "exact", "mc"}, f"unknown routes in {routes!r}")
     b_filter = make_filter(filter)
     # filtered sampled routes integrate over the accepted thetas only

@@ -23,17 +23,20 @@ from .rotation import FixedAngle, advance, phi
 from .series import AverageSeries, _sampled_series
 
 
-@dataclass(frozen=True)
 class SymbolWindow:
     """Finite view of a +/-1 sequence on coordinates [-W, W], shift-aware.
 
     ``values[i]`` is the symbol at original coordinate i - W.  After shifting
     by k (offset == k), reading coordinate s returns the original coordinate
-    s + k; the data never moves.
+    s + k; the data never moves.  A plain slotted class: an orbit of T or S
+    builds one window per step.
     """
 
-    values: np.ndarray  # int8, length 2W+1
-    offset: int = 0
+    __slots__ = ("values", "offset")
+
+    def __init__(self, values: np.ndarray, offset: int = 0):
+        self.values = values  # int8, length 2W+1
+        self.offset = offset
 
     @property
     def radius(self) -> int:
@@ -48,20 +51,36 @@ class SymbolWindow:
         return int(self.values[i])
 
     def shift(self, k: int) -> "SymbolWindow":
-        return SymbolWindow(values=self.values, offset=self.offset + k)
+        return SymbolWindow(self.values, self.offset + k)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, SymbolWindow)
-            and self.offset == other.offset
-            and np.array_equal(self.values, other.values)
-        )
+        # offsets first, then the symbols: as bytes where both are int8
+        if not isinstance(other, SymbolWindow) or self.offset != other.offset:
+            return False
+        a, b = self.values, other.values
+        if a.dtype == b.dtype == np.int8:
+            return a.shape == b.shape and a.tobytes() == b.tobytes()
+        return np.array_equal(a, b)
+
+    def __repr__(self):
+        return f"SymbolWindow(values={self.values!r}, offset={self.offset!r})"
 
 
-@dataclass(frozen=True)
 class SymbolicPoint:
-    theta: FixedAngle
-    window: SymbolWindow
+    """A point (theta, omega) of circle x shift space; a plain slotted class."""
+
+    __slots__ = ("theta", "window")
+
+    def __init__(self, theta: FixedAngle, window: SymbolWindow):
+        self.theta = theta
+        self.window = window
+
+    def __eq__(self, other):
+        return (isinstance(other, SymbolicPoint) and self.theta == other.theta
+                and self.window == other.window)
+
+    def __repr__(self):
+        return f"SymbolicPoint(theta={self.theta!r}, window={self.window!r})"
 
 
 @dataclass(frozen=True)
@@ -133,28 +152,29 @@ def omega_windows(seed: int, tag: int, idx: Sequence[int], radius: int,
     return symbols.view(np.int8)
 
 
-def apply_T(p: SymbolicPoint, alpha: FixedAngle) -> SymbolicPoint:
-    step = phi(p.theta)
-    shifted = p.window.shift(step)
-    if abs(shifted.offset) > shifted.radius:
+def _step(theta: FixedAngle, w: SymbolWindow) -> SymbolWindow:
+    """The window T moves w to from theta: shifted by phi(theta)."""
+    offset = w.offset + phi(theta)
+    if abs(offset) > w.radius:
         raise WindowExceeded(
-            f"shift to offset {shifted.offset} leaves window radius "
-            f"{shifted.radius}", height=shifted.offset)
-    return SymbolicPoint(advance(p.theta, alpha, 1), shifted)
+            f"shift to offset {offset} leaves window radius {w.radius}", height=offset)
+    return SymbolWindow(w.values, offset)
+
+
+def apply_T(p: SymbolicPoint, alpha: FixedAngle) -> SymbolicPoint:
+    return SymbolicPoint(advance(p.theta, alpha, 1), _step(p.theta, p.window))
 
 
 def apply_pi_E(w: SymbolWindow, e: ESet) -> SymbolWindow:
     """Flip every in-window symbol whose current coordinate is outside E."""
     W = w.radius
-    return SymbolWindow(values=w.values * e.signs(-W - w.offset, W - w.offset),
-                        offset=w.offset)
+    return SymbolWindow(w.values * e.signs(-W - w.offset, W - w.offset), w.offset)
 
 
 def apply_S(p: SymbolicPoint, alpha: FixedAngle, e: ESet) -> SymbolicPoint:
     # the flip is an involution, so it is its own inverse
-    flipped = SymbolicPoint(p.theta, apply_pi_E(p.window, e))
-    moved = apply_T(flipped, alpha)
-    return SymbolicPoint(moved.theta, apply_pi_E(moved.window, e))
+    moved = _step(p.theta, apply_pi_E(p.window, e))
+    return SymbolicPoint(advance(p.theta, alpha, 1), apply_pi_E(moved, e))
 
 
 def mc_triple_average(

@@ -3,19 +3,20 @@
 The walk height after k steps is h_k = sum_{i<k} phi(theta + i*alpha), a
 +/-1-step path on the integers.  This module draws the theta sample
 (``sample_thetas``, numpy's draw recomputed by discwalk._pcg), and computes
-prefixes of the walk, per-level visit counts at checkpoint times
-(``level_counts`` for one theta, ``theta_counts`` for many), the range
-statistic (number of distinct levels visited), and empirical estimates of
-the occupation constants, the C of the schedule's growth conditions.  A
+prefixes of the walk: per-level visit counts at checkpoint times
+(``theta_counts``, for one theta or many), each walk's summary over its
+visited band (``walk_summaries``, ``run_walk``), the range statistic
+(number of distinct levels visited), and empirical estimates of the
+occupation constants, the C of the schedule's growth conditions.  A
 ``CellTable`` fixes every walk of at most n steps by its starting cell, one
 of rotation.partition_cells, with each cell's visits per level;
 ``cell_table`` builds and caches one for any n: the block table
 (n = q) carries long walks, and a table of n < q gives every walk shorter
-than q at once.  ``theta_counts`` is the one reader of every sampled
-statistic: rows of counts and each theta's row among them, the hist rows
-of such a table with each theta's cell looked up once, one row per theta
-read off the block table for every theta at once, or, without a table,
-each theta's own walk through level_counts.
+than q at once.  ``theta_counts`` is the one reader of every walk, and the
+one place that chooses how to read it: rows of counts and each theta's row
+among them, the hist rows of such a table with each theta's cell looked up
+once, one row per theta read off the block table for every theta at once,
+or one row per theta walked directly.
 """
 
 from __future__ import annotations
@@ -73,12 +74,24 @@ class WalkSummary:
     CSV_HEADER = "theta0_hex,N,min_h,max_h,a_N,levels"
 
 
-def run_walk(theta0: FixedAngle, alpha: FixedAngle, N: int) -> WalkSummary:
-    """Compute the first N heights of the walk at theta0 and summarize them."""
+def walk_summaries(alpha: FixedAngle, thetas: np.ndarray, N: int) -> List[WalkSummary]:
+    """The summary of the first N heights of the walk from every
+    sample_thetas row: its counts at N cut to its visited band."""
     if N < 1:
         raise ConfigError("N must be >= 1")
-    min_h, counts = level_counts(theta0.bits, alpha.bits, [N])
-    return WalkSummary(theta0=theta0, alpha=alpha, N=N, min_height=min_h, counts=counts[0])
+    v_min, rows, row = theta_counts(alpha, thetas, [N])
+    counts = rows[row, 0]
+    lo, hi = (v.tolist() for v in visited_band(v_min, counts[:, None]))
+    # Python ints: hi << 64 keeps hi
+    return [WalkSummary(theta0=FixedAngle((w_hi << 64) | w_lo), alpha=alpha, N=N,
+                        min_height=v, counts=c[v - v_min:top - v_min + 1])
+            for (w_hi, w_lo), c, v, top in zip(thetas.tolist(), counts, lo, hi)]
+
+
+def run_walk(theta0: FixedAngle, alpha: FixedAngle, N: int) -> WalkSummary:
+    """Compute the first N heights of the walk at theta0 and summarize them."""
+    theta = np.array([divmod(theta0.bits, 1 << 64)], dtype=np.uint64)
+    return walk_summaries(alpha, theta, N)[0]
 
 
 def default_checkpoints(N: int) -> List[int]:
@@ -143,8 +156,8 @@ def check_n_list(N_list: Sequence[int]) -> List[int]:
 # continued-fraction denominator of alpha at most 2**14, and lengths [q]; a
 # q-step block has increment at most Var phi = 4 in size (the Denjoy-Koksma
 # inequality), and a block shorter than _MIN_Q costs more to look up than to
-# walk.  theta_counts reads a sampled statistic off the table of n = max N < q
-# and lengths its checkpoints.
+# walk.  theta_counts reads more than one walk of max N < q steps off the
+# table of n = max N and lengths its checkpoints.
 
 _MAX_Q = 1 << 14
 _MIN_Q = 1 << 6
@@ -296,49 +309,40 @@ def _add_segments(acc, ends: List[int], t0: int, heights: np.ndarray):
     return _merge(acc, v_lo, counts)
 
 
-def _block_table(alpha_bits: int, n: int) -> Optional[CellTable]:
-    """The block table that walks of n steps are read off, or None: a walk
-    shorter than q, or q below _MIN_Q, is walked directly."""
-    q = block_length(alpha_bits)
-    return cell_table(alpha_bits, q, [q]) if n >= q >= _MIN_Q else None
-
-
-def level_counts(
-    theta_bits: int, alpha_bits: int, checkpoints: Sequence[int]
-) -> Tuple[int, np.ndarray]:
-    """(v_min, counts): counts[i, j] = visits to level v_min + j among the
-    first checkpoints[i] heights (ascending, >= 1), over the whole visited band.
-
-    With a block table and at least q steps, the walk is read off the table
-    by _block_counts, as one theta of theta_counts is: nothing is walked.
-    Otherwise it is walked directly as one stretch, _STRETCH steps at a
-    time, each carrying on from the height the last ended at; the counts of
-    the heights between checkpoints i - 1 and i go to row i, and a cumsum
-    over rows adds them up.  Time O(N) and memory O(_STRETCH + width *
-    number of checkpoints) without a table.
+def _walk_counts(alpha_bits: int, thetas: np.ndarray,
+                 ends: List[int]) -> Tuple[int, np.ndarray]:
+    """(v_min, rows) as _block_counts gives them, over the thetas' common
+    visited band, every theta walked directly as one stretch, _STRETCH steps
+    at a time, each piece carrying on from the height the last ended at.  A
+    theta's counts are kept over its own band as int32 (no count exceeds
+    MAX_DIRECT_STEPS < 2**31) until rows is allocated once over the common
+    band; a cumsum over checkpoints adds the rows up.  Time O(n_theta * N);
+    memory rows, half of every theta's own int64 counts, and O(_STRETCH).
     """
-    ends = list(checkpoints)
     n = ends[-1]
-    table = _block_table(alpha_bits, n)
-    if table is not None:
-        theta = np.array([divmod(theta_bits, 1 << 64)], dtype=np.uint64)
-        v_min, rows = _block_counts(table, theta, ends)
-        return v_min, rows[0]
-    if n > MAX_DIRECT_STEPS:
+    if len(thetas) and n > MAX_DIRECT_STEPS:
         raise BudgetExceeded(f"a directly walked stretch of {n} "
                              f"steps exceeds the budget {MAX_DIRECT_STEPS}")
-    acc = None
-    height = 0  # at the start of the next piece of the stretch
-    for t0 in range(0, n, _STRETCH):
-        # each piece but the last walks one height more: where the next starts
-        heights = walk_heights((theta_bits + t0 * alpha_bits) % MODULUS, alpha_bits,
-                               min(_STRETCH + 1, n - t0))
-        heights += height
-        height = int(heights[-1])
-        acc = _add_segments(acc, ends, t0, heights[:_STRETCH])
-    v_min, counts = acc
-    np.cumsum(counts, axis=0, out=counts)
-    return v_min, counts
+    walks = []
+    for hi, lo in thetas.tolist():
+        theta_bits = (hi << 64) | lo  # Python ints: hi << 64 keeps hi
+        acc, height = None, 0  # height: at the start of the next piece
+        for t0 in range(0, n, _STRETCH):
+            # each piece but the last walks one height more: where the next starts
+            heights = walk_heights((theta_bits + t0 * alpha_bits) % MODULUS, alpha_bits,
+                                   min(_STRETCH + 1, n - t0))
+            heights += height
+            height = int(heights[-1])
+            acc = _add_segments(acc, ends, t0, heights[:_STRETCH])
+        walks.append((acc[0], acc[1].astype(np.int32)))
+    v_min = min((v for v, _ in walks), default=0)
+    width = max((v + counts.shape[1] for v, counts in walks), default=1) - v_min
+    with allocating(f"level counts of {len(walks)} thetas over {width} levels", width):
+        rows = np.zeros((len(walks), len(ends), width), dtype=np.int64)
+    for into, (v, counts) in zip(rows, walks):
+        into[:, v - v_min:v - v_min + counts.shape[1]] = counts
+    np.cumsum(rows, axis=1, out=rows)
+    return v_min, rows
 
 
 # Count entries handled at a time: gathered from rows of counts (chunks), or
@@ -353,8 +357,9 @@ def _block_counts(table: CellTable, thetas: np.ndarray,
                   ends: List[int]) -> Tuple[int, np.ndarray]:
     """(v_min, rows): rows[t, i, j] = visits of the walk from the
     sample_thetas row thetas[t] to level v_min + j among its first ends[i]
-    heights (ascending, ends[-1] >= q = table.n), over the thetas' common
-    visited band.
+    heights (ascending, ends[-1] >= q = table.n), over a band that holds
+    every theta's visited band: the blocks' cell bands, each shifted to the
+    height its block starts at, which exceed the walks' by at most 2 * span.
 
     The walks are cut into q-step blocks and every block is read off the
     block table: a block's start is theta + b * q * alpha, its cell gives
@@ -364,8 +369,8 @@ def _block_counts(table: CellTable, thetas: np.ndarray,
     bincount per chunk of _CHUNK_ENTRIES histogram entries, of thetas, and
     of _CHUNK blocks past that.  A partial block, one a checkpoint cuts or
     the final one, is a slice of P per theta.  A first pass over the chunks
-    finds the common band, from each block's start and its cell's bottom
-    and top, and rows is allocated once over it; a second fills it, and a
+    finds the band, from each block's start and its cell's bottom and top,
+    and rows is allocated once over it; a second fills it, and a
     cumsum over checkpoints adds the rows up.  With one chunk, the second
     pass reuses the first's cells.  Time O(n_theta * (N/q + q * number of
     checkpoints)); memory rows, O(q), and one chunk's cells and counts.
@@ -399,32 +404,14 @@ def _block_counts(table: CellTable, thetas: np.ndarray,
                 starts -= inc
                 yield t0, b0, cell, starts
 
-    def heights_at(cell, starts, length, v_min):
-        """Per theta, the first length heights of its block, less v_min."""
-        at, sign = table.start[cell], table.sign[cell]
-        shifts = starts - v_min - sign * table.P[at]
-        for s, g, shift in zip(at.tolist(), sign.tolist(), shifts.tolist()):
-            yield np.add(signed[g][s:s + length], shift, dtype=np.int64)
-
     single = len(thetas) <= step and blocks <= _CHUNK
     kept = list(walks()) if single else None
-    # every walk visits 0, its first height
+    # every walk visits 0, its first height, and every block, the final one
+    # too, stays within its cell's band over q heights
     v_min = v_top = 0
-    final = n - (blocks - 1) * q  # heights of the final block
-    walked = blocks - (final < q)  # blocks walked to their end
-    for _, b0, cell, starts in kept or walks():
-        inner = min(cell.shape[1], walked - b0)
-        if inner > 0:
-            v_min = min(v_min, int((starts[:, :inner] + table.bottom[cell[:, :inner]]).min()))
-            v_top = max(v_top, int((starts[:, :inner] + table.top[cell[:, :inner]]).max()))
-        if inner < cell.shape[1]:
-            # a final block's band is its cell's over q heights, or within it:
-            # read its heights only where that would widen the common band
-            cell, starts = cell[:, -1], starts[:, -1]
-            wider = ((starts + table.bottom[cell] < v_min)
-                     | (starts + table.top[cell] > v_top))
-            for heights in heights_at(cell[wider], starts[wider], final, 0):
-                v_min, v_top = min(v_min, int(heights.min())), max(v_top, int(heights.max()))
+    for _, _, cell, starts in kept or walks():
+        v_min = min(v_min, int((starts + table.bottom[cell]).min()))
+        v_top = max(v_top, int((starts + table.top[cell]).max()))
 
     width = v_top - v_min + 1
     with allocating(f"level counts of {len(thetas)} thetas over {width} levels", width):
@@ -460,8 +447,11 @@ def _block_counts(table: CellTable, thetas: np.ndarray,
             offset = np.repeat(np.arange(len(cuts) - 1, dtype=np.int32) * width,
                                [c1 - c0 for c0, c1 in zip(cuts, cuts[1:])])
             rows_p = part_rows[:, first:first + len(cuts) - 1].reshape(len(cell), -1)
-            for into, heights in zip(rows_p, heights_at(cell[:, p - b0], starts[:, p - b0],
-                                                         s1 - s0, v_min)):
+            # per theta, the block's heights less v_min
+            at, sign = table.start[cell[:, p - b0]], table.sign[cell[:, p - b0]]
+            shifts = starts[:, p - b0] - v_min - sign * table.P[at]
+            for into, s, g, shift in zip(rows_p, at.tolist(), sign.tolist(), shifts.tolist()):
+                heights = np.add(signed[g][s:s + s1 - s0], shift, dtype=np.int64)
                 heights += offset
                 into += np.bincount(heights, minlength=len(into))
     np.cumsum(rows, axis=1, out=rows)
@@ -479,37 +469,27 @@ def theta_counts(alpha: FixedAngle, thetas: np.ndarray,
                  checkpoints: Sequence[int]) -> Tuple[int, np.ndarray, np.ndarray]:
     """(v_min, rows, row): rows[row[t], i, j] = visits of the walk from the
     sample_thetas row thetas[t] to level v_min + j among its first
-    checkpoints[i] heights (ascending, >= 1); unvisited levels read 0.
+    checkpoints[i] heights (ascending, >= 1); levels a walk never visits,
+    inside the band of rows or not, read 0.
 
-    The one rule of every sampled statistic.  When max N is below q and
-    there is a cell table of walks of max N steps (cell_table), rows is its
-    hist and row each theta's cell, looked up once.  When max N is at least
-    q and there is a block table, _block_counts reads every theta's blocks
-    off it at once, into n_theta x checkpoints x band int64 counts over the
-    thetas' common band, and row is arange(n_theta).  Otherwise each theta
-    goes through level_counts, and rows stacks their counts over their
-    common band.  Same counts.  No theta builds no table.
+    The one reader of every walk, and the one place that chooses how: at
+    max N >= q, every theta's blocks off the block table at once
+    (_block_counts); below q and for more than one theta, the hist of the
+    cell table of max N steps as rows, each theta's cell, looked up once,
+    as its row; otherwise, or when there is no table, every theta walked
+    directly (_walk_counts).  Off the cell table, row is arange(n_theta).
+    Same counts on every path; no theta builds no table.
     """
     ends = list(checkpoints)
-    if len(thetas):
-        if ends[-1] < block_length(alpha.bits):
-            table = cell_table(alpha.bits, ends[-1], ends)
-            if table is not None:
-                return -table.span, table.hist, table.cells(thetas[:, 0], thetas[:, 1])
-        else:
-            table = _block_table(alpha.bits, ends[-1])
-            if table is not None:
-                v_min, rows = _block_counts(table, thetas, ends)
-                return v_min, rows, np.arange(len(thetas))
-    # Python ints: hi << 64 keeps hi
-    walks = [level_counts((hi << 64) | lo, alpha.bits, ends) for hi, lo in thetas.tolist()]
-    v_min = min((v for v, _ in walks), default=0)
-    width = max((v + counts.shape[1] for v, counts in walks), default=1) - v_min
-    with allocating(f"level counts of {len(walks)} thetas over {width} levels", width):
-        rows = np.zeros((len(walks), len(ends), width), dtype=np.int64)
-    for t, (v, counts) in enumerate(walks):
-        rows[t, :, v - v_min:v - v_min + counts.shape[1]] = counts
-    return v_min, rows, np.arange(len(walks))
+    n, q = ends[-1], block_length(alpha.bits)
+    if len(thetas) > 1 and n < q:
+        table = cell_table(alpha.bits, n, ends)
+        if table is not None:
+            return -table.span, table.hist, table.cells(thetas[:, 0], thetas[:, 1])
+    table = cell_table(alpha.bits, q, [q]) if len(thetas) and n >= q >= _MIN_Q else None
+    v_min, rows = (_walk_counts(alpha.bits, thetas, ends) if table is None
+                   else _block_counts(table, thetas, ends))
+    return v_min, rows, np.arange(len(thetas))
 
 
 def visited_band(v_min: int, counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

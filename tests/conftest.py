@@ -9,11 +9,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from discwalk import AlphaSpec, FixedAngle, WindowExceeded, resolve_alpha
+from discwalk import AlphaSpec, FixedAngle, WindowExceeded, resolve_alpha, walk
 from discwalk.filters import AcceptAll
 from discwalk.series import AverageEntry, AverageSeries
 from discwalk.symbolic import default_window_radius, sample_omega
-from discwalk.walk import block_length, cell_table, check_n_list, level_counts, sample_thetas
+from discwalk.walk import block_length, cell_table, check_n_list, sample_thetas
 
 PINNED_PATH = os.path.join(os.path.dirname(__file__), "pinned.json")
 
@@ -29,7 +29,8 @@ def theta_points(words):
 
 
 def block_table(alpha_bits):
-    """The block table level_counts reads: the cell table of n = q, lengths [q]."""
+    """The block table theta_counts reads walks of N >= q off: the cell
+    table of n = q, lengths [q]."""
     q = block_length(alpha_bits)
     return cell_table(alpha_bits, q, [q])
 
@@ -78,8 +79,9 @@ def from_threads():
 def sampled_series_reference(alpha, b_filter, N_list, n_theta, seed, indicator,
                              prefactor, method):
     """The per-theta loop the sampled routes ran before the cell table: walk
-    each accepted theta with level_counts and reduce its counts against
-    ``indicator(i, lo, hi)``, its level table over its visited band."""
+    each accepted theta directly, touching no table, and reduce its counts
+    against ``indicator(i, lo, hi)``, its level table over its visited
+    band."""
     N_list = check_n_list(N_list)
     thetas = sample_thetas(n_theta, seed)
     mask = (b_filter or AcceptAll()).select(thetas, alpha)
@@ -89,7 +91,7 @@ def sampled_series_reference(alpha, b_filter, N_list, n_theta, seed, indicator,
         if not mask[i]:
             rows.append(np.zeros(len(n_arr)))
             continue
-        v_min, counts = level_counts(theta.bits, alpha.bits, N_list)
+        v_min, (counts,) = walk._walk_counts(alpha.bits, theta_words([theta]), N_list)
         rows.append(counts @ indicator(i, v_min, v_min + counts.shape[1] - 1) / n_arr)
     fractions = np.array(rows)
     values = prefactor * fractions.mean(axis=0)

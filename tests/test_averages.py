@@ -194,7 +194,7 @@ class TestRatioCheck:
 
 def ergodicity_reference(alpha, cyl_a, cyl_b, N, n_samples, seed):
     """ergodicity_correlation as the per-step loop it ran before it moved onto
-    walk.level_counts: one omega gather per constraint of B over all N
+    walk's level counts: one omega gather per constraint of B over all N
     heights."""
     reach_a = max((abs(j) for j, _ in cyl_a.constraints), default=0)
     reach_b = max((abs(j) for j, _ in cyl_b.constraints), default=0)
@@ -356,7 +356,7 @@ class TestFilters:
 
 # ---------------------------------------------------------------------------
 # The per-level loops that QuantileFilter.statistics and ratio_check ran before
-# both moved onto one occupation counter (now walk.level_counts), kept as
+# both moved onto one occupation counter (now walk.theta_counts), kept as
 # references.
 
 
@@ -449,7 +449,7 @@ def desk_pairs(draw):
 
 # ---------------------------------------------------------------------------
 # The per-time forms that zero_entropy_proxy and the sampled routes used before
-# they moved onto walk.level_counts, kept as references: running extremes of
+# they moved onto walk's level counts, kept as references: running extremes of
 # the heights, and prefix sums of a per-time indicator.
 
 

@@ -399,6 +399,8 @@ class TestBadInput:
         AVERAGE + ["--n-list", "64", "--n-theta", "16", "--filter", "quantile:0.5:64:2:9"],
         # the header would echo a sample of n_theta points that never ran
         WALK + ["--n-theta", "3", "--seed", "1"],
+        # an empty route list names no route, and is not the default
+        AVERAGE + ["--n-list", "64", "--n-theta", "32", "--routes", ""],
     ])
     def test_exit_2_with_one_line(self, capsys, argv):
         code, out, err = run(capsys, *argv)

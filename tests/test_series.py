@@ -1,5 +1,6 @@
-"""walk.theta_counts against walk.level_counts on every path and against
-the walk's heights on the block table, and the sampled routes' output bytes
+"""walk.theta_counts on every path against each theta's counts alone (the
+direct walk, or the block table's kernel on one theta) and against the
+walk's heights on the block table, and the sampled routes' output bytes
 against the per-theta loop they replaced."""
 
 import tracemalloc
@@ -19,8 +20,7 @@ from discwalk import walk as walk_module
 from discwalk.averages import ergodicity_correlation, reduced_average_series
 from discwalk.filters import QuantileFilter
 from discwalk.rotation import HALF, MODULUS, AlphaSpec, FixedAngle, resolve_alpha, walk_heights
-from discwalk.walk import (block_length, cell_table, level_counts, sample_thetas, theta_counts,
-                           visited_band)
+from discwalk.walk import block_length, cell_table, sample_thetas, theta_counts, visited_band
 
 ALPHAS = {
     "golden": AlphaSpec(preset="golden"),
@@ -38,16 +38,30 @@ TIE_ALPHA = (501 * MODULUS + 500) // 1000
 PAIRS = [(2, 6), (30, 300)]
 
 
-def assert_theta_counts_match_level_counts(alpha_bits, N_list, theta_bits):
+def one_theta_counts(alpha_bits, N_list, bits):
+    """(v_min, counts) of one theta alone, over its visited band: read off
+    the block table by _block_counts when theta_counts reads blocks (N >= q),
+    and otherwise walked directly by _walk_counts, which touches no table."""
+    theta = theta_words([FixedAngle(bits)])
+    table = block_table(alpha_bits)
+    if table is not None and N_list[-1] >= block_length(alpha_bits):
+        v_min, rows = walk_module._block_counts(table, theta, N_list)
+    else:
+        v_min, rows = walk_module._walk_counts(alpha_bits, theta, N_list)
+    (lo,), (hi,) = visited_band(v_min, rows)
+    return int(lo), rows[0, :, lo - v_min:hi - v_min + 1]
+
+
+def assert_theta_counts_match_one_theta(alpha_bits, N_list, theta_bits):
     """Every theta's row; its visited band, read as the routes read it, and
-    every visit inside it, as level_counts gives them.  Returns theta_counts'
-    (v_min, rows, row)."""
+    every visit inside it, as the theta alone gives them.  Returns
+    theta_counts' (v_min, rows, row)."""
     thetas = theta_words([FixedAngle(b) for b in theta_bits])
     v_min, rows, row = theta_counts(FixedAngle(alpha_bits), thetas, N_list)
     assert rows.shape[1] == len(N_list) and row.shape == (len(thetas),)
     bottoms, tops = (v[row].tolist() for v in visited_band(v_min, rows))
     for bits, counts, lo, hi in zip(theta_bits, rows[row], bottoms, tops):
-        ref_min, ref = level_counts(bits, alpha_bits, N_list)
+        ref_min, ref = one_theta_counts(alpha_bits, N_list, bits)
         assert (lo, hi) == (ref_min, ref_min + ref.shape[1] - 1)
         assert counts.sum(axis=1).tolist() == N_list
         assert counts[:, lo - v_min:hi - v_min + 1].tolist() == ref.tolist()
@@ -63,7 +77,7 @@ class TestCellCounts:
                                          st.integers(-1, 1)), max_size=6))
     @example(name="golden", lengths={1}, random=[0, MODULUS - 1], beginnings=[(0, True, 0)])
     @example(name="cf8", lengths={1 << 14}, random=[], beginnings=[(4287, False, -1)])
-    def test_matches_level_counts(self, name, lengths, random, beginnings):
+    def test_matches_direct_walk(self, name, lengths, random, beginnings):
         alpha = ALPHA_BITS[name]
         q = block_length(alpha)
         N_list = sorted({min(N, q - 1) for N in lengths})  # from [1] up to q - 1
@@ -71,7 +85,7 @@ class TestCellCounts:
         # on the beginnings -k*alpha and 1/2 - k*alpha, and one unit either side
         on = [(-(k % n) * alpha + half * HALF + d) % MODULUS for k, half, d in beginnings]
         assert cell_table(alpha, n, N_list) is not None
-        assert_theta_counts_match_level_counts(alpha, N_list, random + on)
+        assert_theta_counts_match_one_theta(alpha, N_list, random + on)
 
     @pytest.mark.parametrize("k", [0, 1, 499, 500, 777])
     @pytest.mark.parametrize("half", [0, HALF])
@@ -79,7 +93,7 @@ class TestCellCounts:
     def test_beginnings_sharing_a_top_word(self, k, half, offset):
         assert block_length(TIE_ALPHA) == 1000
         assert cell_table(TIE_ALPHA, 999, [1, 500, 999]) is not None
-        assert_theta_counts_match_level_counts(TIE_ALPHA, [1, 500, 999],
+        assert_theta_counts_match_one_theta(TIE_ALPHA, [1, 500, 999],
                                                [(-k * TIE_ALPHA + half + offset) % MODULUS])
 
     # the cell table (N < q, N = 1 included); a direct walk (WIDE's cell
@@ -95,19 +109,20 @@ class TestCellCounts:
     ])
     def test_every_path(self, alpha, N_list, path):
         thetas = [t.bits for t in theta_points(sample_thetas(24, 3))] + [0, MODULUS - 1]
-        per_theta, one = [], walk_module.level_counts
+        walked, direct = [], walk_module._walk_counts
         lookups, cells = [], walk_module.CellTable.cells
-        with mock.patch.object(walk_module, "level_counts",
-                               lambda theta, *args: per_theta.append(theta) or one(theta, *args)), \
+        with mock.patch.object(walk_module, "_walk_counts",
+                               lambda a, words, *args: walked.append(len(words)) or
+                               direct(a, words, *args)), \
                 mock.patch.object(walk_module.CellTable, "cells",
                                   lambda self, hi, lo: lookups.append(len(hi)) or cells(self, hi, lo)):
             theta_counts(FixedAngle(alpha), theta_words([FixedAngle(b) for b in thetas]), N_list)
-        _, rows, row = assert_theta_counts_match_level_counts(alpha, N_list, thetas)
-        # only off both tables does a theta go through level_counts; on the
+        _, rows, row = assert_theta_counts_match_one_theta(alpha, N_list, thetas)
+        # only off both tables are the thetas walked, all in one call; on the
         # cell table the rows are the table's hist, with every theta looked
         # up at once; on the block table every block of every theta is, in
-        # one chunk here; off it every theta is walked alone
-        assert per_theta == (thetas if path == "direct" else [])
+        # one chunk here
+        assert walked == ([len(thetas)] if path == "direct" else [])
         if path == "cells":
             assert rows is cell_table(alpha, N_list[-1], N_list).hist
             assert lookups == [len(thetas)]
@@ -117,6 +132,19 @@ class TestCellCounts:
                 path == "blocks")
             blocks = -(-N_list[-1] // block_length(alpha))
             assert lookups == ([len(thetas) * blocks] if path == "blocks" else [])
+
+    def test_one_theta_below_q_builds_no_table(self, golden, monkeypatch):
+        # one walk shorter than q is walked; two share the cell table
+        build, builds = walk_module._cell_table, []
+        monkeypatch.setattr(walk_module, "_cell_table",
+                            lambda *args: builds.append(args[:2]) or build(*args))
+        monkeypatch.setattr(walk_module, "_tables", OrderedDict())
+        thetas, N_list = sample_thetas(2, 5), [64, 1000]
+        assert N_list[-1] < block_length(golden.bits)
+        theta_counts(golden, thetas[:1], N_list)
+        assert builds == []
+        theta_counts(golden, thetas, N_list)
+        assert builds == [(golden.bits, 1000)]
 
     def test_no_thetas_no_table(self, golden, monkeypatch):
         monkeypatch.setattr(walk_module, "cell_table", None)  # not called
@@ -152,8 +180,8 @@ class TestCellCounts:
         assert lookups == [10**4, 10**4] and draws == [10**4]
 
     def test_one_draw_per_route_call_off_the_table(self, golden, monkeypatch):
-        # at max N >= q each theta is walked alone, and mc still asks for
-        # its level table, and so draws every omega, in one call
+        # at max N >= q the thetas are read off the block table, and mc
+        # still asks for its level table, and so draws every omega, in one call
         draws, windows = [], symbolic_module.omega_windows
         monkeypatch.setattr(symbolic_module, "omega_windows",
                             lambda *args: draws.append(len(args[2])) or windows(*args))
@@ -162,6 +190,19 @@ class TestCellCounts:
         mc_triple_average(golden, e, [64, 256, 20000], 500, 1)
         assert draws == [500]
 
+    def test_direct_walk_peak(self):
+        # each theta's counts wait as int32 over its own band until the rows
+        # are allocated; stacking them as int64 peaked at 1.51x the rows
+        thetas = sample_thetas(64, 1)
+        N_list = [64, 2048, 40000]
+        tracemalloc.start()
+        try:
+            _, rows, _ = theta_counts(WIDE, thetas, N_list)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rows.shape[2] > 2000 and peak < 1.45 * rows.nbytes
+
     def test_fallbacks(self, golden):
         q = block_length(golden.bits)
         assert cell_table(golden.bits, q - 1, [q - 1]) is not None
@@ -169,18 +210,26 @@ class TestCellCounts:
 
 
 def assert_rows_match_heights(alpha_bits, N_list, theta_bits):
-    """theta_counts' rows against a bincount of each theta's heights, over
-    the union of the thetas' visited bands."""
+    """theta_counts' rows against a bincount of each theta's heights.  The
+    rows' band holds every theta's visited band, which visited_band reads,
+    and exceeds the union of those bands by at most 2 * span; returns the
+    excess."""
     thetas = theta_words([FixedAngle(b) for b in theta_bits])
     v_min, rows, row = theta_counts(FixedAngle(alpha_bits), thetas, N_list)
     heights = [walk_heights(b, alpha_bits, N_list[-1]) for b in theta_bits]
-    assert v_min == min(int(h.min()) for h in heights)
-    width = max(int(h.max()) for h in heights) - v_min + 1
+    width = rows.shape[2]
+    lo, hi = min(int(h.min()) for h in heights), max(int(h.max()) for h in heights)
+    assert v_min <= lo and hi <= v_min + width - 1
+    excess = width - (hi - lo + 1)
+    assert excess <= 2 * block_table(alpha_bits).span
+    assert [(int(h.min()), int(h.max())) for h in heights] == list(
+        zip(*(v.tolist() for v in visited_band(v_min, rows))))
     assert rows.shape == (len(thetas), len(N_list), width) and rows.dtype == np.int64
     assert row.tolist() == list(range(len(thetas)))
     for h, counts in zip(heights, rows):
         for n, got in zip(N_list, counts):
             assert np.array_equal(got, np.bincount(h[:n] - v_min, minlength=width))
+    return excess
 
 
 BLOCK_ALPHAS = {name: ALPHA_BITS[name] for name in ("golden", "cf8", "sqrt3m1")}
@@ -189,6 +238,23 @@ BLOCK_ALPHAS["tie"] = TIE_ALPHA
 
 class TestBlockCounts:
     """Every theta's blocks read off the block table at once (N >= q)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(sorted(BLOCK_ALPHAS)),
+           random=st.lists(st.integers(0, MODULUS - 1), max_size=3),
+           blocks=st.integers(1, 6), final=st.floats(0, 1))
+    @example(name="golden", random=[], blocks=1, final=1.0)
+    @example(name="cf8", random=[2**127], blocks=3, final=0.0)
+    def test_band_holds_every_walk(self, name, random, blocks, final):
+        # the final block cut anywhere, or walked to its end
+        alpha = BLOCK_ALPHAS[name]
+        q = block_length(alpha)
+        N = (blocks - 1) * q + max(1, round(final * q))
+        thetas = [t.bits for t in theta_points(sample_thetas(6, blocks))]
+        N_list = [N] if N >= q else [N, q]
+        excess = assert_rows_match_heights(alpha, N_list, thetas + random)
+        # every block walked to its end gives its cell's band exactly
+        assert excess == 0 or N_list[-1] % q
 
     @settings(max_examples=40, deadline=None)
     @given(name=st.sampled_from(sorted(BLOCK_ALPHAS)),
@@ -310,8 +376,8 @@ class TestSampledRoutesMatchPerThetaLoop:
 
 
 def band_of(theta, alpha, N):
-    v_min, counts = level_counts(theta.bits, alpha.bits, [N])
-    return v_min, v_min + counts.shape[1] - 1
+    v_min, rows = walk_module._walk_counts(alpha.bits, theta_words([theta]), [N])
+    return v_min, v_min + rows.shape[2] - 1
 
 
 class BandFilter:

@@ -22,7 +22,7 @@ from discwalk import _pcg
 from discwalk import walk as walk_module
 from discwalk.rotation import HALF, MODULUS, AlphaSpec, resolve_alpha, walk_heights
 from discwalk.walk import (WalkSummary, band_counts, block_length, default_checkpoints,
-                           level_counts)
+                           theta_counts, visited_band)
 
 BITS = st.integers(min_value=0, max_value=MODULUS - 1)
 ZERO = FixedAngle(0)
@@ -109,7 +109,16 @@ class TestOccupationInvariants:
 BLOCK_EDGE = [(1 << 16) + d for d in (-1, 0, 1, 2)]
 
 
-class TestLevelCounts:
+def one_walk(theta, alpha_bits, checkpoints):
+    """(v_min, counts): theta_counts of the one theta, cut to its visited
+    band, as run_walk cuts it."""
+    v_min, rows, row = theta_counts(FixedAngle(alpha_bits), theta_words([FixedAngle(theta)]),
+                                    checkpoints)
+    (lo,), (hi,) = visited_band(v_min, rows[row])
+    return int(lo), rows[row[0], :, lo - v_min:hi - v_min + 1]
+
+
+class TestOneWalk:
     @settings(max_examples=40, deadline=None)
     @given(quotients=st.lists(st.integers(1, 8), min_size=200, max_size=200), theta=BITS,
            extra=st.sets(st.integers(1, (1 << 16) + 8), max_size=4),
@@ -118,7 +127,7 @@ class TestLevelCounts:
     def test_matches_bincount_of_heights(self, quotients, theta, extra, edge, v_max):
         alpha = resolve_alpha(AlphaSpec(quotients=quotients, bound=8))
         checkpoints = sorted({1} | extra | edge)
-        v_min, counts = level_counts(theta, alpha.bits, checkpoints)
+        v_min, counts = one_walk(theta, alpha.bits, checkpoints)
         heights = walk_heights(theta, alpha.bits, checkpoints[-1])
         assert v_min == heights.min()
         assert counts.shape == (len(checkpoints), heights.max() - v_min + 1)
@@ -131,7 +140,7 @@ class TestLevelCounts:
 
 
 def assert_matches_heights(theta, alpha_bits, checkpoints):
-    v_min, counts = level_counts(theta, alpha_bits, checkpoints)
+    v_min, counts = one_walk(theta, alpha_bits, checkpoints)
     heights = walk_heights(theta, alpha_bits, checkpoints[-1])
     assert v_min == heights.min()
     assert counts.shape == (len(checkpoints), heights.max() - v_min + 1)
@@ -148,7 +157,7 @@ TIE_ALPHA = (501 * MODULUS + 500) // 1000
 
 
 def reading_only_short_walks(monkeypatch, limit=1 << 20):
-    """Make walk.level_counts fail if it walks more than limit steps."""
+    """Make the direct walk fail if it walks more than limit steps."""
     def guarded(theta, alpha, n):
         assert n <= limit, f"walked {n} steps"
         return walk_heights(theta, alpha, n)
@@ -223,14 +232,16 @@ class TestBlockKernel:
         # checkpoints that cut blocks, sit on q * k +/- 1 and end on a partial block
         checkpoints = [q - 1, q + 1, 2 * q, 3 * q - 1, 3 * q + 1, 5 * q + q // 3]
         thetas = [0, MODULUS - 1, (-7 * alpha + HALF) % MODULUS, 2**127 + 12345]
-        expected = [level_counts(t, alpha, checkpoints) for t in thetas]
+        # the direct walk, which touches no table, is the reference
+        expected = [walk_module._walk_counts(alpha, theta_words([FixedAngle(t)]), checkpoints)
+                    for t in thetas]
 
         def no_walks(theta, alpha, n):
             raise AssertionError(f"walked {n} steps")
 
         monkeypatch.setattr(walk_module, "walk_heights", no_walks)
-        for theta, (v_min, counts) in zip(thetas, expected):
-            got_min, got = level_counts(theta, alpha, checkpoints)
+        for theta, (v_min, (counts,)) in zip(thetas, expected):
+            got_min, got = one_walk(theta, alpha, checkpoints)
             assert got_min == v_min and np.array_equal(got, counts)
 
     def test_direct_stretch_walked_in_pieces(self, monkeypatch):
@@ -248,18 +259,18 @@ class TestBlockKernel:
         monkeypatch.setattr(walk_module, "walk_heights",
                             lambda t, a, n: walked.append(n) or walk_heights(t, a, n))
         checkpoints = [100, 15002, 40000]
-        level_counts(7, WIDE, checkpoints)
+        one_walk(7, WIDE, checkpoints)
         assert walked == [40000]
         assert_matches_heights(7, WIDE, checkpoints)
 
     def test_budgets_raise_before_walking(self, golden, monkeypatch):
         reading_only_short_walks(monkeypatch)
         with pytest.raises(BudgetExceeded, match="blocks"):
-            level_counts(0, golden.bits, [10**14])
+            one_walk(0, golden.bits, [10**14])
         with pytest.raises(BudgetExceeded, match="stretch"):
-            level_counts(0, WIDE, [walk_module.MAX_DIRECT_STEPS + 1])
+            one_walk(0, WIDE, [walk_module.MAX_DIRECT_STEPS + 1])
         # below both budgets the golden walk reads its blocks off the table
-        level_counts(0, golden.bits, [10**9])
+        one_walk(0, golden.bits, [10**9])
 
     def test_budgets_keep_heights_in_int64(self):
         # |h_N| <= N, and no walk longer than either budget allows is walked
