@@ -10,13 +10,13 @@ visited band (``walk_summaries``, ``run_walk``), the range statistic
 occupation constants, the C of the schedule's growth conditions.  A
 ``CellTable`` fixes every walk of at most n steps by its starting cell, one
 of rotation.partition_cells, with each cell's visits per level;
-``cell_table`` builds and caches one for any n: the block table
-(n = q) carries long walks, and a table of n < q gives every walk shorter
-than q at once.  ``theta_counts`` is the one reader of every walk, and the
-one place that chooses how to read it: rows of counts and each theta's row
-among them, the hist rows of such a table with each theta's cell looked up
-once, one row per theta read off the block table for every theta at once,
-or one row per theta walked directly.
+``cell_table`` builds and caches one for any n: the block table (n = q)
+carries long walks on its running counts of each level, and a table of
+n < q gives every walk shorter than q at once.  ``theta_counts`` is the
+one reader of every walk, and the one place that chooses how to read it:
+the hist rows of such a table, each theta's cell, looked up once, its row;
+or one row per theta, read off the block table for every theta at once or
+walked directly.
 """
 
 from __future__ import annotations
@@ -153,7 +153,7 @@ def check_n_list(N_list: Sequence[int]) -> List[int]:
 # constant, so the first n steps of a walk are fixed by the cell its start
 # lies in.  cell_table builds and caches the table of any n and lengths.
 # _block_counts reads long walks off the block table: n = q, the largest
-# continued-fraction denominator of alpha at most 2**14, and lengths [q]; a
+# continued-fraction denominator of alpha at most 2**14, and no lengths; a
 # q-step block has increment at most Var phi = 4 in size (the Denjoy-Koksma
 # inequality), and a block shorter than _MIN_Q costs more to look up than to
 # walk.  theta_counts reads more than one walk of max N < q steps off the
@@ -163,7 +163,7 @@ _MAX_Q = 1 << 14
 _MIN_Q = 1 << 6
 _TABLE_CACHE = 8
 _MAX_CELL_ENTRIES = 1 << 22
-_CHUNK = 1 << 14  # blocks looked up at a time
+_CHUNK = 1 << 14  # blocks looked up at a time, at most
 _STRETCH = 1 << 20  # steps of a directly walked stretch in memory at a time
 # Budgets (exit 4), checked before anything is walked or looked up.  A walk's
 # memory does not grow with its length, so both bound its time.
@@ -177,20 +177,42 @@ class CellTable:
     heights sign * (P[start + t] - P[start]) at times t <= n; its increment
     ``inc`` over n steps; ``hist[c, i, r + span]``, its visits to level r
     among its first lengths[i] heights, where span = max P - min P bounds
-    every |r|; ``bottom``, ``top``, the lowest and highest of those levels
-    at lengths[-1].  No count exceeds n <= 2**14, so int16 holds them.  A
+    every |r|; ``bottom``, ``top``, the lowest and highest of its n heights.
+    ``running[k, l]`` counts the j < k with P[j] = min P + l: no count
+    exceeds 2n + 1 <= 2**15 + 1, so running is uint16 and hist int16.  A
     plain class: a dataclass would cost milliseconds at import."""
 
     def __init__(self, alpha_bits: int, n: int, P: np.ndarray, hi: np.ndarray, lo: np.ndarray,
-                 start: np.ndarray, sign: np.ndarray, inc: np.ndarray, hist: np.ndarray,
-                 span: int):
-        self.n = n
+                 start: np.ndarray, sign: np.ndarray, span: int, lengths: Sequence[int]):
+        self.n, self.span = n, span
         self.step = n * alpha_bits % MODULUS  # from one block start to the next
-        self.P, self.hi, self.lo = P, hi, lo
-        self.start, self.sign, self.inc = start, sign, inc
-        self.hist, self.span = hist, span
-        self.bottom, self.top = (v.astype(P.dtype) for v in visited_band(-span, hist))
-        for a in (P, hi, lo, start, sign, inc, hist, self.bottom, self.top):
+        self.P, self.hi, self.lo, self.start, self.sign = P, hi, lo, start, sign
+        base = P[start]
+        self.inc = sign * (P[start + n] - base)
+        # one pass over the levels of P: per level, a cell's visits over a
+        # stretch are a difference of that level's running count
+        self.running = np.zeros((len(P) + 1, span + 1), dtype=np.uint16)
+        width = 2 * span + 1
+        self.hist = np.zeros((len(start), len(lengths), width), dtype=np.int16)
+        flat = self.hist.reshape(-1)
+        at_zero = np.arange(len(start), dtype=np.int32) * (len(lengths) * width) + span
+        # per cell, how many levels of P its walk visits, and the highest
+        visited, highest = np.zeros((2, len(start)), dtype=np.int16)
+        count = np.zeros(len(P) + 1, dtype=np.uint16)  # one level's running count
+        for level, column in enumerate(self.running.T, int(P.min())):
+            np.cumsum(P == level, dtype=np.uint16, out=count[1:])
+            column[:] = count
+            before = count[start]
+            at = at_zero + sign * (level - base)
+            for i, length in enumerate(lengths):
+                flat[at + i * width] += count[start + length] - before
+            seen = count[start + n] != before
+            visited += seen
+            highest[seen] = level
+        # P is a +/-1 path, so the levels a walk visits are contiguous
+        high, low = highest - base, highest - base - visited + 1
+        self.bottom, self.top = np.where(sign > 0, [low, high], [-high, -low])
+        for a in (P, hi, lo, start, sign, self.inc, self.hist, self.running, self.bottom, self.top):
             a.flags.writeable = False
 
     def cells(self, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
@@ -209,40 +231,17 @@ class CellTable:
         return cell
 
 
-def _window_counts(P: np.ndarray, start: np.ndarray, sign: np.ndarray,
-                   lengths: Sequence[int], span: int) -> np.ndarray:
-    """counts[k, i, r + span] = visits of the walk sign[k] * (P[start[k] + t]
-    - P[start[k]]), t < lengths[i], to level r.  Every height of P lies in
-    [min P, max P], so |r| <= span = max P - min P.  Per level of P, a
-    walk's visits are a difference of that level's running count.  Walks are
-    at most 2**14 long, so the counts are int16."""
-    base = P[start]
-    running = np.zeros(len(P) + 1, dtype=np.int32)
-    width = 2 * span + 1
-    counts = np.zeros((len(start), len(lengths), width), dtype=np.int16)
-    flat = counts.reshape(-1)
-    at_zero = np.arange(len(start), dtype=np.int32) * (len(lengths) * width) + span
-    for level in range(int(P.min()), int(P.max()) + 1):
-        np.cumsum(P == level, dtype=np.int32, out=running[1:])
-        before = running[start]
-        at = at_zero + sign * (level - base)
-        for i, length in enumerate(lengths):
-            flat[at + i * width] += running[start + length] - before
-    return counts
-
-
 def _cell_table(alpha_bits: int, n: int, lengths: Sequence[int]) -> Optional[CellTable]:
-    """The cell table of alpha for walks of at most n steps; None when its 2n
-    rows would hold more than _MAX_CELL_ENTRIES count entries."""
+    """The cell table of alpha for walks of at most n steps; None when it
+    would hold more than _MAX_CELL_ENTRIES count entries: its 2n rows of
+    histograms and its 2n + 2 running counts of each level of P."""
     P, hi, lo, start, sign = partition_cells(alpha_bits, n)[:5]
     span = int(P.max()) - int(P.min())
-    if 2 * n * len(lengths) * (2 * span + 1) > _MAX_CELL_ENTRIES:
+    if 2 * n * len(lengths) * (2 * span + 1) + (span + 1) * (2 * n + 2) > _MAX_CELL_ENTRIES:
         return None
     # P[0] = 0, so every height, and every difference of two, lies in +/-span
     P = P.astype(np.min_scalar_type(-span - 1))
-    hist = _window_counts(P, start, sign, lengths, span)
-    inc = sign * (P[start + n] - P[start])
-    return CellTable(alpha_bits, n, P, hi, lo, start, sign, inc, hist, span)
+    return CellTable(alpha_bits, n, P, hi, lo, start, sign, span, lengths)
 
 
 @functools.lru_cache(maxsize=64)
@@ -266,8 +265,7 @@ _tables_lock = threading.Lock()
 
 def cell_table(alpha_bits: int, n: int, lengths: Sequence[int]) -> Optional[CellTable]:
     """The cell table of alpha for walks of at most n steps, with counts at
-    the given lengths (ascending, at most n), built once and cached; None
-    when its 2n rows would hold more than _MAX_CELL_ENTRIES count entries."""
+    the given lengths (ascending, at most n), built once and cached, or None."""
     key = (alpha_bits, n, tuple(lengths))
     with _tables_lock:
         if key in _tables:
@@ -345,11 +343,9 @@ def _walk_counts(alpha_bits: int, thetas: np.ndarray,
     return v_min, rows
 
 
-# Count entries handled at a time: gathered from rows of counts (chunks), or
-# the whole-block histograms of a chunk of thetas (_block_counts).
-# Per-chunk overhead vanishes, and a chunk's int16 counts (64 KiB) stay
-# small beside the table they are read from (golden, n = 2048, 7 lengths:
-# 745 KB of histograms).
+# Count entries handled at a time, gathered from rows of counts (chunks) or
+# running counts (_block_counts): per-chunk overhead vanishes, and a chunk's
+# temporaries stay small beside the rows they fill.
 _CHUNK_ENTRIES = 1 << 15
 
 
@@ -364,26 +360,29 @@ def _block_counts(table: CellTable, thetas: np.ndarray,
     The walks are cut into q-step blocks and every block is read off the
     block table: a block's start is theta + b * q * alpha, its cell gives
     its walk, and a cumsum of the cells' increments the height it starts
-    at.  A whole block, one no checkpoint cuts, adds its cell's histogram,
-    shifted to that height, to the checkpoint after it: one weighted
-    bincount per chunk of _CHUNK_ENTRIES histogram entries, of thetas, and
-    of _CHUNK blocks past that.  A partial block, one a checkpoint cuts or
-    the final one, is a slice of P per theta.  A first pass over the chunks
-    finds the band, from each block's start and its cell's bottom and top,
-    and rows is allocated once over it; a second fills it, and a
-    cumsum over checkpoints adds the rows up.  With one chunk, the second
-    pass reuses the first's cells.  Time O(n_theta * (N/q + q * number of
-    checkpoints)); memory rows, O(q), and one chunk's cells and counts.
+    at.  The checkpoints cut the blocks into pieces: a whole block is one,
+    [0, q), and a block a checkpoint cuts, or the final short one, one per
+    checkpoint segment.  Every piece is read the same way: its visits to a
+    level L of P, the difference of L's running counts at its two ends, go
+    to its segment's row at its block's start height + sign * (L -
+    P[start]).  A chunk of thetas and blocks, about _CHUNK_ENTRIES entries
+    (per theta, its pieces' levels of P and its rows' checkpoints times a
+    block's 2 * span + 1 levels), takes one gather and one weighted
+    bincount.  A first pass finds the band from each block's start and its
+    cell's bottom and top, and rows is allocated once over it; a second
+    fills it, reusing the first's cells when there is one chunk, and a
+    cumsum over checkpoints adds the rows up.  Time O(n_theta * (N/q +
+    checkpoints)); memory rows and one chunk's cells and counts.
     """
     q, n, m = table.n, ends[-1], len(ends)
     if n // q >= MAX_BLOCKS:
         raise BudgetExceeded(f"a walk of {n} steps takes {n // q} blocks of {q}; "
                              f"the budget is {MAX_BLOCKS}")
-    blocks = -(-n // q)  # the final partial block too
-    partial = sorted({end // q for end in ends if end % q})
-    width_r = 2 * table.span + 1
-    step = max(1, _CHUNK_ENTRIES // (max(1, blocks - len(partial)) * width_r))
-    signed = {1: table.P, -1: -table.P}  # |P| <= span, so -P fits P's dtype
+    blocks = -(-n // q)  # the final short block too
+    level = np.arange(int(table.P.min()), int(table.P.max()) + 1)  # running's columns
+    pieces = blocks + sum(1 for end in ends[:-1] if end % q)
+    step = max(1, _CHUNK_ENTRIES // (pieces * len(level) + m * (2 * table.span + 1)))
+    per = max(1, min(_CHUNK, _CHUNK_ENTRIES // len(level)))  # blocks per chunk
 
     def walks():
         """(t0, b0, cell, starts): per chunk of thetas from t0 and of blocks
@@ -391,8 +390,8 @@ def _block_counts(table: CellTable, thetas: np.ndarray,
         for t0 in range(0, len(thetas), step):
             hi0, lo0 = thetas[t0:t0 + step, :1], thetas[t0:t0 + step, 1:]
             height = np.zeros((len(hi0), 1), dtype=np.int64)
-            for b0 in range(0, blocks, _CHUNK):
-                b = np.arange(b0, min(b0 + _CHUNK, blocks), dtype=np.uint64)
+            for b0 in range(0, blocks, per):
+                b = np.arange(b0, min(b0 + per, blocks), dtype=np.uint64)
                 hi, lo = orbit_words(0, table.step, b)
                 lo = lo + lo0
                 hi = hi + hi0 + (lo < lo0)  # the carry of adding theta's low word
@@ -404,8 +403,7 @@ def _block_counts(table: CellTable, thetas: np.ndarray,
                 starts -= inc
                 yield t0, b0, cell, starts
 
-    single = len(thetas) <= step and blocks <= _CHUNK
-    kept = list(walks()) if single else None
+    kept = list(walks()) if len(thetas) <= step and blocks <= per else None
     # every walk visits 0, its first height, and every block, the final one
     # too, stays within its cell's band over q heights
     v_min = v_top = 0
@@ -417,43 +415,41 @@ def _block_counts(table: CellTable, thetas: np.ndarray,
     with allocating(f"level counts of {len(thetas)} thetas over {width} levels", width):
         rows = np.zeros((len(thetas), m, width), dtype=np.int64)
     ends_arr = np.array(ends, dtype=np.int64)
-    for t0, b0, cell, starts in kept or walks():
-        part_rows = rows[t0:t0 + len(cell)]
-        here = [p for p in partial if b0 <= p < b0 + cell.shape[1]]
-        whole = np.ones(cell.shape[1], dtype=bool)
-        whole[[p - b0 for p in here]] = False
-        if whole.any():
-            # a whole block's visits go to the segment up to the first
-            # checkpoint after its start
-            seg = np.searchsorted(ends_arr, (np.flatnonzero(whole) + b0) * q, "right")
-            hist_cells, starts_w = cell[:, whole], starts[:, whole]
-            # column c of the counts is level low + c
-            low = int(starts_w.min()) - table.span
-            wide = int(starts_w.max()) + table.span - low + 1
-            bins = (np.arange(len(cell))[:, None] * m + seg) * wide + starts_w - table.span - low
-            bins = (bins[:, :, None] + np.arange(width_r)).ravel()
-            # every bin sums integers below 2**53, so the float sums are exact
-            counts = np.bincount(bins, weights=table.hist[hist_cells, -1].ravel(),
-                                 minlength=len(cell) * m * wide).reshape(len(cell), m, wide)
-            # outside the common band every bin is empty
-            a, z = max(low, v_min), min(low + wide, v_min + width)
-            into = part_rows[:, :, a - v_min:z - v_min]
-            np.add(into, counts[:, :, a - low:z - low], out=into, casting="unsafe")
-        for p in here:
-            # each height's column, offset by the row of its checkpoint segment
-            s0, s1 = p * q, min(p * q + q, n)
-            first = bisect.bisect_right(ends, s0)
-            cuts = [s0] + [end for end in ends[first:] if end < s1] + [s1]
-            offset = np.repeat(np.arange(len(cuts) - 1, dtype=np.int32) * width,
-                               [c1 - c0 for c0, c1 in zip(cuts, cuts[1:])])
-            rows_p = part_rows[:, first:first + len(cuts) - 1].reshape(len(cell), -1)
-            # per theta, the block's heights less v_min
-            at, sign = table.start[cell[:, p - b0]], table.sign[cell[:, p - b0]]
-            shifts = starts[:, p - b0] - v_min - sign * table.P[at]
-            for into, s, g, shift in zip(rows_p, at.tolist(), sign.tolist(), shifts.tolist()):
-                heights = np.add(signed[g][s:s + s1 - s0], shift, dtype=np.int64)
-                heights += offset
-                into += np.bincount(heights, minlength=len(into))
+
+    def add_pieces(t0, b0, cell, starts):
+        """Add one chunk's pieces to its rows; its temporaries go on return."""
+        # the pieces of these blocks: their bounds, block, ends in it and segment
+        s0, s1 = b0 * q, min((b0 + cell.shape[1]) * q, n)
+        cuts = ends_arr[(s0 < ends_arr) & (ends_arr < s1) & (ends_arr % q != 0)]
+        bounds = np.sort(np.concatenate([np.arange(s0, s1, q), cuts]))
+        block = bounds // q
+        c0, c1 = bounds - block * q, np.append(bounds[1:], s1) - block * q
+        seg = np.searchsorted(ends_arr, bounds, "right")
+        block -= b0
+        at, sign = table.start[cell[:, block]], table.sign[cell[:, block]].astype(np.int64)
+        # one gather: every piece's running counts at its end and at its
+        # start; its visits to each level, level by level, are their difference
+        gathered = table.running.take(np.stack([at + c1, at + c0]), axis=0)
+        visits = np.subtract(*gathered.transpose(0, 3, 1, 2), dtype=np.float64, order="C")
+        del gathered  # before the bins: a chunk's temporaries add up
+        # column c of the counts is level low + c; a piece's visits to level
+        # L go to its block's start height + sign * (L - P[at])
+        low = int(starts.min()) - table.span
+        wide = int(starts.max()) + table.span - low + 1
+        bins = np.multiply.outer(level, sign.reshape(-1))
+        bins += ((np.arange(len(cell))[:, None] * m + seg) * wide + starts[:, block] - low
+                 - sign * table.P[at]).reshape(-1)
+        # every bin sums integers below 2**53, so the float sums are exact
+        counts = np.bincount(bins.reshape(-1), weights=visits.reshape(-1),
+                             minlength=len(cell) * m * wide).reshape(len(cell), m, wide)
+        # outside the common band every bin is empty
+        a, z = max(low, v_min), min(low + wide, v_min + width)
+        into = rows[t0:t0 + len(cell), :, a - v_min:z - v_min]
+        # added as int64: a float sum into int64 rows would take a whole temporary
+        np.add(into, counts[:, :, a - low:z - low], out=into, dtype=np.int64, casting="unsafe")
+
+    for chunk in kept or walks():
+        add_pieces(*chunk)
     np.cumsum(rows, axis=1, out=rows)
     return v_min, rows
 
@@ -486,7 +482,7 @@ def theta_counts(alpha: FixedAngle, thetas: np.ndarray,
         table = cell_table(alpha.bits, n, ends)
         if table is not None:
             return -table.span, table.hist, table.cells(thetas[:, 0], thetas[:, 1])
-    table = cell_table(alpha.bits, q, [q]) if len(thetas) and n >= q >= _MIN_Q else None
+    table = cell_table(alpha.bits, q, []) if len(thetas) and n >= q >= _MIN_Q else None
     v_min, rows = (_walk_counts(alpha.bits, thetas, ends) if table is None
                    else _block_counts(table, thetas, ends))
     return v_min, rows, np.arange(len(thetas))

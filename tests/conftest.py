@@ -30,9 +30,9 @@ def theta_points(words):
 
 def block_table(alpha_bits):
     """The block table theta_counts reads walks of N >= q off: the cell
-    table of n = q, lengths [q]."""
+    table of n = q, with no histograms."""
     q = block_length(alpha_bits)
-    return cell_table(alpha_bits, q, [q])
+    return cell_table(alpha_bits, q, [])
 
 
 @pytest.fixture(scope="session")

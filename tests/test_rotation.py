@@ -162,6 +162,19 @@ class TestAdvance:
         t = FixedAngle(12345)
         assert advance(advance(t, a, 1), inv, 1) == t
 
+    @given(theta=BITS, alpha=BITS, n=st.integers(0, 1 << 40), other=BITS)
+    @example(theta=MODULUS - 1, alpha=MODULUS - 1, n=1 << 40, other=0)
+    @example(theta=0, alpha=0, n=0, other=MODULUS - 1)
+    def test_matches_a_checked_point(self, theta, alpha, n, other):
+        # advance builds its point without the range check, and gives the
+        # point FixedAngle builds with it: in value, hash and order
+        got = advance(FixedAngle(theta), FixedAngle(alpha), n)
+        checked = FixedAngle((theta + n * alpha) % MODULUS)
+        assert type(got) is FixedAngle and got.bits == checked.bits
+        assert got == checked and hash(got) == hash(checked)
+        assert (got < FixedAngle(other)) == (checked < FixedAngle(other))
+        assert (got > FixedAngle(other)) == (checked > FixedAngle(other))
+
 
 class TestPhi:
     def test_zero(self):

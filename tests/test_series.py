@@ -281,6 +281,63 @@ class TestBlockCounts:
             N_list.append(q)
         assert_rows_match_heights(alpha, N_list, [0, MODULUS - 1] + random + on)
 
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(sorted(ALPHAS)),
+           cuts=st.lists(st.tuples(st.integers(0, 3),
+                                   st.one_of(st.sampled_from(["one", "last", "whole"]),
+                                             st.floats(0, 1))), max_size=5),
+           inside=st.lists(st.floats(0, 1), max_size=3), final=st.integers(0, 4),
+           short=st.one_of(st.none(), st.floats(0, 1)),
+           random=st.lists(st.integers(0, MODULUS - 1), max_size=3), many=st.booleans())
+    @example(name="golden", cuts=[(0, "one"), (0, "last"), (1, "whole"), (2, 0.5)],
+             inside=[0.1, 0.2, 0.3], final=3, short=0.25, random=[], many=True)
+    @example(name="cf8", cuts=[], inside=[], final=0, short=None, random=[2**127], many=False)
+    def test_pieces_match_direct_walk(self, name, cuts, inside, final, short, random, many):
+        # checkpoints at offset 1 or q - 1 into a block, on a multiple of q,
+        # anywhere inside it, several inside one block (`inside`, in the
+        # final one), and the final block whole or cut short
+        alpha = ALPHA_BITS[name]
+        q = block_length(alpha)
+        table = block_table(alpha)
+        assert table is not None and table.hist.size == 0
+
+        def offset(where):
+            if isinstance(where, str):
+                return {"one": 1, "last": q - 1, "whole": 0}[where]
+            return min(q - 1, max(1, round(where * q)))
+
+        N = final * q + (q if short is None else min(q, max(1, round(short * q))))
+        N_list = sorted({min(N, b * q + offset(w)) for b, w in cuts if b * q + offset(w)}
+                        | {min(N, final * q + max(1, round(f * q))) for f in inside} | {N})
+        thetas = theta_words([FixedAngle(b) for b in ([0, MODULUS - 1] + random if many
+                                                      else (random or [MODULUS - 1])[:1])])
+        got_min, got = walk_module._block_counts(table, thetas, N_list)
+        ref_min, ref = walk_module._walk_counts(alpha, thetas, N_list)
+        assert got.shape[:2] == ref.shape[:2] == (len(thetas), len(N_list))
+        bands = list(zip(*visited_band(ref_min, ref)))
+        assert list(zip(*visited_band(got_min, got))) == bands
+        for t, (lo, hi) in enumerate(bands):
+            assert np.array_equal(got[t, :, lo - got_min:hi - got_min + 1],
+                                  ref[t, :, lo - ref_min:hi - ref_min + 1])
+            assert got[t].sum(axis=1).tolist() == N_list
+
+    @pytest.mark.parametrize("name", sorted(ALPHAS))
+    def test_block_table_holds_running_counts(self, name):
+        # the cached block table holds no whole-block histograms; its running
+        # counts give each cell's band over q heights, as the histograms did
+        alpha = ALPHA_BITS[name]
+        q = block_length(alpha)
+        table = block_table(alpha)
+        assert walk_module._tables[(alpha, q, ())] is table
+        assert table.hist.shape == (2 * q, 0, 2 * table.span + 1)
+        levels = np.arange(int(table.P.min()), int(table.P.max()) + 1)
+        assert table.running.dtype == np.uint16 and len(levels) == table.span + 1
+        assert np.array_equal(table.running, np.cumsum(
+            np.vstack([np.zeros_like(levels), table.P[:, None] == levels]), axis=0))
+        with_hist = walk_module._cell_table(alpha, q, [q])
+        bottom, top = visited_band(-with_hist.span, with_hist.hist)
+        assert table.bottom.tolist() == bottom.tolist() and table.top.tolist() == top.tolist()
+
     @pytest.mark.parametrize("name", sorted(BLOCK_ALPHAS))
     def test_one_theta(self, name):
         alpha = BLOCK_ALPHAS[name]
@@ -301,9 +358,15 @@ class TestBlockCounts:
     def test_chunks(self, golden, monkeypatch, per_chunk, block_chunk):
         q = block_length(golden.bits)
         N_list = [5, 2 * q + 1, 5 * q, 11 * q + 7]
-        # 12 blocks; the checkpoints cut blocks 0, 2 and 11, the other 9 are whole
-        blocks, partial = 12, {0, 2, 11}
-        entries = (blocks - len(partial)) * (2 * block_table(golden.bits).span + 1)
+        # 12 blocks, the last one short; 5 and 2q + 1 cut blocks 0 and 2, so
+        # each theta reads 14 pieces.  A theta's share of a chunk is its
+        # pieces' P levels (span + 1 each), and its 4 checkpoint rows over a
+        # block's 2 * span + 1 levels: per_chunk thetas fill a chunk, and
+        # its blocks, at most _CHUNK_ENTRIES // levels >= 21, all fit one
+        # chunk unless _CHUNK is patched to 3
+        table = block_table(golden.bits)
+        blocks, pieces, levels = 12, 14, table.span + 1
+        entries = pieces * levels + len(N_list) * (2 * table.span + 1)
         monkeypatch.setattr(walk_module, "_CHUNK_ENTRIES", per_chunk * entries)
         if block_chunk:
             monkeypatch.setattr(walk_module, "_CHUNK", block_chunk)

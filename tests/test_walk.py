@@ -286,10 +286,10 @@ class TestBlockKernel:
         def call():
             return [b.tobytes() for b in occupation_band(alpha, thetas, [100, 10**5])]
 
-        walk_module._tables.pop((alpha.bits, 10864, (10864,)), None)
+        walk_module._tables.pop((alpha.bits, 10864, ()), None)
         serial = call()
         assert builds.count((alpha.bits, 10864)) == 1
-        walk_module._tables.pop((alpha.bits, 10864, (10864,)), None)
+        walk_module._tables.pop((alpha.bits, 10864, ()), None)
         assert all(r == serial for r in from_threads(call, switch_interval=1e-6))
         assert builds.count((alpha.bits, 10864)) == 2
 
