@@ -201,9 +201,8 @@ def common_options(fn):
         click.option("--seed", type=click.IntRange(min=0), default=None,
                      help="RNG seed for sampling (>= 0)."),
         click.option("--threads", type=click.IntRange(min=1), default=1,
-                     callback=lambda ctx, param, n: min(n, os.cpu_count() or 1),
                      help="No effect: every loop runs in the calling thread. Still "
-                          "checked, clamped to the CPU count and echoed."),
+                          "checked and echoed as given."),
         click.option("--out", default=None, help="Output file (default stdout)."),
     ):
         fn = opt(fn)

@@ -8,6 +8,7 @@ floating-point drift no matter how many steps are taken.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
@@ -60,6 +61,11 @@ class FixedAngle:
         return f"FixedAngle({self.to_float():.17g})"
 
 
+# The presets (sqrt(5)-1)/2, sqrt(2)-1 and sqrt(3)-1 as continued fractions
+# [0; a1, a2, ...]: each its period repeated.
+_PERIODS = {"golden": (1,), "sqrt2m1": (2,), "sqrt3m1": (1, 2)}
+
+
 @dataclass(frozen=True)
 class AlphaSpec:
     """Choice of rotation angle: a named quadratic preset or a custom CF.
@@ -74,22 +80,7 @@ class AlphaSpec:
     quotients: Optional[Sequence[int]] = None
     bound: Optional[int] = None
 
-    PRESETS = ("golden", "sqrt2m1", "sqrt3m1")
-
-
-def _preset_quotients(name: str) -> Iterator[int]:
-    if name == "golden":        # (sqrt(5)-1)/2 = [0; 1, 1, 1, ...]
-        while True:
-            yield 1
-    elif name == "sqrt2m1":     # sqrt(2)-1 = [0; 2, 2, 2, ...]
-        while True:
-            yield 2
-    elif name == "sqrt3m1":     # sqrt(3)-1 = [0; 1, 2, 1, 2, ...]
-        while True:
-            yield 1
-            yield 2
-    else:
-        raise UnknownPreset(f"unknown alpha preset: {name!r}")
+    PRESETS = tuple(_PERIODS)
 
 
 def resolve_alpha(spec: AlphaSpec) -> FixedAngle:
@@ -101,8 +92,9 @@ def resolve_alpha(spec: AlphaSpec) -> FixedAngle:
     true value.
     """
     if spec.preset is not None:
-        quots: Iterator[int] = _preset_quotients(spec.preset)
-        finite = False
+        if spec.preset not in _PERIODS:
+            raise UnknownPreset(f"unknown alpha preset: {spec.preset!r}")
+        quots: Iterator[int] = itertools.cycle(_PERIODS[spec.preset])
     else:
         if not spec.quotients:
             raise FiniteCF("empty continued fraction")
@@ -115,21 +107,18 @@ def resolve_alpha(spec: AlphaSpec) -> FixedAngle:
                 raise UnboundedQuotients(
                     f"partial quotient {a} exceeds declared bound {spec.bound}")
         quots = iter(spec.quotients)
-        finite = True
 
-    # value = [0; a1, a2, ...]; standard convergent recurrence
+    # value = [0; a1, a2, ...]; standard convergent recurrence.  Only a
+    # custom prefix runs out: a preset's period repeats forever.
     p_prev, p = 1, 0
     q_prev, q = 0, 1
     limit = 1 << (SCALE_BITS + 2)
     while q <= limit:
-        try:
-            a = next(quots)
-        except StopIteration:
-            if finite:
-                raise FiniteCF(
-                    "finite continued fraction denotes a rational; "
-                    "supply enough quotients to exceed 128-bit resolution")
-            raise
+        a = next(quots, None)
+        if a is None:
+            raise FiniteCF(
+                "finite continued fraction denotes a rational; "
+                "supply enough quotients to exceed 128-bit resolution")
         p_prev, p = p, a * p + p_prev
         q_prev, q = q, a * q + q_prev
     bits = ((p << SCALE_BITS) + q // 2) // q % MODULUS
@@ -186,15 +175,9 @@ def orbit_words(theta_bits: int, alpha_bits: int, j: np.ndarray):
 
 
 def orbit_hi64(theta_bits: int, alpha_bits: int, n: int) -> np.ndarray:
-    """Top 64 bits of each orbit point, exact.  No route calls it; the bench
-    tracer wraps it by name."""
-    out = np.empty(n, dtype=np.uint64)
-    j = np.arange(min(n, _BLOCK), dtype=np.uint64)
-    for start in range(0, n, _BLOCK):
-        stop = min(start + _BLOCK, n)
-        base = (theta_bits + start * alpha_bits) % MODULUS
-        out[start:stop], _ = orbit_words(base, alpha_bits, j[:stop - start])
-    return out
+    """Top 64 bits of each of the first n < 2**32 orbit points, exact.  No
+    route calls it; the bench tracer wraps it by name."""
+    return orbit_words(theta_bits, alpha_bits, np.arange(n, dtype=np.uint64))[0]
 
 
 def walk_heights(theta_bits: int, alpha_bits: int, n: int) -> np.ndarray:

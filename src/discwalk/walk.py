@@ -163,7 +163,6 @@ _MAX_Q = 1 << 14
 _MIN_Q = 1 << 6
 _TABLE_CACHE = 8
 _MAX_CELL_ENTRIES = 1 << 22
-_CHUNK = 1 << 14  # blocks looked up at a time, at most
 _STRETCH = 1 << 20  # steps of a directly walked stretch in memory at a time
 # Budgets (exit 4), checked before anything is walked or looked up.  A walk's
 # memory does not grow with its length, so both bound its time.
@@ -382,7 +381,7 @@ def _block_counts(table: CellTable, thetas: np.ndarray,
     level = np.arange(int(table.P.min()), int(table.P.max()) + 1)  # running's columns
     pieces = blocks + sum(1 for end in ends[:-1] if end % q)
     step = max(1, _CHUNK_ENTRIES // (pieces * len(level) + m * (2 * table.span + 1)))
-    per = max(1, min(_CHUNK, _CHUNK_ENTRIES // len(level)))  # blocks per chunk
+    per = _CHUNK_ENTRIES // len(level)  # blocks per chunk
 
     def walks():
         """(t0, b0, cell, starts): per chunk of thetas from t0 and of blocks
@@ -497,23 +496,17 @@ def visited_band(v_min: int, counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray
     return lo, hi
 
 
-def band_counts(v_min: int, counts: np.ndarray, v_max: int) -> np.ndarray:
-    """Level counts (last axis: level v_min + j) cut to the levels
-    -v_max..v_max; levels the walk never visits read 0.  Every walk visits
-    0, so v_min <= 0 <= its top."""
-    padded = np.pad(counts, [(0, 0)] * (counts.ndim - 1) + [(v_max, v_max)])
-    return padded[..., -v_min:-v_min + 2 * v_max + 1]
-
-
 def theta_band_counts(alpha: FixedAngle, theta_samples: np.ndarray,
                       checkpoints: Sequence[int], v_max: int) -> np.ndarray:
-    """band_counts of every theta: [t, i, j] counts the visits of the walk
-    from theta_samples[t] to level j - v_max among its first checkpoints[i]
-    heights."""
+    """[t, i, j]: visits of the walk from theta_samples[t] to level j - v_max
+    among its first checkpoints[i] heights; levels it never visits read 0.
+    Every walk visits 0, so the band of theta_counts' rows meets -v_max..v_max,
+    and one gather copies the levels both hold."""
     with allocating(f"band counts over {2 * v_max + 1} levels", 2 * v_max + 1):
-        out = np.empty((len(theta_samples), len(checkpoints), 2 * v_max + 1), dtype=np.int64)
+        out = np.zeros((len(theta_samples), len(checkpoints), 2 * v_max + 1), dtype=np.int64)
     v_min, rows, row = theta_counts(alpha, theta_samples, checkpoints)
-    out[...] = band_counts(v_min, rows[row], v_max)
+    lo, hi = max(-v_max, v_min), min(v_max, v_min + rows.shape[2] - 1)
+    out[:, :, lo + v_max:hi + v_max + 1] = rows[row, :, lo - v_min:hi - v_min + 1]
     return out
 
 

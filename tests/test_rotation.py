@@ -90,9 +90,12 @@ class TestResolveAlpha:
         with pytest.raises(FiniteCF):
             resolve_alpha(AlphaSpec(quotients=[], bound=1))
 
-    def test_long_bounded_cf_accepted(self, golden):
-        a = resolve_alpha(AlphaSpec(quotients=[1] * 200, bound=1))
-        assert a == golden
+    @pytest.mark.parametrize("name, period", [
+        ("golden", [1]), ("sqrt2m1", [2]), ("sqrt3m1", [1, 2])])
+    def test_long_bounded_cf_accepted(self, name, period):
+        # each preset is its period repeated, bit for bit
+        a = resolve_alpha(AlphaSpec(quotients=period * 200, bound=2))
+        assert a.bits == resolve_alpha(AlphaSpec(preset=name)).bits
 
     def test_quotient_above_bound_rejected(self):
         with pytest.raises(UnboundedQuotients):

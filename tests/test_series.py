@@ -20,7 +20,8 @@ from discwalk import walk as walk_module
 from discwalk.averages import ergodicity_correlation, reduced_average_series
 from discwalk.filters import QuantileFilter
 from discwalk.rotation import HALF, MODULUS, AlphaSpec, FixedAngle, resolve_alpha, walk_heights
-from discwalk.walk import block_length, cell_table, sample_thetas, theta_counts, visited_band
+from discwalk.walk import (block_length, cell_table, sample_thetas, theta_band_counts, theta_counts,
+                           visited_band)
 
 ALPHAS = {
     "golden": AlphaSpec(preset="golden"),
@@ -353,23 +354,23 @@ class TestBlockCounts:
         thetas = [t.bits for t in theta_points(sample_thetas(6, 8))] + [0, MODULUS - 1]
         assert_rows_match_heights(golden.bits, N_list(q), thetas)
 
-    @pytest.mark.parametrize("per_chunk", [1, 3])
-    @pytest.mark.parametrize("block_chunk", [3, None])
+    # (blocks, thetas) per chunk.  No run reads 3 blocks of 3 thetas a
+    # chunk: a chunk of fewer blocks than a walk has holds fewer entries
+    # than one theta's pieces' levels, so it holds one theta
+    @pytest.mark.parametrize("block_chunk, per_chunk", [(3, 1), (None, 1), (None, 3)])
     def test_chunks(self, golden, monkeypatch, per_chunk, block_chunk):
         q = block_length(golden.bits)
         N_list = [5, 2 * q + 1, 5 * q, 11 * q + 7]
         # 12 blocks, the last one short; 5 and 2q + 1 cut blocks 0 and 2, so
-        # each theta reads 14 pieces.  A theta's share of a chunk is its
-        # pieces' P levels (span + 1 each), and its 4 checkpoint rows over a
-        # block's 2 * span + 1 levels: per_chunk thetas fill a chunk, and
-        # its blocks, at most _CHUNK_ENTRIES // levels >= 21, all fit one
-        # chunk unless _CHUNK is patched to 3
+        # each theta reads 14 pieces.  A chunk holds _CHUNK_ENTRIES //
+        # levels blocks' P levels (span + 1 each), and as many thetas as
+        # their pieces' P levels and their 4 checkpoint rows over a block's
+        # 2 * span + 1 levels fill: per_chunk thetas, and 3 blocks or all 12
         table = block_table(golden.bits)
         blocks, pieces, levels = 12, 14, table.span + 1
         entries = pieces * levels + len(N_list) * (2 * table.span + 1)
-        monkeypatch.setattr(walk_module, "_CHUNK_ENTRIES", per_chunk * entries)
-        if block_chunk:
-            monkeypatch.setattr(walk_module, "_CHUNK", block_chunk)
+        monkeypatch.setattr(walk_module, "_CHUNK_ENTRIES",
+                            block_chunk * levels if block_chunk else per_chunk * entries)
         lookups, cells = [], walk_module.CellTable.cells
         monkeypatch.setattr(walk_module.CellTable, "cells",
                             lambda self, hi, lo: lookups.append(len(hi)) or cells(self, hi, lo))
@@ -395,6 +396,23 @@ class TestBlockCounts:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * rows.nbytes
+
+    @pytest.mark.parametrize("N_list", [
+        [64, 256, 331, 512, 20000],  # off the block table
+        [64, 256, 331, 512, 2048],  # the cell table's hist rows
+    ])
+    def test_band_gathered_alone(self, golden, N_list):
+        # the +/-v_max band is one gather of the levels both bands hold:
+        # nothing beside theta_counts' rows copies them whole
+        thetas = sample_thetas(2000, 1)
+        _, rows, row = theta_counts(golden, thetas, N_list)  # builds the table
+        tracemalloc.start()
+        try:
+            theta_band_counts(golden, thetas, N_list, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * rows[row].nbytes
 
     def test_ergodicity_looks_every_block_up_at_once(self, golden, monkeypatch):
         # the README example: N = 10**5 takes 10 of golden's blocks, and 194

@@ -21,7 +21,7 @@ from discwalk import (
 from discwalk import _pcg
 from discwalk import walk as walk_module
 from discwalk.rotation import HALF, MODULUS, AlphaSpec, resolve_alpha, walk_heights
-from discwalk.walk import (WalkSummary, band_counts, block_length, default_checkpoints,
+from discwalk.walk import (WalkSummary, block_length, default_checkpoints, theta_band_counts,
                            theta_counts, visited_band)
 
 BITS = st.integers(min_value=0, max_value=MODULUS - 1)
@@ -131,7 +131,7 @@ class TestOneWalk:
         heights = walk_heights(theta, alpha.bits, checkpoints[-1])
         assert v_min == heights.min()
         assert counts.shape == (len(checkpoints), heights.max() - v_min + 1)
-        band = band_counts(v_min, counts, v_max)
+        (band,) = theta_band_counts(alpha, theta_words([FixedAngle(theta)]), checkpoints, v_max)
         for n, row, band_row in zip(checkpoints, counts, band):
             assert np.array_equal(row, np.bincount(heights[:n] - v_min,
                                                    minlength=counts.shape[1]))
@@ -219,7 +219,8 @@ class TestBlockKernel:
         assert_matches_heights(theta, TIE_ALPHA, [3000, 5000, 7001])
 
     def test_chunks_of_blocks(self, golden, monkeypatch):
-        monkeypatch.setattr(walk_module, "_CHUNK", 3)
+        # 3 blocks' running counts of each level of P fill a chunk
+        monkeypatch.setattr(walk_module, "_CHUNK_ENTRIES", 3 * (block_table(golden.bits).span + 1))
         q = block_length(golden.bits)
         for theta in (0, 2**127 + 12345, MODULUS - 1):
             assert_matches_heights(theta, golden.bits, [5, 2 * q + 1, 5 * q, 11 * q + 7, 20 * q])
