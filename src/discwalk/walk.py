@@ -178,8 +178,11 @@ class CellTable:
     among its first lengths[i] heights, where span = max P - min P bounds
     every |r|; ``bottom``, ``top``, the lowest and highest of its n heights.
     ``running[k, l]`` counts the j < k with P[j] = min P + l: no count
-    exceeds 2n + 1 <= 2**15 + 1, so running is uint16 and hist int16.  A
-    plain class: a dataclass would cost milliseconds at import."""
+    exceeds 2n + 1 <= 2**15 + 1, so running is uint16 and hist int16.
+    ``cells`` reads a bucket index of the beginnings' top words: ``first[k]``
+    (int32) counts the beginnings whose top bits, hi >> ``shift``, are below
+    k, and no bucket holds 2**``rounds`` of them.  A plain class: a
+    dataclass would cost milliseconds at import."""
 
     def __init__(self, alpha_bits: int, n: int, P: np.ndarray, hi: np.ndarray, lo: np.ndarray,
                  start: np.ndarray, sign: np.ndarray, span: int, lengths: Sequence[int]):
@@ -211,22 +214,45 @@ class CellTable:
         # P is a +/-1 path, so the levels a walk visits are contiguous
         high, low = highest - base, highest - base - visited + 1
         self.bottom, self.top = np.where(sign > 0, [low, high], [-high, -low])
-        for a in (P, hi, lo, start, sign, self.inc, self.hist, self.running, self.bottom, self.top):
+        # the bucket index: 2**bits buckets, the least power of two >= 2 *
+        # beginnings, at most 16 bytes of first per beginning
+        bits = (2 * len(hi) - 1).bit_length()
+        self.shift = np.uint64(64 - bits)
+        per = np.bincount((hi >> self.shift).astype(np.intp), minlength=1 << bits)
+        self.first = np.zeros((1 << bits) + 1, dtype=np.int32)
+        np.cumsum(per, dtype=np.int32, out=self.first[1:])
+        self.rounds = int(per.max()).bit_length()
+        for a in (P, hi, lo, start, sign, self.inc, self.hist, self.running, self.bottom, self.top,
+                  self.first):
             a.flags.writeable = False
+
+    def _below(self, bucket: np.ndarray, at_or_below) -> np.ndarray:
+        """Per point in the given bucket, the beginnings at or below it: those
+        of the buckets below, and the prefix of its own bucket for which
+        at_or_below(index) holds, found by a branchless binary search."""
+        count = self.first[bucket].astype(np.intp)
+        end = self.first[bucket + 1]
+        for r in reversed(range(self.rounds)):
+            ahead = count + (1 << r)
+            take = at_or_below(np.minimum(ahead, end) - 1)
+            take &= ahead <= end
+            np.add(count, 1 << r, out=count, where=take)
+        return count
 
     def cells(self, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
         """The cell of each point (hi, lo): the last beginning at or below it,
         in lexicographic order.  The first beginning is 0, so every point
-        has one.  The points are searched in sorted order, which takes a
-        fraction of the time of searching them as they come."""
-        order = np.argsort(hi)
-        right = np.empty(len(hi), dtype=np.intp)
-        right[order] = np.searchsorted(self.hi, hi[order], "right")
-        cell = right - 1
+        has one.  For a badly approximable alpha the three-distance theorem
+        spreads the beginnings almost evenly, so a point's bucket holds one
+        or two of them: O(1) work per point."""
+        bucket = (hi >> self.shift).astype(np.intp)
+        cell = self._below(bucket, lambda j: self.hi[j] <= hi) - 1
         # where the point's top word equals a beginning's, compare low words
-        for i in np.flatnonzero(self.hi[cell] == hi):
-            left = int(np.searchsorted(self.hi, hi[i], "left"))
-            cell[i] = left + int(np.searchsorted(self.lo[left:right[i]], lo[i], "right")) - 1
+        tie = np.flatnonzero(self.hi[cell] == hi)
+        if len(tie):
+            t_hi, t_lo = hi[tie], lo[tie]
+            cell[tie] = self._below(bucket[tie], lambda j: (self.hi[j] < t_hi) | (
+                (self.hi[j] == t_hi) & (self.lo[j] <= t_lo))) - 1
         return cell
 
 
@@ -369,9 +395,10 @@ def _block_counts(table: CellTable, thetas: np.ndarray,
     block's 2 * span + 1 levels), takes one gather and one weighted
     bincount.  A first pass finds the band from each block's start and its
     cell's bottom and top, and rows is allocated once over it; a second
-    fills it, reusing the first's cells when there is one chunk, and a
-    cumsum over checkpoints adds the rows up.  Time O(n_theta * (N/q +
-    checkpoints)); memory rows and one chunk's cells and counts.
+    fills it, reusing the first's cells and start heights when there are
+    at most _CHUNK_ENTRIES of them, and a cumsum over checkpoints adds the
+    rows up.  Time O(n_theta * (N/q + checkpoints)); memory rows and one
+    chunk's cells and counts.
     """
     q, n, m = table.n, ends[-1], len(ends)
     if n // q >= MAX_BLOCKS:
@@ -402,7 +429,8 @@ def _block_counts(table: CellTable, thetas: np.ndarray,
                 starts -= inc
                 yield t0, b0, cell, starts
 
-    kept = list(walks()) if len(thetas) <= step and blocks <= per else None
+    # at most _CHUNK_ENTRIES cells and start heights (512 KiB) are kept
+    kept = list(walks()) if len(thetas) * blocks <= _CHUNK_ENTRIES else None
     # every walk visits 0, its first height, and every block, the final one
     # too, stays within its cell's band over q heights
     v_min = v_top = 0

@@ -1,8 +1,28 @@
 """Test-only references: literal forms of quantities the package computes
 by shorter routes, kept beside the tests that check the two agree."""
 
+import numpy as np
+
 from discwalk import ESet, FixedAngle, SymbolWindow, SymbolicPoint, apply_S, apply_T
 from discwalk.rotation import walk_heights
+from discwalk.walk import CellTable
+
+
+def cells(table: CellTable, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """CellTable.cells as a sort and a binary search over the table's
+    beginnings: the cell of each point (hi, lo), the last beginning at or
+    below it, in lexicographic order.  The first beginning is 0, so every
+    point has one.  The points are searched in sorted order, which takes a
+    fraction of the time of searching them as they come."""
+    order = np.argsort(hi)
+    right = np.empty(len(hi), dtype=np.intp)
+    right[order] = np.searchsorted(table.hi, hi[order], "right")
+    cell = right - 1
+    # where the point's top word equals a beginning's, compare low words
+    for i in np.flatnonzero(table.hi[cell] == hi):
+        left = int(np.searchsorted(table.hi, hi[i], "left"))
+        cell[i] = left + int(np.searchsorted(table.lo[left:right[i]], lo[i], "right")) - 1
+    return cell
 
 
 def triple_indicator(

@@ -377,11 +377,28 @@ class TestBlockCounts:
         thetas = [t.bits for t in theta_points(sample_thetas(5, 9))] + [0, MODULUS - 1]
         assert_rows_match_heights(golden.bits, N_list, thetas)
         # one pass for the common band, one to count: each looks every
-        # chunk of thetas and of blocks up once
+        # chunk of thetas and of blocks up once, unless the first pass keeps
+        # its cells, at most _CHUNK_ENTRIES of them
+        passes = 1 if len(thetas) * blocks <= walk_module._CHUNK_ENTRIES else 2
+        assert passes == (1 if block_chunk is None else 2)
         theta_chunks = -(-len(thetas) // per_chunk)
         block_chunks = -(-blocks // (block_chunk or blocks))
-        assert len(lookups) == 2 * theta_chunks * block_chunks
-        assert sum(lookups) == 2 * len(thetas) * blocks
+        assert len(lookups) == passes * theta_chunks * block_chunks
+        assert sum(lookups) == passes * len(thetas) * blocks
+
+    def test_desk_looks_every_block_up_once(self, monkeypatch, pinned):
+        # criterion 3's desk walks: 25 cf8 thetas to 10**6, 234 blocks each,
+        # in more than one chunk of thetas; the first pass keeps its cells
+        pin = pinned["desk_oscillation"]
+        alpha = ALPHA_BITS["cf8"]
+        thetas = sample_thetas(25, pin["seed"])
+        blocks = -(-pin["N_list"][-1] // block_length(alpha))
+        assert blocks == 234 and len(thetas) * blocks <= walk_module._CHUNK_ENTRIES
+        lookups, cells = [], walk_module.CellTable.cells
+        monkeypatch.setattr(walk_module.CellTable, "cells",
+                            lambda self, hi, lo: lookups.append(len(hi)) or cells(self, hi, lo))
+        theta_counts(FixedAngle(alpha), thetas, pin["N_list"])
+        assert len(lookups) > 1 and sum(lookups) == len(thetas) * blocks
 
     def test_rows_built_in_place(self, golden):
         # rows is the one array of the thetas' size: nothing stacks per-theta

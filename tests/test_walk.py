@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference
 from conftest import block_table, theta_points, theta_words
 
 from discwalk import (
@@ -316,6 +317,83 @@ class TestBlockKernel:
         for first in range(1, 13):
             block_table(resolve_alpha(AlphaSpec(quotients=[first] + [1] * 199, bound=12)).bits)
         assert len(walk_module._tables) <= walk_module._TABLE_CACHE
+
+
+# the tables whose cells are looked up: the presets' and cf8's block tables,
+# the cell table of golden walks to 2048, TIE_ALPHA's block table, whose
+# beginnings share top words, and two whose buckets run deep: 16 of the 60
+# beginnings of cf:2,500,... at n = 30 share a bucket, and 5 of cf:1,200,...'s
+# at n = 2048
+LOOKUP_TABLES = {
+    **{name: lambda name=name: block_table(resolve_alpha(AlphaSpec(preset=name)).bits)
+       for name in AlphaSpec.PRESETS},
+    "cf8": lambda: block_table(resolve_alpha(AlphaSpec(quotients=[8] * 200, bound=8)).bits),
+    "golden_2048": lambda: walk_module.cell_table(
+        resolve_alpha(AlphaSpec(preset="golden")).bits, 2048, []),
+    "tie": lambda: block_table(TIE_ALPHA),
+    "deep_30": lambda: walk_module.cell_table(resolve_alpha(AlphaSpec(
+        quotients=[2, 500] + [2] * 150, bound=500)).bits, 30, []),
+    "deep_2048": lambda: walk_module.cell_table(resolve_alpha(AlphaSpec(
+        quotients=[1] + [200] * 30, bound=200)).bits, 2048, []),
+}
+
+
+def assert_cells_match_reference(table, points):
+    """CellTable.cells of the points (integers, taken mod 2**128) is the
+    sort and search of tests/reference.py."""
+    words = np.array([divmod(p % MODULUS, 1 << 64) for p in points],
+                     dtype=np.uint64).reshape(-1, 2)
+    hi, lo = words[:, 0], words[:, 1]
+    got = table.cells(hi, lo)
+    assert got.dtype == np.intp
+    assert np.array_equal(got, reference.cells(table, hi, lo))
+
+
+class TestCellLookup:
+    """CellTable.cells: one bucket of the index per point, searched in a
+    few branchless steps, against the sort and search it replaced."""
+
+    @pytest.mark.parametrize("name", sorted(LOOKUP_TABLES))
+    def test_every_beginning_and_its_neighbours(self, name):
+        # one unit below and above a beginning borrows from or carries into
+        # its top word where its low word is 0 or 2**64 - 1
+        table = LOOKUP_TABLES[name]()
+        beginnings = [(h << 64) | l for h, l in zip(table.hi.tolist(), table.lo.tolist())]
+        assert_cells_match_reference(
+            table, [b + d for b in beginnings for d in (-1, 0, 1)] + [0, MODULUS - 1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(sorted(LOOKUP_TABLES)), random=st.lists(BITS, max_size=50),
+           picks=st.lists(st.tuples(st.integers(0, 1 << 15), st.integers(-2, 2),
+                                    st.sampled_from([0, 1, 1 << 64])), max_size=20))
+    @example(name="tie", random=[], picks=[(0, -1, 0), (1, 0, 1 << 64), (1999, 1, 0)])
+    @example(name="deep_30", random=[2**127], picks=[(k, d, 0) for k in range(0, 60, 7)
+                                                     for d in (-1, 0, 1)])
+    def test_matches_reference(self, name, random, picks):
+        # random points, and points near a beginning: a few units either
+        # side of it, or one top-word unit above it
+        table = LOOKUP_TABLES[name]()
+        near = [((int(table.hi[k % len(table.hi)]) << 64 | int(table.lo[k % len(table.lo)]))
+                 + d + top) for k, d, top in picks]
+        assert_cells_match_reference(table, random + near + [0, MODULUS - 1])
+
+    @pytest.mark.parametrize("name", sorted(LOOKUP_TABLES))
+    def test_index(self, name):
+        # first[k] counts the beginnings whose top bits are below k, over at
+        # least 2 buckets per beginning and at most 16 bytes per beginning
+        table = LOOKUP_TABLES[name]()
+        buckets = len(table.first) - 1
+        assert buckets & (buckets - 1) == 0 and buckets // 2 < 2 * len(table.hi) <= buckets
+        assert table.first.dtype == np.int32 and table.first.nbytes <= 16 * len(table.hi)
+        assert not table.first.flags.writeable
+        top_bits = table.hi >> table.shift
+        assert table.shift == 64 - buckets.bit_length() + 1
+        assert np.array_equal(table.first, np.searchsorted(top_bits, np.arange(buckets + 1)))
+        fullest = int(np.diff(table.first).max())
+        assert table.rounds == fullest.bit_length()
+        # the three-distance theorem spreads a badly approximable alpha's
+        # beginnings almost evenly: one or two to a bucket
+        assert (table.rounds <= 2) == (name not in ("deep_30", "deep_2048"))
 
 
 class TestOccupationBand:
